@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 from .central import CentralLogger
 from .engine import Engine, EngineConfig, IntrusionEvent, replay
-from .frames import udp_payload
-from .packet import Direction
+from .packet import PROTO_UDP, Direction, ParseError, parse_frame
 from .sim import (
     AttackScenario,
     FrameTrace,
@@ -134,9 +133,16 @@ def _feed_logger(logger: CentralLogger, trace: FrameTrace) -> list[tuple[int, in
         while next_sweep <= at_us:
             downs.extend((next_sweep, r.node_id) for r in logger.sweep(next_sweep))
             next_sweep += 1_000_000
-        payload = udp_payload(data)
-        if payload is not None:
-            logger.on_datagram(payload, at_us)
+        try:
+            l3 = parse_frame(data, at_us, direction).l3
+        except ParseError:
+            continue
+        if l3 is None or l3.protocol != PROTO_UDP:
+            continue
+        start = l3.l4.payload_offset
+        end = start + l3.l4.payload_len
+        if end <= len(data):
+            logger.on_datagram(data[start:end], at_us)
     if next_sweep is not None:
         while next_sweep <= DURATION_US:
             downs.extend((next_sweep, r.node_id) for r in logger.sweep(next_sweep))

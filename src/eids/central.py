@@ -44,11 +44,9 @@ class CentralLogger:
         psk: bytes,
         timeout_us: int = DEFAULT_TIMEOUT_US,
         expected_nodes: Iterable[int] = (),
-        max_future_skew_ms: int = 120_000,
     ):
         self.psk = psk
         self.timeout_us = timeout_us
-        self.max_future_skew_ms = max_future_skew_ms
         self.records: dict[int, NodeRecord] = {
             n: NodeRecord(n, Liveness.DOWN, IntrusionView.UNKNOWN)
             for n in expected_nodes
@@ -60,13 +58,7 @@ class CentralLogger:
         """Apply one received datagram; returns the updated record, or
         None when the datagram was rejected."""
         try:
-            msg = decode_verify(
-                data,
-                self.psk,
-                self.replay,
-                now_ms=now_us // 1000,
-                max_future_skew_ms=self.max_future_skew_ms,
-            )
+            msg = decode_verify(data, self.psk, self.replay, now_ms=now_us // 1000)
         except AnnounceError as exc:
             self.rejected[type(exc).__name__] += 1
             return None

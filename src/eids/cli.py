@@ -20,7 +20,14 @@ import time
 
 from . import announce, bench, sim
 from .central import CentralLogger
-from .engine import Engine, EngineConfig, format_event, replay
+from .engine import (
+    BadModelVersion,
+    Engine,
+    EngineConfig,
+    MalformedModelLine,
+    format_event,
+    replay,
+)
 from .packet import Direction, ParseError, parse_frame
 from .pcap import PcapError, read_pcap
 
@@ -144,27 +151,32 @@ def _input_frames(args, topology, profile, scenarios=()):
     return trace.frames_for(monitored.name)
 
 
-def longest_arp_request_gap(frame_triples) -> int | None:
+class ArpRequestGaps:
     """Longest observed gap between ARP requests of the same sender, in
-    microseconds. Twice this value is the floor for a learning window
-    that still sees every recurring flow."""
-    last: dict[str, int] = {}
-    longest = None
-    for ts_us, _direction, data in frame_triples:
-        try:
-            meta = parse_frame(data, ts_us, Direction.RX)
-        except ParseError:
-            continue
-        arp = meta.arp
-        if arp is None or arp.op.value != 1:
-            continue
-        previous = last.get(arp.sender_mac)
-        last[arp.sender_mac] = ts_us
-        if previous is not None:
-            gap = ts_us - previous
-            if longest is None or gap > longest:
-                longest = gap
-    return longest
+    microseconds, taken while the frames pass through to another
+    consumer. Twice this value is the floor for a learning window that
+    still sees every recurring flow."""
+
+    def __init__(self):
+        self.longest: int | None = None
+        self._last: dict[str, int] = {}
+
+    def watch(self, frame_triples):
+        """Yield frame_triples unchanged, measuring gaps on the way."""
+        for triple in frame_triples:
+            ts_us, _direction, data = triple
+            try:
+                arp = parse_frame(data, ts_us, Direction.RX).arp
+            except ParseError:
+                arp = None
+            if arp is not None and arp.op.value == 1:
+                previous = self._last.get(arp.sender_mac)
+                self._last[arp.sender_mac] = ts_us
+                if previous is not None and (
+                    self.longest is None or ts_us - previous > self.longest
+                ):
+                    self.longest = ts_us - previous
+            yield triple
 
 
 # -- subcommands -----------------------------------------------------
@@ -177,25 +189,24 @@ def cmd_learn(args) -> int:
         overrides = {**overrides, "learning_duration_us": 1 << 62}
     config = _engine_config(args, overrides)
     engine = Engine(config)
+    gaps = ArpRequestGaps()
     try:
-        triples = list(_input_frames(args, topology, profile, scenarios))
+        replay(engine, gaps.watch(_input_frames(args, topology, profile, scenarios)))
     except (OSError, PcapError, sim.ConfigInvalid) as exc:
         _err(str(exc))
         return 2
-    if not triples:
+    if engine.started_us is None:
         _err("input contains no frames")
         return 2
-    replay(engine, triples)
     with open(args.out, "wb") as handle:
         handle.write(engine.export_model())
-    gap = longest_arp_request_gap(triples)
     flows, bindings = engine.table.export_records()
     print("flows learned: %d" % len(flows), file=sys.stderr)
     print("arp bindings: %d" % len(bindings), file=sys.stderr)
-    if gap is not None:
+    if gaps.longest is not None:
         print(
             "suggested learning duration: %.1f s (2 x longest ARP request gap)"
-            % (2 * gap / 1e6),
+            % (2 * gaps.longest / 1e6),
             file=sys.stderr,
         )
     else:
@@ -211,14 +222,20 @@ def cmd_detect(args) -> int:
     config = _engine_config(args, overrides)
     engine = Engine(config)
     if args.model is not None:
-        with open(args.model, "rb") as handle:
-            engine.import_model(handle.read())
+        try:
+            with open(args.model, "rb") as handle:
+                engine.import_model(handle.read())
+        except (OSError, BadModelVersion, MalformedModelLine) as exc:
+            _err("cannot load model %s: %s" % (args.model, exc))
+            return 2
     try:
-        triples = _input_frames(args, topology, profile, scenarios)
+        events = replay(
+            engine, _input_frames(args, topology, profile, scenarios),
+            tail_us=args.tail_us,
+        )
     except (OSError, PcapError, sim.ConfigInvalid) as exc:
         _err(str(exc))
         return 2
-    events = replay(engine, triples, tail_us=args.tail_us)
     for event in events:
         print(format_event(event, config.node_id))
     return 1 if events else 0
@@ -390,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="seconds of input treated as the learning phase "
                         "(default: all of it)")
     p.add_argument("-o", "--out", required=True, help="model file to write")
-    p.set_defaults(func=cmd_learn, learning_duration_default_all=True)
+    p.set_defaults(func=cmd_learn)
 
     p = sub.add_parser("detect", help="detect intrusions in traffic")
     _add_input_options(p)

@@ -37,6 +37,7 @@ from .packet import (
 from .timing import ActiveWindow, FlowBaseline, TimingVerdict
 
 MODEL_HEADER = "EIDS-MODEL 1"
+TICK_PERIOD_US = 100_000
 
 _NO_SAMPLE_FLAGS = TCP_SYN | TCP_FIN | TCP_RST
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
@@ -303,8 +304,8 @@ class Engine:
                 "FLOW\t%s\t%s\t%s\t%d"
                 % (key.kind.value, _peer_field(key), key.local_ip or "-", key.service_port)
             )
-        for binding in bindings:
-            lines.append("ARP\t%s\t%s" % (binding.ip, binding.mac))
+        for ip, mac in bindings:
+            lines.append("ARP\t%s\t%s" % (ip, mac))
         for key in flow_list:
             state = self.states.get(key)
             if state is None or state.baseline.n_l < 2:
@@ -356,7 +357,7 @@ class Engine:
         elif tag == "ARP":
             if len(fields) != 3:
                 raise MalformedModelLine("\t".join(fields))
-            self.table.restore_binding(fields[1], fields[2])
+            self.table.bindings[fields[1]] = fields[2]
         elif tag == "TIMING":
             if len(fields) != 10:
                 raise MalformedModelLine("\t".join(fields))
@@ -408,11 +409,10 @@ def format_event(event: IntrusionEvent, node_id: int) -> str:
 def replay(
     engine: Engine,
     frames: Iterable[tuple[int, Direction, bytes]],
-    tick_period_us: int = 100_000,
     tail_us: int = 0,
 ) -> list[IntrusionEvent]:
     """Drive an engine from a time-ordered frame stream, interleaving
-    clock ticks at the given period. tail_us extends ticking past the
+    clock ticks every TICK_PERIOD_US. tail_us extends ticking past the
     last frame so silence at the end of a capture is still seen."""
     events: list[IntrusionEvent] = []
     next_tick: int | None = None
@@ -422,7 +422,7 @@ def replay(
             next_tick = at_us
         while next_tick <= at_us:
             events.extend(engine.tick(next_tick))
-            next_tick += tick_period_us
+            next_tick += TICK_PERIOD_US
         _, new_events = engine.ingest(direction, data, at_us)
         events.extend(new_events)
         last = at_us
@@ -430,5 +430,5 @@ def replay(
         end = last + tail_us
         while next_tick <= end:
             events.extend(engine.tick(next_tick))
-            next_tick += tick_period_us
+            next_tick += TICK_PERIOD_US
     return events

@@ -8,7 +8,7 @@ metadata consistency rules (binding conflicts, L2/L3 address coherence)
 once learning has ended.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 from .packet import PROTO_TCP, TCP_ACK, TCP_SYN, Direction, PacketMeta
@@ -54,13 +54,6 @@ class FlowKey:
                 self.service_port,
             )
         return "%s/%s" % (self.kind.value.lower(), self.peer_mac)
-
-
-@dataclass
-class ArpBinding:
-    ip: str
-    mac: str
-    last_seen_us: int
 
 
 def _ip_sort_key(ip: str) -> tuple:
@@ -140,7 +133,7 @@ class FlowTable:
     def __init__(self, local_ip: str):
         self.local_ip = local_ip
         self.flows: set[FlowKey] = set()
-        self.bindings: dict[str, ArpBinding] = {}
+        self.bindings: dict[str, str] = {}  # ip -> mac
         self.services: set[tuple[str, int]] = set()
 
     def key_for(self, meta: PacketMeta) -> FlowKey:
@@ -188,18 +181,17 @@ class FlowTable:
         if arp is not None:
             bound = self.bindings.get(arp.sender_ip)
             if bound is not None:
-                if bound.mac != arp.sender_mac:
+                if bound != arp.sender_mac:
                     return FlowVerdict.BINDING_CONFLICT
-                if bound.mac != meta.src_mac:
+                if bound != meta.src_mac:
                     return FlowVerdict.L2L3_MISMATCH
-                bound.last_seen_us = meta.timestamp_us
         elif meta.l3 is not None:
             bound = self.bindings.get(meta.l3.src_ip)
-            if bound is not None and bound.mac != meta.src_mac:
+            if bound is not None and bound != meta.src_mac:
                 return FlowVerdict.L2L3_MISMATCH
             if not _is_group_mac(meta.dst_mac):
                 bound = self.bindings.get(meta.l3.dst_ip)
-                if bound is not None and bound.mac != meta.dst_mac:
+                if bound is not None and bound != meta.dst_mac:
                     return FlowVerdict.L2L3_MISMATCH
         if key not in self.flows:
             return FlowVerdict.NEW_FLOW
@@ -207,15 +199,7 @@ class FlowTable:
 
     def _learn(self, meta: PacketMeta, key: FlowKey) -> None:
         if meta.arp is not None:
-            arp = meta.arp
-            bound = self.bindings.get(arp.sender_ip)
-            if bound is None:
-                self.bindings[arp.sender_ip] = ArpBinding(
-                    arp.sender_ip, arp.sender_mac, meta.timestamp_us
-                )
-            else:
-                bound.mac = arp.sender_mac
-                bound.last_seen_us = meta.timestamp_us
+            self.bindings[meta.arp.sender_ip] = meta.arp.sender_mac
         if key not in self.flows:
             self.flows.add(key)
             if key.kind in (FlowKind.TCP, FlowKind.UDP):
@@ -229,13 +213,9 @@ class FlowTable:
         """Directly admit a flow key (model import path)."""
         self.flows.add(key)
 
-    def restore_binding(self, ip: str, mac: str) -> None:
-        self.bindings[ip] = ArpBinding(ip, mac, 0)
-
-    def export_records(self) -> tuple[list[FlowKey], list[ArpBinding]]:
-        """Deterministically ordered snapshot of flows and bindings."""
+    def export_records(self) -> tuple[list[FlowKey], list[tuple[str, str]]]:
+        """Deterministically ordered snapshot of flows and (ip, mac)
+        bindings."""
         flows = sorted(self.flows, key=flow_sort_key)
-        bindings = [
-            replace(b) for b in sorted(self.bindings.values(), key=lambda b: _ip_sort_key(b.ip))
-        ]
+        bindings = sorted(self.bindings.items(), key=lambda b: _ip_sort_key(b[0]))
         return flows, bindings

@@ -115,36 +115,6 @@ def udp_frame(
     return ethernet(dst_mac, src_mac, ETHERTYPE_IPV4, ip)
 
 
-def udp_payload(data: bytes) -> bytes | None:
-    """Extract the UDP payload from a raw frame, or None if the frame
-    is not a plain UDP/IPv4 packet. Used by datagram consumers such as
-    the central logger; the detection path never reads payloads."""
-    if len(data) < 14:
-        return None
-    ethertype = (data[12] << 8) | data[13]
-    offset = 14
-    while ethertype == 0x8100:
-        if len(data) < offset + 4:
-            return None
-        ethertype = (data[offset + 2] << 8) | data[offset + 3]
-        offset += 4
-    if ethertype != ETHERTYPE_IPV4 or len(data) < offset + 20:
-        return None
-    vihl = data[offset]
-    if vihl >> 4 != 4:
-        return None
-    ihl = (vihl & 0x0F) * 4
-    if ihl < 20 or data[offset + 9] != PROTO_UDP:
-        return None
-    l4 = offset + ihl
-    if len(data) < l4 + 8:
-        return None
-    udp_len = (data[l4 + 4] << 8) | data[l4 + 5]
-    if udp_len < 8 or len(data) < l4 + udp_len:
-        return None
-    return data[l4 + 8 : l4 + udp_len]
-
-
 # Minimal Modbus/TCP payloads: syntactically valid ADUs with fixed
 # function codes. The detection path treats them as opaque bytes; they
 # exist so simulated frames have honest lengths.

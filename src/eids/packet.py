@@ -2,10 +2,12 @@
 
 Only headers below the application layer are decoded: Ethernet II (with
 optional 802.1Q tag), ARP, IPv4 and the TCP/UDP port block. Payload
-content is never inspected; the only payload-derived value is its
-length, so two frames that differ only in payload bytes produce equal
-metadata. Checksums are not validated: this is capture-time metadata
-extraction, not stack correctness.
+content is never inspected; only its length and where it starts are
+recorded, so two frames that differ only in payload bytes produce equal
+metadata. A UDP payload length comes from the length field and may run
+past the end of the frame; a consumer that slices the payload out
+checks that bound itself. Checksums are not validated: this is
+capture-time metadata extraction, not stack correctness.
 
 Decoding is total over arbitrary byte input: every frame yields either
 a :class:`PacketMeta` or one of the typed :class:`ParseError`
@@ -73,23 +75,8 @@ class TransportMeta:
     src_port: int
     dst_port: int
     payload_len: int
+    payload_offset: int  # frame offset of the first L4 payload octet
     tcp_flags: int | None = None  # raw flag octet; None for UDP
-
-    @property
-    def syn(self) -> bool:
-        return bool(self.tcp_flags) and bool(self.tcp_flags & TCP_SYN)
-
-    @property
-    def ack(self) -> bool:
-        return bool(self.tcp_flags) and bool(self.tcp_flags & TCP_ACK)
-
-    @property
-    def fin(self) -> bool:
-        return bool(self.tcp_flags) and bool(self.tcp_flags & TCP_FIN)
-
-    @property
-    def rst(self) -> bool:
-        return bool(self.tcp_flags) and bool(self.tcp_flags & TCP_RST)
 
 
 @dataclass(frozen=True)
@@ -225,6 +212,7 @@ def _parse_tcp(data: bytes, offset: int, ip_payload_len: int) -> TransportMeta |
         src_port=src_port,
         dst_port=dst_port,
         payload_len=payload_len,
+        payload_offset=offset + doff,
         tcp_flags=data[offset + 13],
     )
 
@@ -236,5 +224,8 @@ def _parse_udp(data: bytes, offset: int) -> TransportMeta:
     if udp_len < 8:
         raise TruncatedFrame("UDP length field below the 8-byte header")
     return TransportMeta(
-        src_port=src_port, dst_port=dst_port, payload_len=udp_len - 8
+        src_port=src_port,
+        dst_port=dst_port,
+        payload_len=udp_len - 8,
+        payload_offset=offset + _UDP_HDR.size,
     )

@@ -3,8 +3,9 @@
 Layout: 24-byte global header (magic 0xa1b2c3d4 native or byte-swapped,
 version 2.4, linktype 1 = Ethernet) followed by 16-byte record headers
 (ts_sec, ts_usec, incl_len, orig_len). Both byte orders are accepted on
-read; files are written little-endian. Timestamps are integer
-microseconds throughout.
+read; files are written little-endian. Only Ethernet captures are
+read: the frame decoder understands no other link layer. Timestamps
+are integer microseconds throughout.
 """
 
 import struct
@@ -31,11 +32,16 @@ class TruncatedRecord(PcapError):
     """File ends inside a header or a record body."""
 
 
+class UnsupportedLinkType(PcapError):
+    """Global header names a link layer other than Ethernet."""
+
+
 def read_pcap(stream: BinaryIO) -> Iterator[tuple[int, bytes]]:
     """Yield (timestamp_us, frame bytes) for each record, in file order.
 
     Stops cleanly at end of file; raises BadMagic or TruncatedRecord
-    for malformed input.
+    for malformed input and UnsupportedLinkType for non-Ethernet
+    captures.
     """
     lead = stream.read(4)
     if len(lead) < 4:
@@ -51,6 +57,12 @@ def read_pcap(stream: BinaryIO) -> Iterator[tuple[int, bytes]]:
     rest = stream.read(20)
     if len(rest) < 20:
         raise TruncatedRecord("global header cut short")
+    # the upper 16 bits of the link type carry FCS information
+    linktype = struct.unpack(order + _GLOBAL[1:], rest)[-1] & 0xFFFF
+    if linktype != LINKTYPE_ETHERNET:
+        raise UnsupportedLinkType(
+            "link type %d is not Ethernet (%d)" % (linktype, LINKTYPE_ETHERNET)
+        )
     record = struct.Struct(order + _RECORD)
     while True:
         head = stream.read(record.size)

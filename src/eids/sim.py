@@ -385,8 +385,6 @@ def _gen_attacks(b: _Builder, scenarios: list[AttackScenario]) -> None:
         end = min(end, b.duration_us + 1)
         if sc.kind is ScenarioKind.PASSIVE_SNIFF:
             continue  # a network diode adds nothing to the wire
-        if sc.kind in (ScenarioKind.NODE_REMOVED, ScenarioKind.DOS_FLOOD):
-            pass  # suppression already registered; flood adds frames below
         target = b.topology.device(_resolve_target(sc, b.topology))
 
         if sc.kind is ScenarioKind.ACTIVE_SNIFF:

@@ -3,11 +3,12 @@ PASS/FAIL line. Run with `pytest -s tests/test_acceptance.py` to see
 the lines; tolerances are fixed here, not tuned elsewhere.
 """
 
+import contextlib
 import io
 import random
 import statistics
 
-from eids import sim
+from eids import cli, sim
 from eids.announce import (
     AnnounceError,
     ReplayState,
@@ -17,10 +18,8 @@ from eids.announce import (
 )
 from eids.bench import ATTACK_START_US, run_benchmark, run_scenario
 from eids.central import CentralLogger, Liveness
-from eids.engine import Cause, Engine, EngineConfig, format_event, replay
-from eids.frames import udp_payload
-from eids.packet import Direction, ParseError, parse_frame
-from eids.pcap import read_pcap
+from eids.engine import Cause, Engine, EngineConfig, replay
+from eids.packet import PROTO_UDP, Direction, parse_frame
 from eids.timing import ActiveWindow, FlowBaseline, TimingVerdict
 
 S = 1_000_000
@@ -239,6 +238,11 @@ def test_criterion_6_dos_latency():
 # 7 -- node removal -----------------------------------------------------
 
 
+def _is_udp(data):
+    l3 = parse_frame(data, 0, Direction.TX).l3
+    return l3 is not None and l3.protocol == PROTO_UDP
+
+
 def test_criterion_7_node_removal():
     removal = sim.AttackScenario(
         sim.ScenarioKind.NODE_REMOVED, start_us=ATTACK_START_US, target="S2"
@@ -258,7 +262,7 @@ def test_criterion_7_node_removal():
         state = result.engine.states[event.flow]
         last_seen = max(
             fr.time_us for fr in result.trace.frames
-            if fr.src == "S2" and udp_payload(fr.data) is not None
+            if fr.src == "S2" and _is_udp(fr.data)
         )
         bound = state.baseline.high_bound()
         latency = event.at_us - last_seen
@@ -284,42 +288,28 @@ def test_criterion_7_node_removal():
 # 8 -- determinism ------------------------------------------------------
 
 
-def _pipeline(seed):
+def _pipeline(seed, workdir):
+    """simulate -> pcap -> `eids learn` and `eids detect --learn-first`."""
     scenario = sim.AttackScenario(
         sim.ScenarioKind.DOS_FLOOD, start_us=40 * S, target="S1", rate_pps=1000,
         stop_us=45 * S,
     )
     trace = sim.run(duration_us=60 * S, seed=seed, scenarios=[scenario])
-    buffer = io.BytesIO()
-    trace.write_pcap(buffer, viewpoint="S1")
-    pcap_bytes = buffer.getvalue()
-
-    buffer.seek(0)
-    directed = []
-    for ts, data in read_pcap(buffer):
-        direction = Direction.RX
-        try:
-            meta = parse_frame(data, ts, Direction.RX)
-            if (meta.l3 is not None and meta.l3.src_ip == S1_IP) or (
-                meta.arp is not None and meta.arp.sender_ip == S1_IP
-            ):
-                direction = Direction.TX
-        except ParseError:
-            pass
-        directed.append((ts, direction, data))
-    learner = Engine(EngineConfig(local_ip=S1_IP, learning_duration_us=1 << 62))
-    replay(learner, directed)
-    model = learner.export_model()
-
-    detector = Engine(EngineConfig(local_ip=S1_IP, learning_duration_us=30 * S))
-    events = replay(detector, directed)
-    lines = "\n".join(format_event(e, 1) for e in events)
-    return pcap_bytes, model, lines
+    workdir.mkdir()
+    pcap = workdir / "s1.pcap"
+    with open(pcap, "wb") as handle:
+        trace.write_pcap(handle, viewpoint="S1")
+    model = workdir / "s1.model"
+    cli.main(["learn", "--pcap", str(pcap), "-o", str(model)])
+    lines = io.StringIO()
+    with contextlib.redirect_stdout(lines):
+        cli.main(["detect", "--learn-first", "30", "--pcap", str(pcap)])
+    return pcap.read_bytes(), model.read_bytes(), lines.getvalue()
 
 
-def test_criterion_8_determinism():
-    first = _pipeline(seed=7)
-    second = _pipeline(seed=7)
+def test_criterion_8_determinism(tmp_path):
+    first = _pipeline(7, tmp_path / "first")
+    second = _pipeline(7, tmp_path / "second")
     stages_equal = [a == b for a, b in zip(first, second)]
     _report(
         "8 determinism",

@@ -1,6 +1,10 @@
 """Central logger: record updates, contamination timeout, rendering."""
 
+import struct
+
+from eids import frames, sim
 from eids.announce import StatusMessage, encode
+from eids.bench import _feed_logger
 from eids.central import CentralLogger, IntrusionView, Liveness
 
 PSK = b"logger-test-psk"
@@ -105,3 +109,20 @@ def test_expected_roster_starts_down():
         "ID: 1 is down Intrusion: ???\n"
         "ID: 2 is down Intrusion: ???\n"
     )
+
+
+def test_logger_feed_skips_udp_length_past_frame_end():
+    topology = sim.Topology.default()
+    s2 = topology.device("S2")
+    frame = frames.udp_frame(
+        s2.mac, frames.BROADCAST_MAC, s2.ip, frames.BROADCAST_IP, 47808, 47808,
+        _wire(s2.node_id, 1_000),
+    )
+    overlong = bytearray(frame)
+    overlong[14 + 20 + 4 : 14 + 20 + 6] = struct.pack(">H", 8 + 48 + 1)
+    for data, delivered in ((frame, True), (bytes(overlong), False)):
+        trace = sim.FrameTrace(topology, [sim.TraceFrame(1 * S, "S2", None, data)])
+        logger = CentralLogger(PSK)
+        _feed_logger(logger, trace)
+        assert (s2.node_id in logger.records) is delivered
+        assert not logger.rejected

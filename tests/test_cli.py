@@ -1,12 +1,16 @@
 """Command-line behavior: exit codes, outputs, pipelines."""
 
 import socket
+import struct
 import threading
 import time
+import tracemalloc
+
+import pytest
 
 from eids import sim
 from eids.announce import StatusMessage, encode
-from eids.cli import longest_arp_request_gap, main
+from eids.cli import ArpRequestGaps, main
 from eids.packet import ArpOp, parse_frame
 from eids.pcap import write_pcap
 
@@ -52,8 +56,25 @@ def test_learn_summary_matches_independent_arp_scan(tmp_path, capsys):
     expected = "suggested learning duration: %.1f s" % (2 * longest / 1e6)
     assert expected in err
 
-    helper = longest_arp_request_gap(trace.frames_for("S1"))
-    assert helper == longest
+    gaps = ArpRequestGaps()
+    assert list(gaps.watch(trace.frames_for("S1"))) == list(trace.frames_for("S1"))
+    assert gaps.longest == longest
+
+
+def test_learn_memory_does_not_grow_with_capture_length(tmp_path, capsys):
+    short, _ = _write_viewpoint_pcap(tmp_path, "short.pcap", duration_s=60, seed=4)
+    long, _ = _write_viewpoint_pcap(tmp_path, "long.pcap", duration_s=600, seed=4)
+
+    def peak_bytes(pcap):
+        tracemalloc.start()
+        try:
+            assert main(["learn", "--pcap", str(pcap), "-o", str(tmp_path / "m")]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak_bytes(short)  # warm-up: first-call allocations are not per frame
+    assert peak_bytes(long) <= 1.5 * peak_bytes(short)
 
 
 def test_learn_empty_pcap_fails(tmp_path, capsys):
@@ -103,6 +124,33 @@ def test_detect_with_model_file(tmp_path, capsys):
     assert main(["learn", "--pcap", str(pcap), "-o", str(model)]) == 0
     assert main(["detect", "--model", str(model), "--pcap", str(pcap)]) == 0
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("case", [
+    "missing-pcap", "not-a-pcap", "raw-ip-pcap", "missing-model", "bad-model-header",
+])
+def test_detect_bad_input_exits_two(tmp_path, capsys, case):
+    pcap, _ = _write_viewpoint_pcap(tmp_path, "good.pcap", duration_s=5)
+    model = tmp_path / "plant.model"
+    mode = ["--learn-first", "30"]
+    if case == "missing-pcap":
+        pcap = tmp_path / "absent.pcap"
+    elif case == "not-a-pcap":
+        pcap.write_bytes(b"this is not a capture")
+    elif case == "raw-ip-pcap":
+        data = bytearray(pcap.read_bytes())
+        data[20:24] = struct.pack("<I", 101)  # global header link type: raw IP
+        pcap.write_bytes(bytes(data))
+    elif case == "missing-model":
+        mode = ["--model", str(model)]
+    else:
+        model.write_bytes(b"NOT-A-MODEL\n")
+        mode = ["--model", str(model)]
+    assert main(["detect", "--pcap", str(pcap)] + mode) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("eids: ")
 
 
 def test_simulate_writes_pcap(tmp_path, capsys):

@@ -110,7 +110,6 @@ def test_same_binding_reannounced_is_known():
     table.observe(announce, Mode.LEARNING)
     again = _arp(ArpOp.REQUEST, PLC_MAC, PLC, frames.ZERO_MAC, LOCAL, ts=9)
     assert table.observe(again, Mode.ACTIVE) is FlowVerdict.KNOWN
-    assert table.bindings[PLC].last_seen_us == 9
 
 
 def test_l2l3_mismatch_on_forged_source():
@@ -189,7 +188,7 @@ def test_learned_topology_has_two_kinds_per_peer():
                        service_port=47808) in table.flows
         assert FlowKey(FlowKind.ARP, peer_mac=dev.mac) in table.flows
     for dev in topo.devices:
-        assert table.bindings[dev.ip].mac == dev.mac
+        assert table.bindings[dev.ip] == dev.mac
 
 
 def test_export_records_sorted_and_stable():
@@ -200,7 +199,7 @@ def test_export_records_sorted_and_stable():
     flows_a, bindings_a = table.export_records()
     flows_b, bindings_b = table.export_records()
     assert flows_a == flows_b
-    assert [b.ip for b in bindings_a] == [b.ip for b in bindings_b]
+    assert bindings_a == bindings_b == [(PLC, PLC_MAC)]
     assert flows_a[0].kind is FlowKind.ARP  # kind-sorted
 
     empty = FlowTable(LOCAL)

@@ -6,7 +6,9 @@ import struct
 import pytest
 
 from eids import frames
+from eids.announce import StatusMessage, encode
 from eids.packet import (
+    TCP_SYN,
     ArpOp,
     Direction,
     MalformedArp,
@@ -58,7 +60,7 @@ def test_tcp_syn_to_modbus_port():
     meta = parse_frame(frame, 0, Direction.RX)
     l4 = meta.l3.l4
     assert l4.dst_port == 502 and l4.src_port == 49152
-    assert l4.syn and not l4.ack and not l4.fin and not l4.rst
+    assert l4.tcp_flags == TCP_SYN
     assert l4.payload_len == 0
 
 
@@ -71,6 +73,39 @@ def test_udp_ports_and_payload_len():
     l4 = meta.l3.l4
     assert (l4.src_port, l4.dst_port, l4.payload_len) == (47808, 47808, 48)
     assert l4.tcp_flags is None
+
+
+def test_udp_payload_offset_behind_vlan_tag_and_ip_options():
+    datagram = encode(StatusMessage(2, 1_000, False, True, 0), b"psk")
+    plain = frames.udp_frame(
+        S1_MAC, frames.BROADCAST_MAC, "192.168.1.101", "255.255.255.255",
+        47808, 47808, datagram,
+    )
+    ip = bytearray(plain[14:34])
+    ip[0] = 0x46  # IHL 6: one word of options
+    ip[2:4] = struct.pack(">H", len(plain) - 14 + 4)
+    frame = (plain[:12] + b"\x81\x00\x00\x05" + plain[12:14] + bytes(ip)
+             + b"\x01\x01\x01\x00" + plain[34:])
+    l4 = parse_frame(frame, 0, Direction.TX).l3.l4
+    assert l4.payload_offset == 14 + 4 + 24 + 8
+    assert frame[l4.payload_offset : l4.payload_offset + l4.payload_len] == datagram
+    assert len(datagram) == 48
+
+
+def test_tcp_payload_offset_with_options():
+    payload = frames.modbus_read_response(7, 1, 0x5A)
+    plain = frames.tcp_frame(
+        PLC_MAC, S1_MAC, "192.168.1.50", "192.168.1.101", 502, 49152, 0x18, payload
+    )
+    options = b"\x02\x04\x05\xb4\x01\x01\x01\x00"  # MSS, NOPs, end
+    ip = bytearray(plain[14:34])
+    ip[2:4] = struct.pack(">H", len(plain) - 14 + len(options))
+    tcp = bytearray(plain[34:54])
+    tcp[12] = 7 << 4  # data offset 7 words
+    frame = plain[:14] + bytes(ip) + bytes(tcp) + options + plain[54:]
+    l4 = parse_frame(frame, 0, Direction.RX).l3.l4
+    assert l4.payload_offset == 14 + 20 + 28
+    assert frame[l4.payload_offset : l4.payload_offset + l4.payload_len] == payload
 
 
 def test_vlan_tag_is_skipped():

@@ -5,7 +5,13 @@ import struct
 
 import pytest
 
-from eids.pcap import BadMagic, TruncatedRecord, read_pcap, write_pcap
+from eids.pcap import (
+    BadMagic,
+    TruncatedRecord,
+    UnsupportedLinkType,
+    read_pcap,
+    write_pcap,
+)
 from eids import sim
 
 
@@ -36,6 +42,20 @@ def test_big_endian_file_is_readable():
     buffer.write(frame)
     buffer.seek(0)
     assert list(read_pcap(buffer)) == [(3_000_250, frame)]
+
+
+def test_non_ethernet_linktype_rejected():
+    def capture(linktype):
+        frame = b"\x45" + b"\x00" * 19  # a raw IPv4 header
+        return io.BytesIO(
+            struct.pack("<IHHiIII", 0xA1B2C3D4, 2, 4, 0, 0, 65535, linktype)
+            + struct.pack("<IIII", 0, 0, len(frame), len(frame)) + frame
+        )
+
+    with pytest.raises(UnsupportedLinkType):
+        list(read_pcap(capture(101)))  # LINKTYPE_RAW
+    # the upper 16 bits carry FCS information, not the link layer
+    assert len(list(read_pcap(capture(0x10000000 | 1)))) == 1
 
 
 def test_truncated_global_header():

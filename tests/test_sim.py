@@ -7,8 +7,7 @@ import pytest
 
 from eids import sim
 from eids.announce import ReplayState, decode_verify
-from eids.frames import udp_payload
-from eids.packet import Direction, parse_frame
+from eids.packet import PROTO_UDP, Direction, parse_frame
 from eids.pcap import read_pcap
 
 S = 1_000_000
@@ -108,9 +107,11 @@ def test_status_messages_verify_under_profile_psk():
     for at, direction, data in trace.frames_for("Cloud"):
         if direction is not Direction.RX:
             continue
-        payload = udp_payload(data)
-        if payload is None:
+        l3 = parse_frame(data, at, direction).l3
+        if l3 is None or l3.protocol != PROTO_UDP:
             continue
+        start = l3.l4.payload_offset
+        payload = data[start : start + l3.l4.payload_len]
         msg = decode_verify(payload, profile.psk, replay, now_ms=at // 1000)
         seen.add(msg.node_id)
         assert msg.intrusion is False
