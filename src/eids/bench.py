@@ -134,7 +134,7 @@ def _feed_logger(logger: CentralLogger, trace: FrameTrace) -> list[tuple[int, in
             downs.extend((next_sweep, r.node_id) for r in logger.sweep(next_sweep))
             next_sweep += 1_000_000
         try:
-            l3 = parse_frame(data, at_us, direction).l3
+            l3 = parse_frame(data).l3
         except ParseError:
             continue
         if l3 is None or l3.protocol != PROTO_UDP:

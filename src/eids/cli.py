@@ -28,8 +28,8 @@ from .engine import (
     format_event,
     replay,
 )
-from .packet import Direction, ParseError, parse_frame
-from .pcap import PcapError, read_pcap
+from .packet import ParseError, parse_frame
+from .pcap import read_pcap
 
 DEFAULT_LOCAL_IP = "192.168.1.101"
 
@@ -122,33 +122,26 @@ def _engine_config(args, overrides: dict) -> EngineConfig:
     )
 
 
-def _directed_pcap_frames(path: str, local_ip: str):
-    """(time, direction, frame) triples from a capture; direction is
-    inferred from addressing since pcap carries none."""
+def _directed_pcap_frames(path: str):
+    """(time, None, frame) triples from a capture. A pcap records no
+    direction, so the engine infers it from addressing."""
     with open(path, "rb") as handle:
         for ts_us, data in read_pcap(handle):
-            direction = Direction.RX
-            try:
-                meta = parse_frame(data, ts_us, Direction.RX)
-                if (meta.l3 is not None and meta.l3.src_ip == local_ip) or (
-                    meta.arp is not None and meta.arp.sender_ip == local_ip
-                ):
-                    direction = Direction.TX
-            except ParseError:
-                pass
-            yield ts_us, direction, data
+            yield ts_us, None, data
 
 
 def _input_frames(args, topology, profile, scenarios=()):
     """Frame stream for learn/detect/stats: a pcap or a simulation
     viewed from the monitored node."""
     if args.pcap is not None:
-        return _directed_pcap_frames(args.pcap, args.local_ip)
+        return _directed_pcap_frames(args.pcap)
     duration_us = int(args.duration * 1e6)
     trace = sim.run(topology, profile, scenarios, duration_us=duration_us,
                     seed=args.seed)
-    monitored = next(d for d in topology.devices if d.ip == args.local_ip)
-    return trace.frames_for(monitored.name)
+    for device in topology.devices:
+        if device.ip == args.local_ip:
+            return trace.frames_for(device.name)
+    raise sim.ConfigInvalid("no simulated device has address %s" % args.local_ip)
 
 
 class ArpRequestGaps:
@@ -166,7 +159,7 @@ class ArpRequestGaps:
         for triple in frame_triples:
             ts_us, _direction, data = triple
             try:
-                arp = parse_frame(data, ts_us, Direction.RX).arp
+                arp = parse_frame(data).arp
             except ParseError:
                 arp = None
             if arp is not None and arp.op.value == 1:
@@ -190,11 +183,7 @@ def cmd_learn(args) -> int:
     config = _engine_config(args, overrides)
     engine = Engine(config)
     gaps = ArpRequestGaps()
-    try:
-        replay(engine, gaps.watch(_input_frames(args, topology, profile, scenarios)))
-    except (OSError, PcapError, sim.ConfigInvalid) as exc:
-        _err(str(exc))
-        return 2
+    replay(engine, gaps.watch(_input_frames(args, topology, profile, scenarios)))
     if engine.started_us is None:
         _err("input contains no frames")
         return 2
@@ -228,14 +217,9 @@ def cmd_detect(args) -> int:
         except (OSError, BadModelVersion, MalformedModelLine) as exc:
             _err("cannot load model %s: %s" % (args.model, exc))
             return 2
-    try:
-        events = replay(
-            engine, _input_frames(args, topology, profile, scenarios),
-            tail_us=args.tail_us,
-        )
-    except (OSError, PcapError, sim.ConfigInvalid) as exc:
-        _err(str(exc))
-        return 2
+    events = replay(
+        engine, _input_frames(args, topology, profile, scenarios), tail_us=args.tail_us
+    )
     for event in events:
         print(format_event(event, config.node_id))
     return 1 if events else 0
@@ -345,23 +329,18 @@ def cmd_bench(args) -> int:
 
 def cmd_stats(args) -> int:
     topology, profile, _, scenarios = load_config(args.config)
-    try:
-        if args.pcap is not None:
-            with open(args.pcap, "rb") as handle:
-                trace_frames = [
-                    sim.TraceFrame(ts, "capture", None, data)
-                    for ts, data in read_pcap(handle)
-                ]
-            trace = sim.FrameTrace(topology=topology, frames=trace_frames)
-        else:
-            trace = sim.run(
-                topology, profile, scenarios,
-                duration_us=int(args.duration * 1e6), seed=args.seed,
-            )
-        csv = sim.stats_csv(trace, args.flow)
-    except (OSError, PcapError, ValueError) as exc:
-        _err(str(exc))
-        return 2
+    if args.pcap is not None:
+        with open(args.pcap, "rb") as handle:
+            trace_frames = [
+                sim.TraceFrame(ts, "capture", None, data) for ts, data in read_pcap(handle)
+            ]
+        trace = sim.FrameTrace(topology=topology, frames=trace_frames)
+    else:
+        trace = sim.run(
+            topology, profile, scenarios,
+            duration_us=int(args.duration * 1e6), seed=args.seed,
+        )
+    csv = sim.stats_csv(trace, args.flow)
     if args.out is None or args.out == "-":
         sys.stdout.write(csv)
     else:
@@ -474,6 +453,11 @@ def main(argv=None) -> int:
         # downstream pipe closed early (e.g. | head); not our error
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
+    except (OSError, ValueError, configparser.Error) as exc:
+        # unreadable or invalid input: files, captures, config values,
+        # scenario specs and engine parameters all raise one of these
+        _err(str(exc))
+        return 2
 
 
 if __name__ == "__main__":

@@ -142,7 +142,7 @@ class Engine:
     # -- packet path ---------------------------------------------------
 
     def ingest(
-        self, direction: Direction, frame: bytes, now_us: int
+        self, direction: Direction | None, frame: bytes, now_us: int
     ) -> tuple[Verdict, list[IntrusionEvent]]:
         """Run one frame through the detection path.
 
@@ -150,10 +150,14 @@ class Engine:
         ALERT (or DROP under ips_mode) with one event per triggered
         cause. A frame that cannot be parsed is itself suspicious and
         alerts rather than raising.
+
+        A direction of None means the input does not say, as in a pcap
+        capture: a frame whose IPv4 source or ARP sender is the node's
+        own address counts as sent (TX), any other as received (RX).
         """
         self._note_time(now_us)
         try:
-            meta = parse_frame(frame, now_us, direction)
+            meta = parse_frame(frame)
         except ParseError as exc:
             if self.mode is Mode.LEARNING:
                 return Verdict.PASS, []
@@ -162,8 +166,14 @@ class Engine:
             ]
             return self._finish(events)
 
-        key = self.table.key_for(meta)
-        flow_verdict = self.table.observe(meta, self.mode, key=key)
+        if direction is None:
+            local_ip = self.config.local_ip
+            sent = (meta.l3 is not None and meta.l3.src_ip == local_ip) or (
+                meta.arp is not None and meta.arp.sender_ip == local_ip
+            )
+            direction = Direction.TX if sent else Direction.RX
+        key = self.table.key_for(meta, direction)
+        flow_verdict = self.table.observe(meta, self.mode, key)
         events: list[IntrusionEvent] = []
         if self.mode is Mode.ACTIVE and flow_verdict is not FlowVerdict.KNOWN:
             events.append(
@@ -408,7 +418,7 @@ def format_event(event: IntrusionEvent, node_id: int) -> str:
 
 def replay(
     engine: Engine,
-    frames: Iterable[tuple[int, Direction, bytes]],
+    frames: Iterable[tuple[int, Direction | None, bytes]],
     tail_us: int = 0,
 ) -> list[IntrusionEvent]:
     """Drive an engine from a time-ordered frame stream, interleaving

@@ -78,11 +78,13 @@ def _is_group_mac(mac: str) -> bool:
     return bool(int(mac[0:2], 16) & 0x01)
 
 
-def _endpoints(meta: PacketMeta, local_ip: str) -> tuple[str, int, str, int]:
+def _endpoints(
+    meta: PacketMeta, direction: Direction, local_ip: str
+) -> tuple[str, int, str, int]:
     """(peer_ip, peer_port, home_ip, home_port) for a TCP/UDP packet."""
     l3 = meta.l3
     l4 = l3.l4
-    if meta.direction is Direction.TX:
+    if direction is Direction.TX:
         peer_ip, peer_port, home_ip, home_port = l3.dst_ip, l4.dst_port, l3.src_ip, l4.src_port
     else:
         peer_ip, peer_port, home_ip, home_port = l3.src_ip, l4.src_port, l3.dst_ip, l4.dst_port
@@ -91,7 +93,7 @@ def _endpoints(meta: PacketMeta, local_ip: str) -> tuple[str, int, str, int]:
     return peer_ip, peer_port, home_ip, home_port
 
 
-def derive_key(meta: PacketMeta, local_ip: str) -> FlowKey:
+def derive_key(meta: PacketMeta, direction: Direction, local_ip: str) -> FlowKey:
     """Pure flow-key derivation, no table state.
 
     The server side of a TCP/UDP conversation is picked from, in order:
@@ -102,12 +104,12 @@ def derive_key(meta: PacketMeta, local_ip: str) -> FlowKey:
     key so link-layer rules still apply.
     """
     if meta.arp is not None:
-        peer = meta.arp.sender_mac if meta.direction is Direction.RX else meta.arp.target_mac
+        peer = meta.arp.sender_mac if direction is Direction.RX else meta.arp.target_mac
         return FlowKey(FlowKind.ARP, peer_mac=peer)
     if meta.l3 is not None and meta.l3.l4 is not None:
         l4 = meta.l3.l4
         kind = FlowKind.TCP if meta.l3.protocol == PROTO_TCP else FlowKind.UDP
-        peer_ip, peer_port, home_ip, home_port = _endpoints(meta, local_ip)
+        peer_ip, peer_port, home_ip, home_port = _endpoints(meta, direction, local_ip)
         flags = l4.tcp_flags
         if flags is not None and flags & TCP_SYN:
             service = l4.src_port if flags & TCP_ACK else l4.dst_port
@@ -119,7 +121,7 @@ def derive_key(meta: PacketMeta, local_ip: str) -> FlowKey:
             else:
                 service = min(l4.src_port, l4.dst_port)
         return FlowKey(kind, peer_ip=peer_ip, local_ip=home_ip, service_port=service)
-    peer = meta.src_mac if meta.direction is Direction.RX else meta.dst_mac
+    peer = meta.src_mac if direction is Direction.RX else meta.dst_mac
     return FlowKey(FlowKind.OTHER, peer_mac=peer)
 
 
@@ -136,7 +138,7 @@ class FlowTable:
         self.bindings: dict[str, str] = {}  # ip -> mac
         self.services: set[tuple[str, int]] = set()
 
-    def key_for(self, meta: PacketMeta) -> FlowKey:
+    def key_for(self, meta: PacketMeta, direction: Direction) -> FlowKey:
         """Flow key for a packet, reusing learned server orientation.
 
         An already-admitted flow or a learned service endpoint decides
@@ -144,10 +146,10 @@ class FlowTable:
         derive_key is the fallback.
         """
         if meta.l3 is None or meta.l3.l4 is None:
-            return derive_key(meta, self.local_ip)
+            return derive_key(meta, direction, self.local_ip)
         l4 = meta.l3.l4
         kind = FlowKind.TCP if meta.l3.protocol == PROTO_TCP else FlowKind.UDP
-        peer_ip, peer_port, home_ip, home_port = _endpoints(meta, self.local_ip)
+        peer_ip, peer_port, home_ip, home_port = _endpoints(meta, direction, self.local_ip)
         candidates = {
             FlowKey(kind, peer_ip=peer_ip, local_ip=home_ip, service_port=l4.src_port),
             FlowKey(kind, peer_ip=peer_ip, local_ip=home_ip, service_port=l4.dst_port),
@@ -160,10 +162,11 @@ class FlowTable:
         if src_known != dst_known:
             port = l4.src_port if src_known else l4.dst_port
             return FlowKey(kind, peer_ip=peer_ip, local_ip=home_ip, service_port=port)
-        return derive_key(meta, self.local_ip)
+        return derive_key(meta, direction, self.local_ip)
 
-    def observe(self, meta: PacketMeta, mode: Mode, key: FlowKey | None = None) -> FlowVerdict:
-        """Judge one packet's metadata and update the table.
+    def observe(self, meta: PacketMeta, mode: Mode, key: FlowKey) -> FlowVerdict:
+        """Judge one packet's metadata, already keyed by key_for, and
+        update the table.
 
         Learning mode admits everything and always answers KNOWN.
         Active mode admits nothing: unseen keys report NEW_FLOW, an ARP
@@ -171,8 +174,6 @@ class FlowTable:
         Ethernet address that contradicts the binding of the packet's
         IP reports L2L3_MISMATCH.
         """
-        if key is None:
-            key = self.key_for(meta)
         if mode is Mode.LEARNING:
             self._learn(meta, key)
             return FlowVerdict.KNOWN

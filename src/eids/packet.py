@@ -98,17 +98,13 @@ class ArpMeta:
 
 @dataclass(frozen=True)
 class PacketMeta:
-    timestamp_us: int
-    direction: Direction
     src_mac: str
     dst_mac: str
-    ethertype: int
-    frame_len: int
     l3: Ipv4Meta | None = None
     arp: ArpMeta | None = None
 
 
-def parse_frame(data: bytes, timestamp_us: int, direction: Direction) -> PacketMeta:
+def parse_frame(data: bytes) -> PacketMeta:
     """Decode one captured Ethernet II frame into metadata.
 
     Raises TruncatedFrame when the bytes run out before a promised
@@ -138,16 +134,7 @@ def parse_frame(data: bytes, timestamp_us: int, direction: Direction) -> PacketM
     elif ethertype == ETHERTYPE_IPV4:
         l3 = _parse_ipv4(data, offset)
 
-    return PacketMeta(
-        timestamp_us=timestamp_us,
-        direction=direction,
-        src_mac=src_mac,
-        dst_mac=dst_mac,
-        ethertype=ethertype,
-        frame_len=len(data),
-        l3=l3,
-        arp=arp,
-    )
+    return PacketMeta(src_mac=src_mac, dst_mac=dst_mac, l3=l3, arp=arp)
 
 
 def _parse_arp(data: bytes, offset: int) -> ArpMeta | None:

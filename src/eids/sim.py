@@ -654,7 +654,7 @@ def interarrivals(trace: FrameTrace, flow: str) -> dict[str, list[tuple[int, int
     out: dict[str, list[tuple[int, int]]] = {}
     for fr in trace.frames:
         try:
-            meta = parse_frame(fr.data, fr.time_us, Direction.RX)
+            meta = parse_frame(fr.data)
         except ParseError:
             continue
         label = _match_filter(parsed, meta)

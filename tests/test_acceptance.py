@@ -19,7 +19,7 @@ from eids.announce import (
 from eids.bench import ATTACK_START_US, run_benchmark, run_scenario
 from eids.central import CentralLogger, Liveness
 from eids.engine import Cause, Engine, EngineConfig, replay
-from eids.packet import PROTO_UDP, Direction, parse_frame
+from eids.packet import PROTO_UDP, parse_frame
 from eids.timing import ActiveWindow, FlowBaseline, TimingVerdict
 
 S = 1_000_000
@@ -239,7 +239,7 @@ def test_criterion_6_dos_latency():
 
 
 def _is_udp(data):
-    l3 = parse_frame(data, 0, Direction.TX).l3
+    l3 = parse_frame(data).l3
     return l3 is not None and l3.protocol == PROTO_UDP
 
 

@@ -12,7 +12,7 @@ from eids import sim
 from eids.announce import StatusMessage, encode
 from eids.cli import ArpRequestGaps, main
 from eids.packet import ArpOp, parse_frame
-from eids.pcap import write_pcap
+from eids.pcap import read_pcap, write_pcap
 
 S = 1_000_000
 
@@ -45,7 +45,7 @@ def test_learn_summary_matches_independent_arp_scan(tmp_path, capsys):
     # independent scan: longest gap between ARP requests of one sender
     last, longest = {}, None
     for at, direction, data in trace.frames_for("S1"):
-        meta = parse_frame(data, at, direction)
+        meta = parse_frame(data)
         if meta.arp is None or meta.arp.op is not ArpOp.REQUEST:
             continue
         prev = last.get(meta.arp.sender_mac)
@@ -151,6 +151,77 @@ def test_detect_bad_input_exits_two(tmp_path, capsys, case):
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith("eids: ")
+
+
+@pytest.mark.parametrize("case", [
+    "sim-unknown-local-ip", "learn-bad-config", "detect-bad-config", "stats-bad-config",
+    "learn-unwritable-out", "simulate-unwritable-out", "simulate-unknown-scenario",
+    "detect-learn-first-zero",
+])
+def test_input_error_exits_two(tmp_path, capsys, case):
+    config = tmp_path / "plant.ini"
+    config.write_text("[profile]\npoll_period_ms = abc\n")
+    sim_input = ["--sim", "--duration", "5"]
+    absent_dir = tmp_path / "absent"
+    argv = {
+        "sim-unknown-local-ip":
+            ["detect", "--learn-first", "30", "--local-ip", "10.9.9.9"] + sim_input,
+        "learn-bad-config": ["learn", "--config", str(config), "-o", "m"] + sim_input,
+        "detect-bad-config": ["detect", "--learn-first", "30", "--config", str(config)]
+            + sim_input,
+        "stats-bad-config": ["stats", "--config", str(config), "--flow", "udp:10.0.0.1:9"]
+            + sim_input,
+        "learn-unwritable-out": ["learn", "-o", str(absent_dir / "m")] + sim_input,
+        "simulate-unwritable-out":
+            ["simulate", "--duration", "5", "--pcap-out", str(absent_dir / "x.pcap")],
+        "simulate-unknown-scenario": ["simulate", "--duration", "5", "--scenario", "9",
+                                      "--pcap-out", str(tmp_path / "x.pcap")],
+        "detect-learn-first-zero": ["detect", "--learn-first", "0"] + sim_input,
+    }[case]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("eids: ")
+
+
+def test_broken_pipe_exits_zero(tmp_path, monkeypatch):
+    class ClosedPipe:
+        def __init__(self, handle):
+            self.handle = handle
+
+        def write(self, _text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def fileno(self):
+            return self.handle.fileno()
+
+    with open(tmp_path / "stdout", "w") as handle:
+        monkeypatch.setattr("sys.stdout", ClosedPipe(handle))
+        code = main(["stats", "--sim", "--duration", "5", "--flow", "udp:10.0.0.1:9"])
+    assert code == 0
+
+
+@pytest.mark.parametrize("command, parses_per_frame", [
+    (["detect", "--learn-first", "30"], 1),
+    (["learn", "-o", "m.model"], 2),
+], ids=["detect", "learn"])
+def test_parses_per_frame(tmp_path, monkeypatch, command, parses_per_frame):
+    pcap, _ = _write_viewpoint_pcap(tmp_path, "small.pcap", duration_s=60)
+    with open(pcap, "rb") as handle:
+        frame_count = sum(1 for _ in read_pcap(handle))
+    calls = []
+
+    def counted(data):
+        calls.append(data)
+        return parse_frame(data)
+
+    monkeypatch.setattr("eids.engine.parse_frame", counted)
+    monkeypatch.setattr("eids.cli.parse_frame", counted)
+    monkeypatch.chdir(tmp_path)
+    assert main(command + ["--pcap", str(pcap)]) in (0, 1)
+    assert frame_count > 0
+    assert len(calls) == parses_per_frame * frame_count
 
 
 def test_simulate_writes_pcap(tmp_path, capsys):

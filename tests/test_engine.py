@@ -2,7 +2,7 @@
 
 import pytest
 
-from eids import frames
+from eids import frames, sim
 from eids.engine import (
     BadModelVersion,
     Cause,
@@ -13,7 +13,7 @@ from eids.engine import (
     format_event,
     replay,
 )
-from eids.flows import Mode
+from eids.flows import FlowKey, FlowKind, Mode
 from eids.packet import ArpOp, Direction
 
 LOCAL = "192.168.1.101"
@@ -126,6 +126,74 @@ def test_unparseable_frame_alerts_when_active():
     assert events[0].cause is Cause.NEW_FLOW
     assert events[0].detail.startswith("unparseable")
     assert events[0].flow is None
+
+
+def test_unparseable_frame_of_unknown_direction_alerts():
+    engine = _learned_engine()
+    verdict, events = engine.ingest(None, b"\xff" * 10, 11 * S)
+    assert verdict is Verdict.ALERT
+    assert [(e.cause, e.flow) for e in events] == [(Cause.NEW_FLOW, None)]
+
+
+_ICMP = frames._ipv4_header(LOCAL, PLC, 1, 8) + b"\x08" + b"\x00" * 7
+
+
+@pytest.mark.parametrize("frame, direction, key", [
+    # an ARP request the node sends keys on the MAC it asks
+    (frames.arp_frame(ArpOp.REQUEST, LOCAL_MAC, LOCAL, PLC_MAC, PLC), Direction.TX,
+     FlowKey(FlowKind.ARP, peer_mac=PLC_MAC)),
+    (frames.tcp_frame(LOCAL_MAC, PLC_MAC, LOCAL, PLC, 502, 49152, 0x18), Direction.TX,
+     FlowKey(FlowKind.TCP, peer_ip=PLC, local_ip=LOCAL, service_port=502)),
+    # IPv4 without a decoded L4 header keys on the destination MAC
+    (frames.ethernet(PLC_MAC, LOCAL_MAC, 0x0800, _ICMP), Direction.TX,
+     FlowKey(FlowKind.OTHER, peer_mac=PLC_MAC)),
+    (frames.arp_frame(ArpOp.REQUEST, PLC_MAC, PLC, LOCAL_MAC, LOCAL), Direction.RX,
+     FlowKey(FlowKind.ARP, peer_mac=PLC_MAC)),
+], ids=["sent-arp-request", "sent-tcp", "sent-ipv4-without-l4", "received-arp-request"])
+def test_unknown_direction_is_inferred_from_addressing(frame, direction, key):
+    def learned_flows(direction):
+        engine = Engine(_config())
+        engine.ingest(direction, frame, 0)
+        return engine.table.flows
+
+    assert learned_flows(None) == learned_flows(direction) == {key}
+
+
+@pytest.mark.parametrize("scenario, same_flows", [
+    (sim.AttackScenario(sim.ScenarioKind.ACTIVE_SNIFF, start_us=90 * S), True),
+    (sim.AttackScenario(sim.ScenarioKind.INJECT, start_us=90 * S, target="S1"), True),
+    (sim.AttackScenario(sim.ScenarioKind.DOS_FLOOD, start_us=90 * S, target="S1"), True),
+    (sim.AttackScenario(sim.ScenarioKind.CAPTURE_NODE, start_us=90 * S, target="S2",
+                        peer="S1"), True),
+    # forged ARP replies that name S1 as sender read as sent in a capture,
+    # so their flow is keyed on the broadcast target, not the attacker
+    (sim.AttackScenario(sim.ScenarioKind.ACTIVE_SNIFF, start_us=90 * S, target="S1"),
+     False),
+], ids=["arp-poison-plc", "inject", "flood", "capture-node", "arp-poison-s1"])
+def test_capture_direction_matches_simulator_direction(scenario, same_flows):
+    trace = sim.run(duration_us=120 * S, seed=0, scenarios=[scenario])
+
+    def events(keep_direction):
+        engine = Engine(_config(learning_duration_us=60 * S))
+        frames_in = trace.frames_for("S1")
+        if not keep_direction:
+            frames_in = ((at, None, data) for at, _direction, data in frames_in)
+        return replay(engine, frames_in)
+
+    from_sim, from_capture = events(True), events(False)
+    assert from_sim
+    if same_flows:
+        assert from_capture == from_sim
+    else:
+        assert [(e.at_us, e.cause) for e in from_capture] == [
+            (e.at_us, e.cause) for e in from_sim
+        ]
+        renamed = {
+            (sim_event.flow.render(), capture_event.flow.render())
+            for sim_event, capture_event in zip(from_sim, from_capture)
+            if sim_event.flow != capture_event.flow
+        }
+        assert renamed == {("arp/" + scenario.attacker_mac, "arp/ff:ff:ff:ff:ff:ff")}
 
 
 def test_host_silent_fires_once_and_rearms():

@@ -22,31 +22,43 @@ EVIL_MAC = "02:00:ac:10:01:c8"
 
 def _tcp(sport, dport, flags=0x18, src=PLC, dst=LOCAL, direction=Direction.RX,
          src_mac=PLC_MAC, dst_mac=LOCAL_MAC, payload=b""):
+    """(meta, direction) of one TCP segment."""
     frame = frames.tcp_frame(src_mac, dst_mac, src, dst, sport, dport, flags, payload)
-    return parse_frame(frame, 0, direction)
+    return parse_frame(frame), direction
 
 
-def _arp(op, sender_mac, sender_ip, target_mac, target_ip, direction=Direction.RX, ts=0):
+def _arp(op, sender_mac, sender_ip, target_mac, target_ip, direction=Direction.RX):
+    """(meta, direction) of one ARP message."""
     frame = frames.arp_frame(op, sender_mac, sender_ip, target_mac, target_ip)
-    return parse_frame(frame, ts, direction)
+    return parse_frame(frame), direction
+
+
+def _rx(frame):
+    """(meta, direction) of one received frame."""
+    return parse_frame(frame), Direction.RX
+
+
+def _observe(table, packet, mode):
+    """Key a (meta, direction) packet and judge it, as the engine does."""
+    meta, direction = packet
+    return table.observe(meta, mode, table.key_for(meta, direction))
 
 
 def test_derive_key_server_port_502():
-    meta = _tcp(49152, 502)
-    key = derive_key(meta, LOCAL)
+    key = derive_key(*_tcp(49152, 502), LOCAL)
     assert key == FlowKey(FlowKind.TCP, peer_ip=PLC, local_ip=LOCAL, service_port=502)
 
 
 def test_reconnect_new_client_port_same_key():
-    first = derive_key(_tcp(49152, 502), LOCAL)
-    second = derive_key(_tcp(49153, 502), LOCAL)
+    first = derive_key(*_tcp(49152, 502), LOCAL)
+    second = derive_key(*_tcp(49153, 502), LOCAL)
     assert first == second
 
 
 def test_response_direction_same_key():
-    request = derive_key(_tcp(49152, 502), LOCAL)
+    request = derive_key(*_tcp(49152, 502), LOCAL)
     response = derive_key(
-        _tcp(502, 49152, src=LOCAL, dst=PLC, direction=Direction.TX,
+        *_tcp(502, 49152, src=LOCAL, dst=PLC, direction=Direction.TX,
              src_mac=LOCAL_MAC, dst_mac=PLC_MAC),
         LOCAL,
     )
@@ -54,103 +66,103 @@ def test_response_direction_same_key():
 
 
 def test_arp_key_is_sender_mac():
-    meta = _arp(ArpOp.REQUEST, PLC_MAC, PLC, frames.ZERO_MAC, LOCAL)
-    assert derive_key(meta, LOCAL) == FlowKey(FlowKind.ARP, peer_mac=PLC_MAC)
+    arp = _arp(ArpOp.REQUEST, PLC_MAC, PLC, frames.ZERO_MAC, LOCAL)
+    assert derive_key(*arp, LOCAL) == FlowKey(FlowKind.ARP, peer_mac=PLC_MAC)
 
 
 def test_syn_decides_orientation_without_well_known_port():
     syn = _tcp(5000, 6000, flags=0x02)
-    assert derive_key(syn, LOCAL).service_port == 6000
+    assert derive_key(*syn, LOCAL).service_port == 6000
     syn_ack = _tcp(6000, 5000, flags=0x12, src=LOCAL, dst=PLC,
                    direction=Direction.TX, src_mac=LOCAL_MAC, dst_mac=PLC_MAC)
-    assert derive_key(syn_ack, LOCAL).service_port == 6000
+    assert derive_key(*syn_ack, LOCAL).service_port == 6000
 
 
 def test_min_port_tiebreak():
-    meta = _tcp(5000, 6000)  # no SYN, both ephemeral
-    assert derive_key(meta, LOCAL).service_port == 5000
+    packet = _tcp(5000, 6000)  # no SYN, both ephemeral
+    assert derive_key(*packet, LOCAL).service_port == 5000
 
 
 def test_table_reuses_learned_orientation():
     table = FlowTable(LOCAL)
-    table.observe(_tcp(5000, 6000, flags=0x02), Mode.LEARNING)  # SYN toward 6000
+    _observe(table, _tcp(5000, 6000, flags=0x02), Mode.LEARNING)  # SYN toward 6000
     # a later plain data packet would heuristically pick min port 5000,
     # but the admitted flow pins the service side to 6000
-    key = table.key_for(_tcp(5000, 6000))
+    key = table.key_for(*_tcp(5000, 6000))
     assert key.service_port == 6000
 
 
 def test_learning_admits_then_known():
     table = FlowTable(LOCAL)
-    meta = _tcp(49152, 502)
-    assert table.observe(meta, Mode.LEARNING) is FlowVerdict.KNOWN
-    assert table.observe(meta, Mode.ACTIVE) is FlowVerdict.KNOWN
+    packet = _tcp(49152, 502)
+    assert _observe(table, packet, Mode.LEARNING) is FlowVerdict.KNOWN
+    assert _observe(table, packet, Mode.ACTIVE) is FlowVerdict.KNOWN
 
 
 def test_active_unseen_udp_is_new_flow():
     table = FlowTable(LOCAL)
     frame = frames.udp_frame(EVIL_MAC, LOCAL_MAC, "192.168.1.200", LOCAL, 777, 888, b"x")
-    meta = parse_frame(frame, 0, Direction.RX)
-    assert table.observe(meta, Mode.ACTIVE) is FlowVerdict.NEW_FLOW
+    packet = _rx(frame)
+    assert _observe(table, packet, Mode.ACTIVE) is FlowVerdict.NEW_FLOW
     # not auto-admitted: still new on the next packet
-    assert table.observe(meta, Mode.ACTIVE) is FlowVerdict.NEW_FLOW
+    assert _observe(table, packet, Mode.ACTIVE) is FlowVerdict.NEW_FLOW
 
 
 def test_binding_conflict_on_rebind():
     table = FlowTable(LOCAL)
-    table.observe(_arp(ArpOp.REQUEST, PLC_MAC, PLC, frames.ZERO_MAC, LOCAL),
-                  Mode.LEARNING)
+    _observe(table, _arp(ArpOp.REQUEST, PLC_MAC, PLC, frames.ZERO_MAC, LOCAL),
+             Mode.LEARNING)
     evil = _arp(ArpOp.REPLY, EVIL_MAC, PLC, frames.BROADCAST_MAC, PLC)
-    assert table.observe(evil, Mode.ACTIVE) is FlowVerdict.BINDING_CONFLICT
+    assert _observe(table, evil, Mode.ACTIVE) is FlowVerdict.BINDING_CONFLICT
 
 
 def test_same_binding_reannounced_is_known():
     table = FlowTable(LOCAL)
     announce = _arp(ArpOp.REQUEST, PLC_MAC, PLC, frames.ZERO_MAC, LOCAL)
-    table.observe(announce, Mode.LEARNING)
-    again = _arp(ArpOp.REQUEST, PLC_MAC, PLC, frames.ZERO_MAC, LOCAL, ts=9)
-    assert table.observe(again, Mode.ACTIVE) is FlowVerdict.KNOWN
+    _observe(table, announce, Mode.LEARNING)
+    again = _arp(ArpOp.REQUEST, PLC_MAC, PLC, frames.ZERO_MAC, LOCAL)
+    assert _observe(table, again, Mode.ACTIVE) is FlowVerdict.KNOWN
 
 
 def test_l2l3_mismatch_on_forged_source():
     table = FlowTable(LOCAL)
-    table.observe(_arp(ArpOp.REQUEST, PLC_MAC, PLC, frames.ZERO_MAC, LOCAL),
-                  Mode.LEARNING)
-    table.observe(_tcp(49152, 502), Mode.LEARNING)
+    _observe(table, _arp(ArpOp.REQUEST, PLC_MAC, PLC, frames.ZERO_MAC, LOCAL),
+             Mode.LEARNING)
+    _observe(table, _tcp(49152, 502), Mode.LEARNING)
     forged = _tcp(49152, 502, src_mac=EVIL_MAC)  # claims the PLC's IP
-    assert table.observe(forged, Mode.ACTIVE) is FlowVerdict.L2L3_MISMATCH
+    assert _observe(table, forged, Mode.ACTIVE) is FlowVerdict.L2L3_MISMATCH
 
 
 def test_broadcast_destination_exempt_from_dst_check():
     table = FlowTable(LOCAL)
-    table.observe(_arp(ArpOp.REQUEST, PLC_MAC, PLC, frames.ZERO_MAC, LOCAL),
-                  Mode.LEARNING)
+    _observe(table, _arp(ArpOp.REQUEST, PLC_MAC, PLC, frames.ZERO_MAC, LOCAL),
+             Mode.LEARNING)
     frame = frames.udp_frame(PLC_MAC, frames.BROADCAST_MAC, PLC,
                              "255.255.255.255", 47808, 47808, b"k")
-    meta = parse_frame(frame, 0, Direction.RX)
-    table.observe(meta, Mode.LEARNING)
-    assert table.observe(meta, Mode.ACTIVE) is FlowVerdict.KNOWN
+    packet = _rx(frame)
+    _observe(table, packet, Mode.LEARNING)
+    assert _observe(table, packet, Mode.ACTIVE) is FlowVerdict.KNOWN
 
 
 def test_learning_never_raises_verdicts():
     table = FlowTable(LOCAL)
     rng = random.Random(5)
-    metas = []
+    packets = []
     for i in range(200):
         kind = rng.randrange(3)
         if kind == 0:
-            metas.append(_tcp(rng.randrange(1, 65536), rng.randrange(1, 65536),
+            packets.append(_tcp(rng.randrange(1, 65536), rng.randrange(1, 65536),
                               flags=rng.choice([0x02, 0x10, 0x18])))
         elif kind == 1:
             mac = "02:00:00:00:00:%02x" % rng.randrange(256)
             ip = "10.0.0.%d" % rng.randrange(1, 255)
-            metas.append(_arp(ArpOp.REPLY, mac, ip, LOCAL_MAC, LOCAL, ts=i))
+            packets.append(_arp(ArpOp.REPLY, mac, ip, LOCAL_MAC, LOCAL))
         else:
             frame = frames.udp_frame(PLC_MAC, LOCAL_MAC, PLC, LOCAL,
                                      rng.randrange(1, 65536), rng.randrange(1, 65536), b"")
-            metas.append(parse_frame(frame, i, Direction.RX))
-    for meta in metas:
-        assert table.observe(meta, Mode.LEARNING) is FlowVerdict.KNOWN
+            packets.append(_rx(frame))
+    for packet in packets:
+        assert _observe(table, packet, Mode.LEARNING) is FlowVerdict.KNOWN
 
 
 def test_key_set_is_order_independent():
@@ -159,9 +171,8 @@ def test_key_set_is_order_independent():
 
     def learn(seq):
         table = FlowTable(LOCAL)
-        for ts, direction, data in seq:
-            meta = parse_frame(data, ts, direction)
-            table.observe(meta, Mode.LEARNING)
+        for _ts, direction, data in seq:
+            _observe(table, (parse_frame(data), direction), Mode.LEARNING)
         return table.flows
 
     in_order = learn(triples)
@@ -175,8 +186,8 @@ def test_learned_topology_has_two_kinds_per_peer():
     # every other edge node by its status broadcasts and ARP
     trace = sim.run(duration_us=720_000_000, seed=0)
     table = FlowTable(LOCAL)
-    for ts, direction, data in trace.frames_for("S1"):
-        table.observe(parse_frame(data, ts, direction), Mode.LEARNING)
+    for _ts, direction, data in trace.frames_for("S1"):
+        _observe(table, (parse_frame(data), direction), Mode.LEARNING)
     topo = trace.topology
     plc = topo.device("PLC")
     assert FlowKey(FlowKind.TCP, peer_ip=plc.ip, local_ip=LOCAL, service_port=502) in table.flows
@@ -193,9 +204,9 @@ def test_learned_topology_has_two_kinds_per_peer():
 
 def test_export_records_sorted_and_stable():
     table = FlowTable(LOCAL)
-    table.observe(_tcp(49152, 502), Mode.LEARNING)
-    table.observe(_arp(ArpOp.REQUEST, PLC_MAC, PLC, frames.ZERO_MAC, LOCAL),
-                  Mode.LEARNING)
+    _observe(table, _tcp(49152, 502), Mode.LEARNING)
+    _observe(table, _arp(ArpOp.REQUEST, PLC_MAC, PLC, frames.ZERO_MAC, LOCAL),
+             Mode.LEARNING)
     flows_a, bindings_a = table.export_records()
     flows_b, bindings_b = table.export_records()
     assert flows_a == flows_b

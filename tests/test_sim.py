@@ -61,7 +61,7 @@ def test_flood_rate_at_target():
     for at, direction, data in trace.frames_for("S1"):
         if direction is not Direction.RX or not 30 * S <= at < 40 * S:
             continue
-        meta = parse_frame(data, at, direction)
+        meta = parse_frame(data)
         if meta.l3 and meta.l3.l4 and meta.l3.l4.dst_port == 502:
             times.append(at)
     gaps = [b - a for a, b in zip(times, times[1:])]
@@ -82,7 +82,7 @@ def test_responses_never_precede_requests():
     trace = sim.run(duration_us=30 * S, seed=4)
     pending = {}
     for fr in trace.frames:
-        meta = parse_frame(fr.data, fr.time_us, Direction.RX)
+        meta = parse_frame(fr.data)
         if meta.l3 is None or meta.l3.l4 is None or meta.l3.l4.tcp_flags is None:
             continue
         l4 = meta.l3.l4
@@ -107,7 +107,7 @@ def test_status_messages_verify_under_profile_psk():
     for at, direction, data in trace.frames_for("Cloud"):
         if direction is not Direction.RX:
             continue
-        l3 = parse_frame(data, at, direction).l3
+        l3 = parse_frame(data).l3
         if l3 is None or l3.protocol != PROTO_UDP:
             continue
         start = l3.l4.payload_offset
@@ -125,7 +125,7 @@ def test_frames_for_viewpoints():
     assert any(d is Direction.RX for _t, d, _f in s1)
     # unicast between PLC and S2 is invisible at S1
     for at, direction, data in s1:
-        meta = parse_frame(data, at, direction)
+        meta = parse_frame(data)
         if meta.l3 and meta.l3.l4 and meta.l3.l4.tcp_flags is not None:
             assert S1_IP in (meta.l3.src_ip, meta.l3.dst_ip)
 
