@@ -48,6 +48,40 @@ def _psk_from_env(args) -> bytes:
     return sim.DEFAULT_PSK
 
 
+def _scaled(unit):
+    """Parse a number of units into an integer count of microseconds."""
+    return lambda text: int(float(text) * unit)
+
+
+def _scaled_range(unit):
+    """Parse 'LO,HI' in units into a pair of integer microseconds."""
+    def convert(text):
+        parts = text.split(",")
+        if len(parts) != 2:
+            raise ValueError("expected LO,HI, got %r" % text)
+        return tuple(int(float(part) * unit) for part in parts)
+    return convert
+
+
+# config key -> (attribute or override name, converter)
+_PROFILE_KEYS = {
+    "poll_period_ms": ("poll_period_us", _scaled(1000)),
+    "response_delay_ms": ("response_delay_us", _scaled_range(1000)),
+    "jitter_pct": ("jitter_frac", lambda text: float(text) / 100.0),
+    "status_period_s": ("status_period_us", _scaled(1e6)),
+    "arp_expiry_s": ("arp_expiry_us", _scaled_range(1e6)),
+    "status_port": ("status_port", int),
+    "psk": ("psk", str.encode),
+}
+_ENGINE_KEYS = {
+    "delta": ("delta", float),
+    "delta_arp": ("delta_arp", float),
+    "alpha": ("alpha", float),
+    "window": ("window", int),
+    "learning_duration_s": ("learning_duration_us", _scaled(1e6)),
+}
+
+
 def load_config(
     path: str | None,
 ) -> tuple[sim.Topology, sim.TrafficProfile, dict, list]:
@@ -55,7 +89,8 @@ def load_config(
     response_delay_ms=LO,HI, jitter_pct, status_period_s,
     arp_expiry_s=LO,HI, status_port, psk; [engine] delta, delta_arp,
     window, alpha, learning_duration_s; [scenarios] with one scenario
-    spec per key. Flags override these values."""
+    spec per key. Flags override these values. A value that does not
+    parse raises ValueError naming the file, section and key."""
     topology = sim.Topology.default()
     profile = sim.TrafficProfile()
     engine_overrides: dict = {}
@@ -65,40 +100,24 @@ def load_config(
     parser = configparser.ConfigParser()
     with open(path) as handle:
         parser.read_file(handle)
-    if parser.has_section("topology"):
-        topology = sim.Topology.default(parser.getint("topology", "sensors", fallback=8))
-    if parser.has_section("profile"):
-        section = parser["profile"]
-        if "poll_period_ms" in section:
-            profile.poll_period_us = int(float(section["poll_period_ms"]) * 1000)
-        if "response_delay_ms" in section:
-            lo, hi = (float(x) for x in section["response_delay_ms"].split(","))
-            profile.response_delay_us = (int(lo * 1000), int(hi * 1000))
-        if "jitter_pct" in section:
-            profile.jitter_frac = float(section["jitter_pct"]) / 100.0
-        if "status_period_s" in section:
-            profile.status_period_us = int(float(section["status_period_s"]) * 1e6)
-        if "arp_expiry_s" in section:
-            lo, hi = (float(x) for x in section["arp_expiry_s"].split(","))
-            profile.arp_expiry_us = (int(lo * 1e6), int(hi * 1e6))
-        if "status_port" in section:
-            profile.status_port = int(section["status_port"])
-        if "psk" in section:
-            profile.psk = section["psk"].encode()
-    if parser.has_section("engine"):
-        section = parser["engine"]
-        for key in ("delta", "delta_arp", "alpha"):
-            if key in section:
-                engine_overrides[key] = float(section[key])
-        if "window" in section:
-            engine_overrides["window"] = int(section["window"])
-        if "learning_duration_s" in section:
-            engine_overrides["learning_duration_us"] = int(
-                float(section["learning_duration_s"]) * 1e6
-            )
+
+    def value(section, key, convert):
+        try:
+            return convert(parser[section][key])
+        except (ValueError, OverflowError) as exc:
+            raise ValueError("%s: [%s] %s: %s" % (path, section, key, exc)) from None
+
+    if parser.has_option("topology", "sensors"):
+        topology = value("topology", "sensors", lambda text: sim.Topology.default(int(text)))
+    for key, (attr, convert) in _PROFILE_KEYS.items():
+        if parser.has_option("profile", key):
+            setattr(profile, attr, value("profile", key, convert))
+    for key, (name, convert) in _ENGINE_KEYS.items():
+        if parser.has_option("engine", key):
+            engine_overrides[name] = value("engine", key, convert)
     if parser.has_section("scenarios"):
-        for _key, value in parser.items("scenarios"):
-            scenarios.append(_parse_scenario(value))
+        for key, _text in parser.items("scenarios"):
+            scenarios.append(value("scenarios", key, _parse_scenario))
     return topology, profile, engine_overrides, scenarios
 
 
@@ -181,6 +200,12 @@ def cmd_learn(args) -> int:
         # learn on the whole input: the transition must never trigger
         overrides = {**overrides, "learning_duration_us": 1 << 62}
     config = _engine_config(args, overrides)
+    # an unwritable -o fails here, before a whole learning pass; opening
+    # for append leaves an existing model intact until learning succeeds
+    existed = os.path.exists(args.out)
+    open(args.out, "ab").close()
+    if not existed:
+        os.remove(args.out)
     engine = Engine(config)
     gaps = ArpRequestGaps()
     replay(engine, gaps.watch(_input_frames(args, topology, profile, scenarios)))

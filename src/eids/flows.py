@@ -8,8 +8,8 @@ metadata consistency rules (binding conflicts, L2/L3 address coherence)
 once learning has ended.
 """
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .packet import PROTO_TCP, TCP_ACK, TCP_SYN, Direction, PacketMeta
 
@@ -37,8 +37,7 @@ class FlowVerdict(Enum):
     L2L3_MISMATCH = "l2l3-mismatch"
 
 
-@dataclass(frozen=True)
-class FlowKey:
+class FlowKey(NamedTuple):
     kind: FlowKind
     peer_ip: str = ""
     local_ip: str = ""
@@ -120,7 +119,7 @@ def derive_key(meta: PacketMeta, direction: Direction, local_ip: str) -> FlowKey
                 service = l4.src_port if src_srv else l4.dst_port
             else:
                 service = min(l4.src_port, l4.dst_port)
-        return FlowKey(kind, peer_ip=peer_ip, local_ip=home_ip, service_port=service)
+        return FlowKey(kind, peer_ip, home_ip, service)
     peer = meta.src_mac if direction is Direction.RX else meta.dst_mac
     return FlowKey(FlowKind.OTHER, peer_mac=peer)
 
@@ -150,18 +149,19 @@ class FlowTable:
         l4 = meta.l3.l4
         kind = FlowKind.TCP if meta.l3.protocol == PROTO_TCP else FlowKind.UDP
         peer_ip, peer_port, home_ip, home_port = _endpoints(meta, direction, self.local_ip)
-        candidates = {
-            FlowKey(kind, peer_ip=peer_ip, local_ip=home_ip, service_port=l4.src_port),
-            FlowKey(kind, peer_ip=peer_ip, local_ip=home_ip, service_port=l4.dst_port),
-        }
-        admitted = [c for c in candidates if c in self.flows]
-        if len(admitted) == 1:
-            return admitted[0]
+        by_src = FlowKey(kind, peer_ip, home_ip, l4.src_port)
+        by_dst = FlowKey(kind, peer_ip, home_ip, l4.dst_port)
+        if by_src in self.flows:
+            # equal ports make one candidate, not two admitted ones
+            if l4.src_port == l4.dst_port or by_dst not in self.flows:
+                return by_src
+        elif by_dst in self.flows:
+            return by_dst
         src_known = (meta.l3.src_ip, l4.src_port) in self.services
         dst_known = (meta.l3.dst_ip, l4.dst_port) in self.services
         if src_known != dst_known:
             port = l4.src_port if src_known else l4.dst_port
-            return FlowKey(kind, peer_ip=peer_ip, local_ip=home_ip, service_port=port)
+            return FlowKey(kind, peer_ip, home_ip, port)
         return derive_key(meta, direction, self.local_ip)
 
     def observe(self, meta: PacketMeta, mode: Mode, key: FlowKey) -> FlowVerdict:

@@ -16,9 +16,10 @@ protocol is not understood come back with only the layers that were
 recognised, which keeps MAC-level rules applicable to them.
 """
 
+import socket
 import struct
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 ETHERTYPE_IPV4 = 0x0800
 ETHERTYPE_ARP = 0x0806
@@ -66,12 +67,10 @@ def format_mac(raw: bytes) -> str:
     return raw.hex(":")
 
 
-def format_ip(raw: bytes) -> str:
-    return "%d.%d.%d.%d" % (raw[0], raw[1], raw[2], raw[3])
+format_ip = socket.inet_ntoa  # 4 raw octets -> dotted quad
 
 
-@dataclass(frozen=True)
-class TransportMeta:
+class TransportMeta(NamedTuple):
     src_port: int
     dst_port: int
     payload_len: int
@@ -79,16 +78,14 @@ class TransportMeta:
     tcp_flags: int | None = None  # raw flag octet; None for UDP
 
 
-@dataclass(frozen=True)
-class Ipv4Meta:
+class Ipv4Meta(NamedTuple):
     src_ip: str
     dst_ip: str
     protocol: int
     l4: TransportMeta | None = None
 
 
-@dataclass(frozen=True)
-class ArpMeta:
+class ArpMeta(NamedTuple):
     op: ArpOp
     sender_mac: str
     sender_ip: str
@@ -96,8 +93,7 @@ class ArpMeta:
     target_ip: str
 
 
-@dataclass(frozen=True)
-class PacketMeta:
+class PacketMeta(NamedTuple):
     src_mac: str
     dst_mac: str
     l3: Ipv4Meta | None = None
@@ -134,7 +130,7 @@ def parse_frame(data: bytes) -> PacketMeta:
     elif ethertype == ETHERTYPE_IPV4:
         l3 = _parse_ipv4(data, offset)
 
-    return PacketMeta(src_mac=src_mac, dst_mac=dst_mac, l3=l3, arp=arp)
+    return PacketMeta(src_mac, dst_mac, l3, arp)
 
 
 def _parse_arp(data: bytes, offset: int) -> ArpMeta | None:
@@ -179,7 +175,7 @@ def _parse_ipv4(data: bytes, offset: int) -> Ipv4Meta | None:
         l4 = _parse_tcp(data, l4_off, total_len - ihl)
     elif protocol == PROTO_UDP:
         l4 = _parse_udp(data, l4_off)
-    return Ipv4Meta(src_ip=src_ip, dst_ip=dst_ip, protocol=protocol, l4=l4)
+    return Ipv4Meta(src_ip, dst_ip, protocol, l4)
 
 
 def _parse_tcp(data: bytes, offset: int, ip_payload_len: int) -> TransportMeta | None:
@@ -195,13 +191,7 @@ def _parse_tcp(data: bytes, offset: int, ip_payload_len: int) -> TransportMeta |
     payload_len = ip_payload_len - doff
     if payload_len < 0:
         raise TruncatedFrame("IP total length ends inside the TCP header")
-    return TransportMeta(
-        src_port=src_port,
-        dst_port=dst_port,
-        payload_len=payload_len,
-        payload_offset=offset + doff,
-        tcp_flags=data[offset + 13],
-    )
+    return TransportMeta(src_port, dst_port, payload_len, offset + doff, data[offset + 13])
 
 
 def _parse_udp(data: bytes, offset: int) -> TransportMeta:
@@ -210,9 +200,4 @@ def _parse_udp(data: bytes, offset: int) -> TransportMeta:
     src_port, dst_port, udp_len, _ = _UDP_HDR.unpack_from(data, offset)
     if udp_len < 8:
         raise TruncatedFrame("UDP length field below the 8-byte header")
-    return TransportMeta(
-        src_port=src_port,
-        dst_port=dst_port,
-        payload_len=udp_len - 8,
-        payload_offset=offset + _UDP_HDR.size,
-    )
+    return TransportMeta(src_port, dst_port, udp_len - 8, offset + _UDP_HDR.size)

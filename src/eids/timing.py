@@ -71,6 +71,9 @@ class FlowBaseline:
     last_arrival_us: int | None = None
     _sum_us: int = 0
     _ready: bool = False
+    # low_bound()/high_bound() as of activation, set by _freeze_band
+    _low_us: float = 0.0
+    _high_us: float = 0.0
 
     @property
     def ready(self) -> bool:
@@ -99,7 +102,14 @@ class FlowBaseline:
         self._ready = self.n_l >= 2
         if self._ready:
             self.mean_us = self._sum_us / self.n_l
+            self._freeze_band()
         return self._ready
+
+    def _freeze_band(self) -> None:
+        # the learned extrema stop moving at activation, so check() and
+        # absence() compare against these instead of recomputing them
+        self._low_us = self.low_bound()
+        self._high_us = self.high_bound()
 
     def low_bound(self) -> float:
         return max(0.0, self.learned_min_us * (1.0 - self.delta))
@@ -118,9 +128,9 @@ class FlowBaseline:
         """
         if not self._ready:
             raise BaselineNotReady("flow has %d learning samples" % self.n_l)
-        if t_us <= self.low_bound():
+        if t_us <= self._low_us:
             return TimingVerdict.TOO_FAST
-        if t_us >= self.high_bound():
+        if t_us >= self._high_us:
             return TimingVerdict.TOO_SLOW
         if window is not None:
             window.push(t_us)
@@ -144,7 +154,7 @@ class FlowBaseline:
         """TOO_SLOW once the flow has been silent past the upper band."""
         if not self._ready or self.last_arrival_us is None:
             return None
-        if now_us - self.last_arrival_us >= self.high_bound():
+        if now_us - self.last_arrival_us >= self._high_us:
             return TimingVerdict.TOO_SLOW
         return None
 
@@ -161,4 +171,5 @@ class FlowBaseline:
             _sum_us=mean_us * n_l,
         )
         baseline._ready = n_l >= 2
+        baseline._freeze_band()
         return baseline

@@ -185,6 +185,43 @@ def test_input_error_exits_two(tmp_path, capsys, case):
     assert captured.err.startswith("eids: ")
 
 
+@pytest.mark.parametrize("line, key", [
+    ("poll_period_ms = abc", "poll_period_ms"),
+    ("response_delay_ms = 2", "response_delay_ms"),
+], ids=["not-a-number", "one-value-range"])
+def test_config_error_names_file_section_and_key(tmp_path, capsys, line, key):
+    config = tmp_path / "plant.ini"
+    config.write_text("[profile]\n%s\n" % line)
+    argv = ["stats", "--config", str(config), "--flow", "udp:10.0.0.1:9", "--sim",
+            "--duration", "5"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("eids: %s: [profile] %s: " % (config, key))
+    assert len(err.splitlines()) == 1
+
+
+def test_learn_unwritable_out_fails_before_reading_input(tmp_path, monkeypatch, capsys):
+    replays = []
+    monkeypatch.setattr("eids.cli.replay", lambda *args, **kwargs: replays.append(args))
+    out = tmp_path / "absent" / "m.model"
+    assert main(["learn", "--sim", "--duration", "600", "-o", str(out)]) == 2
+    assert replays == []
+    assert capsys.readouterr().err.startswith("eids: ")
+
+
+def test_failed_learn_keeps_existing_model_and_leaves_no_new_file(tmp_path, capsys):
+    empty = tmp_path / "empty.pcap"
+    with open(empty, "wb") as handle:
+        write_pcap(handle, [])
+    model = tmp_path / "plant.model"
+    model.write_bytes(b"EIDS-MODEL 1\nprevious\n")
+    assert main(["learn", "--pcap", str(empty), "-o", str(model)]) == 2
+    assert model.read_bytes() == b"EIDS-MODEL 1\nprevious\n"
+    fresh = tmp_path / "fresh.model"
+    assert main(["learn", "--pcap", str(empty), "-o", str(fresh)]) == 2
+    assert not fresh.exists()
+
+
 def test_broken_pipe_exits_zero(tmp_path, monkeypatch):
     class ClosedPipe:
         def __init__(self, handle):

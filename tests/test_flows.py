@@ -92,6 +92,42 @@ def test_table_reuses_learned_orientation():
     assert key.service_port == 6000
 
 
+def test_key_for_admitted_flow_with_equal_ports():
+    table = FlowTable(LOCAL)
+    packet = _tcp(5000, 5000)
+    _observe(table, packet, Mode.LEARNING)
+    key = FlowKey(FlowKind.TCP, peer_ip=PLC, local_ip=LOCAL, service_port=5000)
+    assert table.flows == {key}
+    assert table.key_for(*packet) == key
+    assert _observe(table, packet, Mode.ACTIVE) is FlowVerdict.KNOWN
+
+
+def test_key_for_both_candidates_admitted_falls_through():
+    # both orientations admitted (as a model import can leave them):
+    # neither candidate decides, so learned services and then the
+    # derive_key heuristic (min port, 5000) pick the key
+    table = FlowTable(LOCAL)
+    for port in (5000, 6000):
+        table.admit(FlowKey(FlowKind.TCP, peer_ip=PLC, local_ip=LOCAL, service_port=port))
+    packet = _tcp(6000, 5000)
+    assert table.key_for(*packet).service_port == 5000
+    table.services.add((PLC, 6000))
+    assert table.key_for(*packet).service_port == 6000
+
+
+def test_key_for_learned_service_overrides_heuristic():
+    table = FlowTable(LOCAL)
+    _observe(table, _tcp(5000, 6000, flags=0x02), Mode.LEARNING)  # SYN toward 6000
+    assert (LOCAL, 6000) in table.services
+    # another peer, no SYN, no well-known port: the heuristic would pick
+    # min port 4000, but the learned service endpoint LOCAL:6000 wins
+    packet = _tcp(4000, 6000, src="192.168.1.60")
+    assert derive_key(*packet, LOCAL).service_port == 4000
+    assert table.key_for(*packet) == FlowKey(
+        FlowKind.TCP, peer_ip="192.168.1.60", local_ip=LOCAL, service_port=6000
+    )
+
+
 def test_learning_admits_then_known():
     table = FlowTable(LOCAL)
     packet = _tcp(49152, 502)
