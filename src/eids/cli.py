@@ -99,7 +99,12 @@ def load_config(
         return topology, profile, engine_overrides, scenarios
     parser = configparser.ConfigParser()
     with open(path) as handle:
-        parser.read_file(handle)
+        try:
+            parser.read_file(handle)
+        except configparser.Error as exc:
+            # some messages quote the file, line and offending text on
+            # lines of their own; a diagnostic is one line
+            raise ValueError("%s: %s" % (path, " ".join(str(exc).split()))) from None
 
     def value(section, key, convert):
         try:
@@ -164,14 +169,17 @@ def _input_frames(args, topology, profile, scenarios=()):
 
 
 class ArpRequestGaps:
-    """Longest observed gap between ARP requests of the same sender, in
-    microseconds, taken while the frames pass through to another
-    consumer. Twice this value is the floor for a learning window that
-    still sees every recurring flow."""
+    """Longest observed gap between ARP requests of the same sender for
+    the same target address, in microseconds, taken while the frames
+    pass through to another consumer. Twice this value is the floor for
+    a learning window that still sees every recurring flow. A host
+    refreshing its cache asks for several peers a few milliseconds
+    apart, so gaps between requests for different targets say nothing
+    about the refresh cycle."""
 
     def __init__(self):
         self.longest: int | None = None
-        self._last: dict[str, int] = {}
+        self._last: dict[tuple[str, str], int] = {}
 
     def watch(self, frame_triples):
         """Yield frame_triples unchanged, measuring gaps on the way."""
@@ -182,8 +190,9 @@ class ArpRequestGaps:
             except ParseError:
                 arp = None
             if arp is not None and arp.op.value == 1:
-                previous = self._last.get(arp.sender_mac)
-                self._last[arp.sender_mac] = ts_us
+                pair = (arp.sender_mac, arp.target_ip)
+                previous = self._last.get(pair)
+                self._last[pair] = ts_us
                 if previous is not None and (
                     self.longest is None or ts_us - previous > self.longest
                 ):

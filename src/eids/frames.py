@@ -4,9 +4,18 @@ Used by the traffic simulator and by tests: parse_frame(build(...))
 round-trips every decoded field. IP and TCP checksums are computed so
 emitted captures look sane in external tools; UDP checksums use the
 legal all-zero form.
+
+A simulated plant reuses a handful of addresses on every frame, so the
+string-to-bytes address conversions and the IPv4 header (a pure
+function of its addresses, protocol and payload length, because the
+identification field is always 0) are computed once per distinct
+argument tuple. Each cache is a bounded LRU: a caller with more
+distinct addresses than it holds only recomputes evicted entries, and
+the cached values are immutable bytes.
 """
 
 import struct
+from functools import lru_cache
 
 from .packet import ETHERTYPE_ARP, ETHERTYPE_IPV4, PROTO_TCP, PROTO_UDP, ArpOp
 
@@ -21,21 +30,25 @@ _TCP = struct.Struct(">HHIIBBHHH")
 _UDP = struct.Struct(">HHHH")
 
 
+@lru_cache(maxsize=1024)
 def mac_bytes(mac: str) -> bytes:
     return bytes(int(part, 16) for part in mac.split(":"))
 
 
+@lru_cache(maxsize=1024)
 def ip_bytes(ip: str) -> bytes:
     return bytes(int(part) for part in ip.split("."))
 
 
 def _checksum(data: bytes) -> int:
-    if len(data) % 2:
-        data += b"\x00"
-    total = sum(struct.unpack(">%dH" % (len(data) // 2), data))
-    while total >> 16:
-        total = (total & 0xFFFF) + (total >> 16)
-    return ~total & 0xFFFF
+    """Internet checksum: the complement of the one's-complement sum of
+    the big-endian 16-bit words, an odd tail padded with a zero byte.
+    Since 2**16 = 1 (mod 0xFFFF), the number the bytes spell leaves the
+    same residue as that sum; the end-around-carry fold differs from the
+    residue only on a nonzero multiple of 0xFFFF, which folds to 0xFFFF."""
+    value = int.from_bytes(data, "big") << (8 * (len(data) % 2))
+    folded = value % 0xFFFF or (0xFFFF if value else 0)
+    return ~folded & 0xFFFF
 
 
 def ethernet(dst_mac: str, src_mac: str, ethertype: int, payload: bytes) -> bytes:
@@ -68,6 +81,7 @@ def arp_frame(
     return ethernet(dst_mac, sender_mac, ETHERTYPE_ARP, body)
 
 
+@lru_cache(maxsize=4096)
 def _ipv4_header(src_ip: str, dst_ip: str, protocol: int, payload_len: int) -> bytes:
     total = 20 + payload_len
     head = _IPV4.pack(

@@ -17,7 +17,8 @@ wall clock is involved anywhere.
 import random
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
-from typing import BinaryIO, Iterable, Iterator
+from operator import attrgetter
+from typing import BinaryIO, Iterable, Iterator, NamedTuple
 
 from . import announce, frames
 from .packet import (
@@ -159,8 +160,7 @@ class AttackScenario:
     attacker_mac: str = _mac_for(200)
 
 
-@dataclass(frozen=True)
-class TraceFrame:
+class TraceFrame(NamedTuple):
     time_us: int
     src: str
     dst: str | None  # None = broadcast
@@ -420,13 +420,14 @@ def _gen_attacks(b: _Builder, scenarios: list[AttackScenario]) -> None:
         elif sc.kind is ScenarioKind.DOS_FLOOD:
             plc = b.topology.by_role(Role.PLC)
             spacing = max(1, 1_000_000 // sc.rate_pps)
-            payload = frames.modbus_read_request(0xFFFF, 1)
+            # every flood frame carries the same bytes
+            frame = frames.tcp_frame(
+                plc.mac, target.mac, plc.ip, target.ip, 49999, MODBUS_PORT,
+                TCP_PSH | TCP_ACK, frames.modbus_read_request(0xFFFF, 1), seq=7, ack=7,
+            )
             t = start
             while t < end:
-                b.emit(t, ATTACKER_NAME, target.name, frames.tcp_frame(
-                    plc.mac, target.mac, plc.ip, target.ip, 49999, MODBUS_PORT,
-                    TCP_PSH | TCP_ACK, payload, seq=7, ack=7,
-                ))
+                b.emit(t, ATTACKER_NAME, target.name, frame)
                 t += spacing
 
         elif sc.kind is ScenarioKind.LEARNING_ATTACK:
@@ -567,8 +568,9 @@ def run(
     _gen_status(builder)
     _gen_attacks(builder, scenario_list)
 
-    indexed = sorted(enumerate(builder.frames), key=lambda p: (p[1].time_us, p[0]))
-    return FrameTrace(topology=topology, frames=[fr for _, fr in indexed])
+    # stable: frames with equal times keep their generation order
+    return FrameTrace(topology=topology,
+                      frames=sorted(builder.frames, key=attrgetter("time_us")))
 
 
 def _validate_scenarios(scenarios, topology, duration_us) -> None:

@@ -43,13 +43,15 @@ def test_learn_summary_matches_independent_arp_scan(tmp_path, capsys):
     err = capsys.readouterr().err
 
     # independent scan: longest gap between ARP requests of one sender
+    # for one target
     last, longest = {}, None
     for at, direction, data in trace.frames_for("S1"):
         meta = parse_frame(data)
         if meta.arp is None or meta.arp.op is not ArpOp.REQUEST:
             continue
-        prev = last.get(meta.arp.sender_mac)
-        last[meta.arp.sender_mac] = at
+        pair = (meta.arp.sender_mac, meta.arp.target_ip)
+        prev = last.get(pair)
+        last[pair] = at
         if prev is not None and (longest is None or at - prev > longest):
             longest = at - prev
     assert longest is not None
@@ -59,6 +61,17 @@ def test_learn_summary_matches_independent_arp_scan(tmp_path, capsys):
     gaps = ArpRequestGaps()
     assert list(gaps.watch(trace.frames_for("S1"))) == list(trace.frames_for("S1"))
     assert gaps.longest == longest
+
+
+def test_learn_suggests_nothing_without_a_repeated_arp_request(tmp_path, capsys):
+    # 120 s is shorter than any host's ARP refresh cycle (180-360 s), so
+    # no sender asks for the same target twice; the PLC's requests for
+    # its eleven peers, 2.5 ms apart, are not a refresh gap
+    pcap, _ = _write_viewpoint_pcap(tmp_path, "short.pcap", duration_s=120, seed=9)
+    assert main(["learn", "--pcap", str(pcap), "--learning-duration", "90",
+                 "-o", str(tmp_path / "m.model")]) == 0
+    err = capsys.readouterr().err
+    assert "suggested learning duration: n/a (no repeated ARP requests)" in err
 
 
 def test_learn_memory_does_not_grow_with_capture_length(tmp_path, capsys):
@@ -198,6 +211,22 @@ def test_config_error_names_file_section_and_key(tmp_path, capsys, line, key):
     err = capsys.readouterr().err
     assert err.startswith("eids: %s: [profile] %s: " % (config, key))
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", [
+    ["learn", "-o", "m"],
+    ["detect", "--learn-first", "30"],
+    ["stats", "--flow", "udp:10.0.0.1:9"],
+], ids=lambda argv: argv[0])
+def test_config_without_section_header_is_one_line(tmp_path, capsys, command):
+    config = tmp_path / "plant.ini"
+    config.write_text("poll_period_ms = 100\n")
+    argv = command + ["--config", str(config), "--sim", "--duration", "5"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("eids: %s: " % config)
 
 
 def test_learn_unwritable_out_fails_before_reading_input(tmp_path, monkeypatch, capsys):

@@ -1,11 +1,14 @@
 """Golden outputs: sha256 digests of the command-line pipeline's bytes.
 
 Determinism (criterion 8) compares two runs of the same code, so it
-cannot see a change that alters output. These digests were taken from
-the release before the per-frame data model became plain tuples and
+cannot see a change that alters output. The pipeline digests were taken
+from the release before the per-frame data model became plain tuples and
 pin the simulator's capture, the learned model and both detect modes'
-event logs across refactors of the hot path. A deliberate change of
-behaviour updates them in the same commit and says why.
+event logs across refactors of the hot path. The simulator digests were
+taken before frame construction was made cheaper and pin the full-domain
+trace of every scenario kind plus two device views of one run. A
+deliberate change of behaviour updates them in the same commit and says
+why.
 """
 
 import contextlib
@@ -14,6 +17,7 @@ import io
 
 import pytest
 
+from eids import sim
 from eids.cli import main
 
 PCAP_SHA256 = "3b733a63af9333b94798fcd496641d1e2de1f5e6e72241072e13b32d9f9948b7"
@@ -21,9 +25,35 @@ MODEL_SHA256 = "01bda656c7a6a2beea3454d7d3e872e5babf474f1375e78eeac078087cd34a5b
 DETECT_MODEL_SHA256 = "48bedb8ec8abbfd10d730da7013a3aeeaab485c954b2325f7a934ab071981db8"
 DETECT_LEARN_FIRST_SHA256 = "4c86bd1cfe3f8488f52776b453ce84f68b0edfdb7970dd07871583a10c871ea5"
 
+S = 1_000_000
+# scenario kind -> (scenario arguments, sha256 of the full-domain trace)
+# for a 40 s run at seed 11; every attack starts (or, for the learning
+# attack, stops) at 25 s
+TRACE_SHA256 = {
+    1: ({"start_us": 25 * S}, "e2ab379df517fbaef60f63b55a9dc67d7cb3bb4bf7fce995ae612eb144ae9921"),
+    2: ({"start_us": 25 * S}, "8797359b6df7d10bc4a6e4e9a939b05aa4ae4a02ee9f4cc760a4fce69b00d4f1"),
+    3: ({"start_us": 25 * S}, "712147fe3dcefba90683f0460f8c7428683fb1b6efbfc58bb939696ff6ed8e71"),
+    4: ({"start_us": 25 * S}, "f3708f631d65693b057553066ce9e1fbefff440e2fd8e702dfec9335e4c1e88c"),
+    5: ({"start_us": 25 * S}, "a08ed4a8100ef27dcb888b1ac788a722dea72076a94dec84bfbb7d970cc3ca7e"),
+    6: ({"start_us": 25 * S}, "9b031324efa272f7afc8fada45e4103e066063170d1b46013ca15683fddeb852"),
+    7: ({"stop_us": 25 * S}, "e98c8bbdbd6e0eac68423f37fb91da2c464de8c6324cb8fb150a8b17b91c1fde"),
+    8: ({"start_us": 25 * S}, "e1bb8de898195b31dba28b1a8cc0c5a96f13c7e7261c79857487d2f72ba794a6"),
+}
+# the learning-attack run's write_pcap views
+VIEW_PCAP_SHA256 = {
+    "S1": "0ef45b68d3cffa7a85b09d88eaac9ea1773425ddf34184c878fb14b911839316",
+    "PLC": "9821be2e18bf5c006a1754e0d58217739211083451dcfba1124c0e947b6f9c65",
+}
+
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def _simulate(kind: int) -> sim.FrameTrace:
+    kwargs, _digest = TRACE_SHA256[kind]
+    scenario = sim.AttackScenario(sim.ScenarioKind(kind), **kwargs)
+    return sim.run(scenarios=[scenario], duration_us=40 * S, seed=11)
 
 
 def _run(argv):
@@ -63,3 +93,18 @@ def test_learned_model_and_detect_outputs(flood_capture, tmp_path):
     code, out = _run(["detect", "--learn-first", "90", "--pcap", str(flood_capture)])
     assert code == 1
     assert _sha256(out.encode()) == DETECT_LEARN_FIRST_SHA256
+
+
+@pytest.mark.parametrize("kind", sorted(TRACE_SHA256))
+def test_simulated_trace_per_scenario_kind(kind):
+    digest = hashlib.sha256()
+    for fr in _simulate(kind).frames:
+        digest.update(repr((fr.time_us, fr.src, fr.dst, fr.data)).encode())
+    assert digest.hexdigest() == TRACE_SHA256[kind][1]
+
+
+@pytest.mark.parametrize("viewpoint", sorted(VIEW_PCAP_SHA256))
+def test_simulated_view_pcaps(viewpoint):
+    stream = io.BytesIO()
+    _simulate(sim.ScenarioKind.LEARNING_ATTACK).write_pcap(stream, viewpoint=viewpoint)
+    assert _sha256(stream.getvalue()) == VIEW_PCAP_SHA256[viewpoint]
