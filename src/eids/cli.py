@@ -89,15 +89,17 @@ def load_config(
     response_delay_ms=LO,HI, jitter_pct, status_period_s,
     arp_expiry_s=LO,HI, status_port, psk; [engine] delta, delta_arp,
     window, alpha, learning_duration_s; [scenarios] with one scenario
-    spec per key. Flags override these values. A value that does not
-    parse raises ValueError naming the file, section and key."""
+    spec per key. Flags override these values. Values are taken
+    literally: no % interpolation, and a # after a value is part of it.
+    A value that does not parse raises ValueError naming the file,
+    section and key."""
     topology = sim.Topology.default()
     profile = sim.TrafficProfile()
     engine_overrides: dict = {}
     scenarios: list = []
     if path is None:
         return topology, profile, engine_overrides, scenarios
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     with open(path) as handle:
         try:
             parser.read_file(handle)
@@ -126,7 +128,7 @@ def load_config(
     return topology, profile, engine_overrides, scenarios
 
 
-def _engine_config(args, overrides: dict) -> EngineConfig:
+def _engine_config(args, overrides: dict, learning_s: float | None) -> EngineConfig:
     merged = dict(overrides)
     if args.delta is not None:
         merged["delta"] = args.delta
@@ -136,8 +138,8 @@ def _engine_config(args, overrides: dict) -> EngineConfig:
         merged["window"] = args.window
     if args.alpha is not None:
         merged["alpha"] = args.alpha
-    if getattr(args, "learning_duration", None) is not None:
-        merged["learning_duration_us"] = int(args.learning_duration * 1e6)
+    if learning_s is not None:
+        merged["learning_duration_us"] = int(learning_s * 1e6)
     return EngineConfig(
         local_ip=args.local_ip,
         node_id=args.node_id,
@@ -208,7 +210,7 @@ def cmd_learn(args) -> int:
     if args.learning_duration is None:
         # learn on the whole input: the transition must never trigger
         overrides = {**overrides, "learning_duration_us": 1 << 62}
-    config = _engine_config(args, overrides)
+    config = _engine_config(args, overrides, args.learning_duration)
     # an unwritable -o fails here, before a whole learning pass; opening
     # for append leaves an existing model intact until learning succeeds
     existed = os.path.exists(args.out)
@@ -240,9 +242,7 @@ def cmd_learn(args) -> int:
 
 def cmd_detect(args) -> int:
     topology, profile, overrides, scenarios = load_config(args.config)
-    if args.learn_first is not None:
-        args.learning_duration = args.learn_first
-    config = _engine_config(args, overrides)
+    config = _engine_config(args, overrides, args.learn_first)
     engine = Engine(config)
     if args.model is not None:
         try:
@@ -432,8 +432,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "of loading a model")
     p.add_argument("--ips", action="store_true",
                    help="prevention mode: report DROP verdicts")
-    p.add_argument("--learning-duration", type=float, default=None,
-                   help=argparse.SUPPRESS)
     p.add_argument("--tail-us", type=int, default=0,
                    help="keep running silence checks this long past the "
                         "last frame (default 0)")

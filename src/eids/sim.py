@@ -15,6 +15,7 @@ wall clock is involved anywhere.
 """
 
 import random
+import socket
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from operator import attrgetter
@@ -50,6 +51,7 @@ class Role(Enum):
     PLC = "plc"
     HMI = "hmi"
     CLOUD = "cloud"
+    ATTACKER = "attacker"  # a host outside the topology
 
 
 @dataclass(frozen=True)
@@ -239,37 +241,70 @@ def _arp_peers(topology: Topology) -> dict[str, list[Device]]:
     return peers
 
 
+def _tcp(src: Device, dst: Device, sport: int, dport: int, flags: int,
+         payload: bytes, seq: int, ack: int) -> bytes:
+    return frames.tcp_frame(src.mac, dst.mac, src.ip, dst.ip, sport, dport, flags,
+                            payload, seq=seq, ack=ack)
+
+
+def _status_frame(b: _Builder, mac: str, ip: str, node_id: int, t: int, psk: bytes) -> bytes:
+    """A node's status broadcast at t, signed under psk."""
+    payload = announce.encode(
+        announce.StatusMessage(node_id, t // 1000, False, True, 0), psk
+    )
+    port = b.profile.status_port
+    return frames.udp_frame(mac, frames.BROADCAST_MAC, ip, frames.BROADCAST_IP,
+                            port, port, payload)
+
+
+# A builder below draws every random number of an exchange up front, so a
+# frame that is not sent never shifts the rest of its stream, and emits an
+# answer only when the frame it answers went out.
+
+
+def _arp_exchange(b: _Builder, rng, t: int, asker: Device, answerer: Device) -> None:
+    """ARP request at t, answered 0.3-1.2 ms later."""
+    reply_t = t + rng.randrange(300, 1_200)
+    if b.emit(t, asker.name, None, frames.arp_frame(
+        frames.ArpOp.REQUEST, asker.mac, asker.ip, frames.ZERO_MAC, answerer.ip
+    )):
+        b.emit(reply_t, answerer.name, asker.name, frames.arp_frame(
+            frames.ArpOp.REPLY, answerer.mac, answerer.ip, asker.mac, asker.ip
+        ))
+
+
+def _handshake(b: _Builder, rng, t: int, client: Device, server: Device,
+               cport: int, sport: int, cseq: int, sseq: int,
+               client_ack: int | None = None) -> None:
+    """SYN at t, SYN+ACK 0.2-0.8 ms later, ACK 0.15-0.5 ms after that.
+    The client's SYN acks 0 and its ACK sseq + 1 unless client_ack pins
+    both."""
+    syn_ack_t = t + rng.randrange(200, 800)
+    ack_t = syn_ack_t + rng.randrange(150, 500)
+    if b.emit(t, client.name, server.name, _tcp(
+        client, server, cport, sport, TCP_SYN, b"", cseq, client_ack or 0
+    )) and b.emit(syn_ack_t, server.name, client.name, _tcp(
+        server, client, sport, cport, TCP_SYN | TCP_ACK, b"", sseq, cseq + 1
+    )):
+        b.emit(ack_t, client.name, server.name, _tcp(
+            client, server, cport, sport, TCP_ACK, b"", cseq + 1,
+            sseq + 1 if client_ack is None else client_ack,
+        ))
+
+
 def _gen_arp(b: _Builder) -> None:
     peers = _arp_peers(b.topology)
+    lo, hi = b.profile.arp_expiry_us
     for dev in b.topology.devices:
         rng = _rng(b.seed, "arp:%s" % dev.name)
         my_peers = peers[dev.name]
         if not my_peers:
             continue
-        lo, hi = b.profile.arp_expiry_us
         t = b.host_start(dev)
         while t <= b.duration_us:
             # whole-cache refresh: one request per peer, closely spaced
             for j, peer in enumerate(my_peers):
-                req_t = t + j * 2_500 + rng.randrange(0, 500)
-                reply_delay = rng.randrange(300, 1_200)
-                sent = b.emit(
-                    req_t,
-                    dev.name,
-                    None,
-                    frames.arp_frame(
-                        frames.ArpOp.REQUEST, dev.mac, dev.ip, frames.ZERO_MAC, peer.ip
-                    ),
-                )
-                if sent:
-                    b.emit(
-                        req_t + reply_delay,
-                        peer.name,
-                        dev.name,
-                        frames.arp_frame(
-                            frames.ArpOp.REPLY, peer.mac, peer.ip, dev.mac, dev.ip
-                        ),
-                    )
+                _arp_exchange(b, rng, t + j * 2_500 + rng.randrange(0, 500), dev, peer)
             t += rng.randrange(lo, hi)
 
 
@@ -284,27 +319,9 @@ def _gen_polling(b: _Builder) -> None:
         sport = 49152 + idx
         unit = idx + 1
         t0 = b.host_start(client) + 60_000 + idx * stagger
-        client_seq = 1000 + idx
-        server_seq = 2000 + idx
-
-        def tcp(src, dst, s_port, d_port, flags, payload, seq, ack):
-            return frames.tcp_frame(
-                src.mac, dst.mac, src.ip, dst.ip, s_port, d_port, flags,
-                payload, seq=seq, ack=ack,
-            )
-
-        b.emit(t0, client.name, server.name,
-               tcp(client, server, sport, MODBUS_PORT, TCP_SYN, b"", client_seq, 0))
-        syn_ack_t = t0 + rng.randrange(200, 800)
-        b.emit(syn_ack_t, server.name, client.name,
-               tcp(server, client, MODBUS_PORT, sport, TCP_SYN | TCP_ACK, b"",
-                   server_seq, client_seq + 1))
-        b.emit(syn_ack_t + rng.randrange(150, 500), client.name, server.name,
-               tcp(client, server, sport, MODBUS_PORT, TCP_ACK, b"",
-                   client_seq + 1, server_seq + 1))
-        client_seq += 1
-        server_seq += 1
-
+        _handshake(b, rng, t0, client, server, sport, MODBUS_PORT, 1000 + idx, 2000 + idx)
+        client_seq = 1001 + idx
+        server_seq = 2001 + idx
         k = 0
         while True:
             req_t = t0 + (k + 1) * period + rng.randrange(-jitter, jitter + 1)
@@ -313,14 +330,14 @@ def _gen_polling(b: _Builder) -> None:
                 break
             request = frames.modbus_read_request(k, unit)
             sent = b.emit(req_t, client.name, server.name,
-                          tcp(client, server, sport, MODBUS_PORT, TCP_PSH | TCP_ACK,
-                              request, client_seq, server_seq))
+                          _tcp(client, server, sport, MODBUS_PORT, TCP_PSH | TCP_ACK,
+                               request, client_seq, server_seq))
             client_seq += len(request)
             response = frames.modbus_read_response(k, unit, k & 0xFF)
             if sent:
                 b.emit(req_t + delay, server.name, client.name,
-                       tcp(server, client, MODBUS_PORT, sport, TCP_PSH | TCP_ACK,
-                           response, server_seq, client_seq))
+                       _tcp(server, client, MODBUS_PORT, sport, TCP_PSH | TCP_ACK,
+                            response, server_seq, client_seq))
             server_seq += len(response)
             k += 1
 
@@ -332,204 +349,124 @@ def _gen_status(b: _Builder) -> None:
         rng = _rng(b.seed, "status:%s" % dev.name)
         t = b.host_start(dev) + rng.randrange(0, period)
         while t <= b.duration_us:
-            payload = announce.encode(
-                announce.StatusMessage(
-                    node_id=dev.node_id,
-                    msg_time_ms=t // 1000,
-                    intrusion=False,
-                    active=True,
-                    event_count=0,
-                ),
-                b.profile.psk,
-            )
-            b.emit(
-                t,
-                dev.name,
-                None,
-                frames.udp_frame(
-                    dev.mac, frames.BROADCAST_MAC, dev.ip, frames.BROADCAST_IP,
-                    b.profile.status_port, b.profile.status_port, payload,
-                ),
-            )
+            b.emit(t, dev.name, None,
+                   _status_frame(b, dev.mac, dev.ip, dev.node_id, t, b.profile.psk))
             t += period + rng.randrange(-jitter, jitter + 1)
 
 
 def _scenario_window(sc: AttackScenario, duration_us: int) -> tuple[int, int]:
+    """When a scenario acts, end exclusive: from start to stop or the
+    end of the run, but 60 s for a flood without stop and at most 10 s
+    for an injection; a learning attack acts from time zero. A
+    removed or flooded node is silent for its window."""
     if sc.kind is ScenarioKind.LEARNING_ATTACK:
         return (0, sc.stop_us if sc.stop_us is not None else duration_us + 1)
     end = sc.stop_us if sc.stop_us is not None else duration_us + 1
     if sc.kind is ScenarioKind.DOS_FLOOD and sc.stop_us is None:
         end = min(sc.start_us + 60_000_000, duration_us + 1)
+    if sc.kind is ScenarioKind.INJECT:
+        end = min(end, sc.start_us + 10_000_000)
     return (sc.start_us, end)
 
 
-def _resolve_target(sc: AttackScenario, topology: Topology) -> str:
-    if sc.target is not None:
-        return sc.target
-    defaults = {
-        ScenarioKind.NODE_REMOVED: "S2",
-        ScenarioKind.ACTIVE_SNIFF: "PLC",
-        ScenarioKind.SPOOF: "S2",
-        ScenarioKind.INJECT: "S1",
-        ScenarioKind.DOS_FLOOD: "S1",
-        ScenarioKind.LEARNING_ATTACK: "S1",
-        ScenarioKind.CAPTURE_NODE: "S2",
-    }
-    return defaults.get(sc.kind, "S1")
+# target of a scenario that names none; PASSIVE_SNIFF has no target
+_DEFAULT_TARGET = {
+    ScenarioKind.NODE_REMOVED: "S2",
+    ScenarioKind.ACTIVE_SNIFF: "PLC",
+    ScenarioKind.SPOOF: "S2",
+    ScenarioKind.INJECT: "S1",
+    ScenarioKind.DOS_FLOOD: "S1",
+    ScenarioKind.LEARNING_ATTACK: "S1",
+    ScenarioKind.CAPTURE_NODE: "S2",
+}
+
+
+def _resolve_target(sc: AttackScenario) -> str:
+    return sc.target if sc.target is not None else _DEFAULT_TARGET[sc.kind]
 
 
 def _gen_attacks(b: _Builder, scenarios: list[AttackScenario]) -> None:
     for index, sc in enumerate(scenarios):
+        if sc.kind is ScenarioKind.PASSIVE_SNIFF:
+            continue  # a network diode adds nothing to the wire
         rng = _rng(b.seed, "attack:%d:%d" % (index, sc.kind))
         start, end = _scenario_window(sc, b.duration_us)
         end = min(end, b.duration_us + 1)
-        if sc.kind is ScenarioKind.PASSIVE_SNIFF:
-            continue  # a network diode adds nothing to the wire
-        target = b.topology.device(_resolve_target(sc, b.topology))
+        target = b.topology.device(_resolve_target(sc))
+        attacker = Device(ATTACKER_NAME, Role.ATTACKER, sc.attacker_ip, sc.attacker_mac)
 
         if sc.kind is ScenarioKind.ACTIVE_SNIFF:
-            t = start
-            while t < end:
-                b.emit(t, ATTACKER_NAME, None, frames.arp_frame(
-                    frames.ArpOp.REPLY, sc.attacker_mac, target.ip,
+            for t in range(start, end, 1_000_000):
+                b.emit(t, attacker.name, None, frames.arp_frame(
+                    frames.ArpOp.REPLY, attacker.mac, target.ip,
                     frames.BROADCAST_MAC, target.ip, dst_mac=frames.BROADCAST_MAC,
                 ))
-                t += 1_000_000
 
         elif sc.kind is ScenarioKind.SPOOF:
-            t = start
-            while t < end:
-                payload = announce.encode(
-                    announce.StatusMessage(target.node_id, t // 1000, False, True, 0),
-                    b"forged-key",
-                )
-                b.emit(t, ATTACKER_NAME, None, frames.udp_frame(
-                    sc.attacker_mac, frames.BROADCAST_MAC, target.ip,
-                    frames.BROADCAST_IP, b.profile.status_port,
-                    b.profile.status_port, payload,
+            # the victim's address and node id, signed with the wrong key
+            for t in range(start, end, b.profile.status_period_us):
+                b.emit(t, attacker.name, None, _status_frame(
+                    b, attacker.mac, target.ip, target.node_id, t, b"forged-key"
                 ))
-                t += b.profile.status_period_us
 
         elif sc.kind is ScenarioKind.INJECT:
-            _gen_intruder_connection(
-                b, rng, sc.attacker_mac, sc.attacker_ip, ATTACKER_NAME, target,
-                dst_port=MODBUS_PORT, sport=51000,
-                start=start, end=min(end, start + 10_000_000), write=True,
-            )
+            _gen_intruder_connection(b, rng, attacker, target, 51000, start, end)
 
         elif sc.kind is ScenarioKind.DOS_FLOOD:
             plc = b.topology.by_role(Role.PLC)
-            spacing = max(1, 1_000_000 // sc.rate_pps)
             # every flood frame carries the same bytes
-            frame = frames.tcp_frame(
-                plc.mac, target.mac, plc.ip, target.ip, 49999, MODBUS_PORT,
-                TCP_PSH | TCP_ACK, frames.modbus_read_request(0xFFFF, 1), seq=7, ack=7,
-            )
-            t = start
-            while t < end:
-                b.emit(t, ATTACKER_NAME, target.name, frame)
-                t += spacing
+            frame = _tcp(plc, target, 49999, MODBUS_PORT, TCP_PSH | TCP_ACK,
+                         frames.modbus_read_request(0xFFFF, 1), 7, 7)
+            for t in range(start, end, max(1, 1_000_000 // sc.rate_pps)):
+                b.emit(t, attacker.name, target.name, frame)
 
         elif sc.kind is ScenarioKind.LEARNING_ATTACK:
-            _gen_patient_attacker(b, rng, sc, target, end)
+            _gen_patient_attacker(b, rng, attacker, target, end)
 
         elif sc.kind is ScenarioKind.CAPTURE_NODE:
             peer = b.topology.device(sc.peer or "S1")
-            _gen_intruder_connection(
-                b, rng, target.mac, target.ip, target.name, peer,
-                dst_port=MODBUS_PORT, sport=53000,
-                start=start, end=end, write=True,
-            )
+            _gen_intruder_connection(b, rng, target, peer, 53000, start, end)
 
 
-def _gen_intruder_connection(
-    b, rng, src_mac, src_ip, src_name, target, dst_port, sport, start, end, write
-):
-    """ARP resolution, TCP handshake, then periodic write commands."""
-    b.emit(start, src_name, None, frames.arp_frame(
-        frames.ArpOp.REQUEST, src_mac, src_ip, frames.ZERO_MAC, target.ip,
-    ))
-    b.emit(start + rng.randrange(300, 1_200), target.name, src_name, frames.arp_frame(
-        frames.ArpOp.REPLY, target.mac, target.ip, src_mac, src_ip,
-    ))
-
-    def tcp(flags, payload, seq, ack):
-        return frames.tcp_frame(
-            src_mac, target.mac, src_ip, target.ip, sport, dst_port, flags,
-            payload, seq=seq, ack=ack,
-        )
-
+def _gen_intruder_connection(b, rng, src: Device, dst: Device, sport: int,
+                             start: int, end: int) -> None:
+    """ARP resolution, TCP handshake, then one Modbus write a second,
+    each echoed by dst."""
+    _arp_exchange(b, rng, start, src, dst)
     syn_t = start + 2_000
-    b.emit(syn_t, src_name, target.name, tcp(TCP_SYN, b"", 1, 0))
-    syn_ack_t = syn_t + rng.randrange(200, 800)
-    b.emit(syn_ack_t, target.name, src_name, frames.tcp_frame(
-        target.mac, src_mac, target.ip, src_ip, dst_port, sport,
-        TCP_SYN | TCP_ACK, b"", seq=1, ack=2,
-    ))
-    b.emit(syn_ack_t + rng.randrange(150, 500), src_name, target.name,
-           tcp(TCP_ACK, b"", 2, 2))
-
-    t = syn_t + 3_000
-    k = 0
+    _handshake(b, rng, syn_t, src, dst, sport, MODBUS_PORT, 1, 1)
     seq = 2
-    while t < end:
-        payload = (
-            frames.modbus_write_request(k, 1, 0, 0xFF00)
-            if write
-            else frames.modbus_read_request(k, 1)
-        )
-        sent = b.emit(t, src_name, target.name,
-                      tcp(TCP_PSH | TCP_ACK, payload, seq, 2))
-        if sent:
-            b.emit(t + rng.randrange(1_000, 3_000), target.name, src_name,
-                   frames.tcp_frame(
-                       target.mac, src_mac, target.ip, src_ip, dst_port, sport,
-                       TCP_PSH | TCP_ACK, payload, seq=2, ack=seq + len(payload),
-                   ))
+    for k, t in enumerate(range(syn_t + 3_000, end, 1_000_000)):
+        payload = frames.modbus_write_request(k, 1, 0, 0xFF00)
+        echo_t = t + rng.randrange(1_000, 3_000)
+        if b.emit(t, src.name, dst.name, _tcp(
+            src, dst, sport, MODBUS_PORT, TCP_PSH | TCP_ACK, payload, seq, 2
+        )):
+            b.emit(echo_t, dst.name, src.name, _tcp(
+                dst, src, MODBUS_PORT, sport, TCP_PSH | TCP_ACK, payload, 2,
+                seq + len(payload),
+            ))
         seq += len(payload)
-        t += 1_000_000
-        k += 1
 
 
-def _gen_patient_attacker(b, rng, sc, target, end) -> None:
+def _gen_patient_attacker(b, rng, attacker: Device, target: Device, end: int) -> None:
     """Attacker present from time zero with steady, learnable traffic."""
     lo, hi = b.profile.arp_expiry_us
     hs = rng.randrange(0, 50_000)
     t = hs
     while t < end:
-        sent = b.emit(t, ATTACKER_NAME, None, frames.arp_frame(
-            frames.ArpOp.REQUEST, sc.attacker_mac, sc.attacker_ip,
-            frames.ZERO_MAC, target.ip,
-        ))
-        if sent:
-            b.emit(t + rng.randrange(300, 1_200), target.name, ATTACKER_NAME,
-                   frames.arp_frame(
-                       frames.ArpOp.REPLY, target.mac, target.ip,
-                       sc.attacker_mac, sc.attacker_ip,
-                   ))
+        _arp_exchange(b, rng, t, attacker, target)
         t += rng.randrange(lo, hi)
 
-    def tcp(flags, payload, seq):
-        return frames.tcp_frame(
-            sc.attacker_mac, target.mac, sc.attacker_ip, target.ip, 52000, 23,
-            flags, payload, seq=seq, ack=1,
-        )
-
     syn_t = hs + 5_000
-    b.emit(syn_t, ATTACKER_NAME, target.name, tcp(TCP_SYN, b"", 1))
-    syn_ack_t = syn_t + rng.randrange(200, 800)
-    b.emit(syn_ack_t, target.name, ATTACKER_NAME, frames.tcp_frame(
-        target.mac, sc.attacker_mac, target.ip, sc.attacker_ip, 23, 52000,
-        TCP_SYN | TCP_ACK, b"", seq=1, ack=2,
-    ))
-    b.emit(syn_ack_t + rng.randrange(150, 500), ATTACKER_NAME, target.name,
-           tcp(TCP_ACK, b"", 2))
-
+    # this client's stack acks 1 on every segment it sends
+    _handshake(b, rng, syn_t, attacker, target, 52000, 23, 1, 1, client_ack=1)
     t = syn_t + 1_000_000
     seq = 2
+    payload = b"\x00\x01\x00\x00\x00\x02\x01\x00"
     while t < end:
-        payload = b"\x00\x01\x00\x00\x00\x02\x01\x00"
-        b.emit(t, ATTACKER_NAME, target.name, tcp(TCP_PSH | TCP_ACK, payload, seq))
+        b.emit(t, attacker.name, target.name,
+               _tcp(attacker, target, 52000, 23, TCP_PSH | TCP_ACK, payload, seq, 1))
         seq += len(payload)
         t += 1_000_000 + rng.randrange(-10_000, 10_001)
 
@@ -557,11 +494,8 @@ def run(
 
     builder = _Builder(topology, profile, duration_us, seed)
     for sc in scenario_list:
-        if sc.kind is ScenarioKind.NODE_REMOVED:
-            builder.suppress(_resolve_target(sc, topology), sc.start_us, duration_us + 1)
-        elif sc.kind is ScenarioKind.DOS_FLOOD:
-            start, end = _scenario_window(sc, duration_us)
-            builder.suppress(_resolve_target(sc, topology), start, end)
+        if sc.kind in (ScenarioKind.NODE_REMOVED, ScenarioKind.DOS_FLOOD):
+            builder.suppress(_resolve_target(sc), *_scenario_window(sc, duration_us))
 
     _gen_arp(builder)
     _gen_polling(builder)
@@ -582,7 +516,7 @@ def _validate_scenarios(scenarios, topology, duration_us) -> None:
             raise ConfigInvalid("scenario start outside the simulation horizon")
         if sc.kind is ScenarioKind.PASSIVE_SNIFF:
             continue
-        target = _resolve_target(sc, topology)
+        target = _resolve_target(sc)
         topology.device(target)  # existence check
         start, end = _scenario_window(sc, duration_us)
         for other_target, o_start, o_end in windows:
@@ -654,7 +588,16 @@ def interarrivals(trace: FrameTrace, flow: str) -> dict[str, list[tuple[int, int
     parsed = parse_flow_filter(flow)
     last_seen: dict[str, int] = {}
     out: dict[str, list[tuple[int, int]]] = {}
+    try:
+        # every match carries the host's address: the IPv4 source or
+        # destination, or the ARP sender, so a frame without it is skipped
+        # unparsed
+        host = socket.inet_aton(parsed[1])
+    except OSError:
+        return out  # not an address: matches nothing
     for fr in trace.frames:
+        if host not in fr.data:
+            continue
         try:
             meta = parse_frame(fr.data)
         except ParseError:

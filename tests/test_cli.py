@@ -1,16 +1,18 @@
 """Command-line behavior: exit codes, outputs, pipelines."""
 
+import re
 import socket
 import struct
 import threading
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
 from eids import sim
 from eids.announce import StatusMessage, encode
-from eids.cli import ArpRequestGaps, main
+from eids.cli import ArpRequestGaps, load_config, main
 from eids.packet import ArpOp, parse_frame
 from eids.pcap import read_pcap, write_pcap
 
@@ -383,3 +385,29 @@ def test_config_file_drives_simulation(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 1
     assert "TooFast" in out
+
+
+def test_config_values_are_literal(tmp_path):
+    config = tmp_path / "plant.ini"
+    config.write_text("[profile]\npsk = ab%cd\n")
+    _topology, profile, _engine, _scenarios = load_config(str(config))
+    assert profile.psk == b"ab%cd"
+
+
+def test_readme_example_config_loads(tmp_path):
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    block = re.search(r"```ini\n(.*?)```", readme, re.DOTALL).group(1)
+    config = tmp_path / "plant.ini"
+    config.write_text(block)
+    topology, profile, engine, scenarios = load_config(str(config))
+    assert topology == sim.Topology.default(8)
+    assert profile == sim.TrafficProfile(
+        poll_period_us=100_000, response_delay_us=(2_000, 5_000), jitter_frac=0.02,
+        status_period_us=10 * S, arp_expiry_us=(180 * S, 360 * S), status_port=47808,
+        psk=b"eids-testbed-psk",
+    )
+    assert engine == {"delta": 0.3, "delta_arp": 1.0, "window": 16,
+                      "alpha": 1 / 256, "learning_duration_us": 600 * S}
+    assert scenarios == [
+        sim.AttackScenario(sim.ScenarioKind.DOS_FLOOD, start_us=650 * S, target="S1")
+    ]

@@ -7,7 +7,7 @@ import pytest
 
 from eids import sim
 from eids.announce import ReplayState, decode_verify
-from eids.packet import PROTO_UDP, Direction, parse_frame
+from eids.packet import PROTO_UDP, TCP_ACK, TCP_SYN, ArpOp, Direction, ParseError, parse_frame
 from eids.pcap import read_pcap
 
 S = 1_000_000
@@ -76,6 +76,62 @@ def test_node_removed_goes_silent():
     assert after == []
     before = [fr for fr in trace.frames if fr.src == "S2" and fr.time_us < 30 * S]
     assert before
+
+
+def _answered_without_question(trace):
+    """Answers whose question never went out: ARP replies without the
+    request they answer, SYN+ACKs without their SYN and handshake ACKs
+    without their SYN+ACK."""
+    asked = set()
+    orphans = []
+    for fr in trace.frames:
+        meta = parse_frame(fr.data)
+        if meta.arp is not None:
+            arp = meta.arp
+            if arp.op is ArpOp.REQUEST:
+                asked.add(("arp", arp.sender_ip, arp.target_ip))
+            elif ("arp", arp.target_ip, arp.sender_ip) not in asked:
+                orphans.append(fr)
+            continue
+        l4 = meta.l3.l4 if meta.l3 is not None else None
+        if l4 is None or l4.tcp_flags is None:
+            continue
+        here = (meta.l3.src_ip, l4.src_port, meta.l3.dst_ip, l4.dst_port)
+        back = (meta.l3.dst_ip, l4.dst_port, meta.l3.src_ip, l4.src_port)
+        if l4.tcp_flags == TCP_SYN:
+            asked.add(("syn",) + here)
+        elif l4.tcp_flags == TCP_SYN | TCP_ACK:
+            asked.add(("syn-ack",) + here)
+            if ("syn",) + back not in asked:
+                orphans.append(fr)
+        elif l4.tcp_flags == TCP_ACK and l4.payload_len == 0:
+            if ("syn-ack",) + back not in asked:
+                orphans.append(fr)
+    return orphans
+
+
+def test_removed_node_returns_at_stop_and_is_answered_only_when_it_asks():
+    # the removal ends at 20 s; the captured node reaches out at 25 s
+    scenarios = [
+        sim.AttackScenario(sim.ScenarioKind.NODE_REMOVED, start_us=10 * S, stop_us=20 * S,
+                           target="S2"),
+        sim.AttackScenario(sim.ScenarioKind.CAPTURE_NODE, start_us=25 * S, target="S2",
+                           peer="S1"),
+    ]
+    trace = sim.run(duration_us=40 * S, seed=3, scenarios=scenarios)
+    s2 = [fr.time_us for fr in trace.frames if fr.src == "S2"]
+    assert not [t for t in s2 if 10 * S <= t < 20 * S]
+    assert [t for t in s2 if t >= 20 * S]
+    assert [t for t in s2 if t >= 25 * S]
+    assert _answered_without_question(trace) == []
+
+
+def test_handshake_of_a_node_removed_at_start_is_not_completed():
+    removal = sim.AttackScenario(sim.ScenarioKind.NODE_REMOVED, start_us=0, target="S2")
+    trace = sim.run(duration_us=5 * S, seed=3, scenarios=[removal])
+    assert not [fr for fr in trace.frames if fr.src == "S2"]
+    assert _answered_without_question(trace) == []
+    assert _answered_without_question(sim.run(duration_us=5 * S, seed=3)) == []
 
 
 def test_responses_never_precede_requests():
@@ -150,6 +206,75 @@ def test_stats_csv_shape_and_empty_filter():
     assert empty == "flow,timestamp_us,interarrival_us\n"
 
 
+def _interarrivals_by_full_parse(trace, flow):
+    """The filter applied to every parsed frame, with no pre-filter."""
+    parsed = sim.parse_flow_filter(flow)
+    last_seen = {}
+    out = {}
+    for fr in trace.frames:
+        try:
+            meta = parse_frame(fr.data)
+        except ParseError:
+            continue
+        label = sim._match_filter(parsed, meta)
+        if label is None:
+            continue
+        previous = last_seen.get(label)
+        last_seen[label] = fr.time_us
+        if previous is not None:
+            out.setdefault(label, []).append((fr.time_us, fr.time_us - previous))
+    return out
+
+
+@pytest.fixture(scope="module")
+def attacked_traces():
+    """A 60 s run with ARP caches expiring every 4-8 s, injection on S1,
+    S2 captured and contacting S1, and ARP poisoning of the PLC; once in
+    full and once as S1's view read back from a pcap."""
+    scenarios = [
+        sim.AttackScenario(sim.ScenarioKind.INJECT, start_us=20 * S, target="S1"),
+        sim.AttackScenario(sim.ScenarioKind.CAPTURE_NODE, start_us=30 * S, target="S2",
+                           peer="S1"),
+        sim.AttackScenario(sim.ScenarioKind.ACTIVE_SNIFF, start_us=40 * S),
+    ]
+    profile = sim.TrafficProfile(arp_expiry_us=(4 * S, 8 * S))
+    trace = sim.run(profile=profile, duration_us=60 * S, seed=7, scenarios=scenarios)
+    buffer = io.BytesIO()
+    trace.write_pcap(buffer, viewpoint="S1")
+    buffer.seek(0)
+    captured = sim.FrameTrace(trace.topology, [
+        sim.TraceFrame(ts, "capture", None, data) for ts, data in read_pcap(buffer)
+    ])
+    return {"full": trace, "pcap": captured}
+
+
+@pytest.mark.parametrize("source", ["full", "pcap"])
+@pytest.mark.parametrize("flow", [
+    "tcp:%s:502" % S1_IP,
+    "tcp:%s:502:to" % S1_IP,
+    "tcp:%s:502:from" % S1_IP,
+    "tcp:%s:502:both" % S1_IP,
+    "tcp:192.168.1.50:502:from",
+    "udp:%s:47808" % S1_IP,
+    "udp:192.168.1.102:47808:from",
+    "arp-req:%s" % S1_IP,
+    "arp-req:192.168.1.50",
+    "arp-req:192.168.1.50:%s" % S1_IP,
+    "arp-req:192.168.1.200:%s" % S1_IP,
+    "arp-req:192.168.1.102",
+    # not dotted quads, though some parse as addresses
+    "tcp:192.168.1.999:502",
+    "tcp:S1:502",
+    "tcp:192.168.1:502",
+    "tcp:192.168.001.101:502",
+    "udp::47808",
+    "arp-req:not-an-address",
+])
+def test_interarrivals_match_full_parse(attacked_traces, source, flow):
+    trace = attacked_traces[source]
+    assert sim.interarrivals(trace, flow) == _interarrivals_by_full_parse(trace, flow)
+
+
 def test_bad_filters_rejected():
     trace = sim.run(duration_us=1 * S, seed=0)
     for bad in ("bogus:1", "tcp:only-host", "tcp:h:1:sideways", "arp-req"):
@@ -170,6 +295,12 @@ def test_scenario_conflict_same_target_overlap():
         sim.AttackScenario(sim.ScenarioKind.DOS_FLOOD, start_us=20 * S, target="S1"),
     ]
     sim.run(duration_us=40 * S, seed=0, scenarios=ok)
+    # an injection lasts 10 s, so a later flood on its target is fine
+    later = [
+        sim.AttackScenario(sim.ScenarioKind.INJECT, start_us=10 * S, target="S1"),
+        sim.AttackScenario(sim.ScenarioKind.DOS_FLOOD, start_us=20 * S, target="S1"),
+    ]
+    sim.run(duration_us=40 * S, seed=0, scenarios=later)
 
 
 def test_config_validation():
