@@ -48,8 +48,6 @@ class BenchRow:
     description: str
     detected: bool
     expected: bool
-    engine_events: list[IntrusionEvent]
-    logger_downs: list[int]
 
     @property
     def ok(self) -> bool:
@@ -91,7 +89,6 @@ class ScenarioResult:
     downs: list[tuple[int, int]]  # (sweep time us, node id)
     trace: FrameTrace
     engine: Engine
-    logger: CentralLogger
 
 
 def run_scenario(
@@ -115,11 +112,9 @@ def run_scenario(
             learning_duration_us=LEARNING_US,
         )
     )
-    events = replay(engine, trace.frames_for(MONITOR))
-
-    logger = CentralLogger(profile.psk)
-    downs = _feed_logger(logger, trace)
-    return ScenarioResult(events, downs, trace, engine, logger)
+    events = list(replay(engine, trace.frames_for(MONITOR)))
+    downs = _feed_logger(CentralLogger(profile.psk), trace)
+    return ScenarioResult(events, downs, trace, engine)
 
 
 def _feed_logger(logger: CentralLogger, trace: FrameTrace) -> list[tuple[int, int]]:
@@ -156,16 +151,13 @@ def run_benchmark(seed=0) -> tuple[list[BenchRow], float]:
     rows = []
     for scenario, variant, expected in _scenario_matrix():
         result = run_scenario(scenario, seed)
-        detected = bool(result.events) or bool(result.downs)
         rows.append(
             BenchRow(
                 kind=scenario.kind,
                 variant=variant,
                 description=_DESCRIPTIONS[scenario.kind],
-                detected=detected,
+                detected=bool(result.events) or bool(result.downs),
                 expected=expected,
-                engine_events=result.events,
-                logger_downs=[node for _t, node in result.downs],
             )
         )
     return rows, time.monotonic() - started

@@ -140,12 +140,7 @@ def _engine_config(args, overrides: dict, learning_s: float | None) -> EngineCon
         merged["alpha"] = args.alpha
     if learning_s is not None:
         merged["learning_duration_us"] = int(learning_s * 1e6)
-    return EngineConfig(
-        local_ip=args.local_ip,
-        node_id=args.node_id,
-        ips_mode=bool(getattr(args, "ips", False)),
-        **merged,
-    )
+    return EngineConfig(local_ip=args.local_ip, node_id=args.node_id, **merged)
 
 
 def _directed_pcap_frames(path: str):
@@ -219,7 +214,9 @@ def cmd_learn(args) -> int:
         os.remove(args.out)
     engine = Engine(config)
     gaps = ArpRequestGaps()
-    replay(engine, gaps.watch(_input_frames(args, topology, profile, scenarios)))
+    frame_stream = gaps.watch(_input_frames(args, topology, profile, scenarios))
+    for _event in replay(engine, frame_stream):  # replay is lazy: iterating drives it
+        pass
     if engine.started_us is None:
         _err("input contains no frames")
         return 2
@@ -251,12 +248,13 @@ def cmd_detect(args) -> int:
         except (OSError, BadModelVersion, MalformedModelLine) as exc:
             _err("cannot load model %s: %s" % (args.model, exc))
             return 2
-    events = replay(
+    raised = False
+    for event in replay(
         engine, _input_frames(args, topology, profile, scenarios), tail_us=args.tail_us
-    )
-    for event in events:
+    ):
         print(format_event(event, config.node_id))
-    return 1 if events else 0
+        raised = True
+    return 1 if raised else 0
 
 
 def cmd_simulate(args) -> int:
@@ -325,18 +323,20 @@ def cmd_logger(args) -> int:
                     )
                     log_handle.flush()
 
-    started = time.time()
+    # sweeps and --duration run on the monotonic clock, immune to clock
+    # steps; the logger gets wall-clock stamps read on arrival
+    started = time.monotonic()
     next_sweep = started
     last_render = ""
     try:
-        while args.duration is None or time.time() - started < args.duration:
-            now_us = int(time.time() * 1e6)
+        while args.duration is None or time.monotonic() - started < args.duration:
             try:
                 data, _addr = sock.recvfrom(4096)
-                logger.on_datagram(data, now_us)
             except socket.timeout:
                 pass
-            if time.time() >= next_sweep:
+            else:
+                logger.on_datagram(data, int(time.time() * 1e6))
+            if time.monotonic() >= next_sweep:
                 logger.sweep(int(time.time() * 1e6))
                 next_sweep += 1.0
             note_transitions()
@@ -430,8 +430,6 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--learn-first", type=float, metavar="SECONDS",
                        help="learn on the first part of the input instead "
                             "of loading a model")
-    p.add_argument("--ips", action="store_true",
-                   help="prevention mode: report DROP verdicts")
     p.add_argument("--tail-us", type=int, default=0,
                    help="keep running silence checks this long past the "
                         "last frame (default 0)")

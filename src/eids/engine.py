@@ -22,7 +22,7 @@ latch that clears on read.
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from enum import Enum
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .flows import FlowKey, FlowKind, FlowTable, FlowVerdict, Mode
 from .packet import (
@@ -120,20 +120,11 @@ class EngineConfig:
             raise ValueError("node id out of range")
 
 
-@dataclass
-class _FlowState:
-    baseline: FlowBaseline
-    window: ActiveWindow | None
-    timing_on: bool = False
-    silent: bool = False
-    last_sample_us: int | None = None
-
-
 class Engine:
     def __init__(self, config: EngineConfig):
         self.config = config
         self.table = FlowTable(config.local_ip)
-        self.states: dict[FlowKey, _FlowState] = {}
+        self.states: dict[FlowKey, FlowBaseline] = {}
         self.mode = Mode.LEARNING
         self.started_us: int | None = None
         self.events_total = 0
@@ -190,32 +181,31 @@ class Engine:
     def _track_timing(
         self, meta: PacketMeta, key: FlowKey, now_us: int
     ) -> list[IntrusionEvent]:
-        state = self.states.get(key)
-        if state is None:
+        baseline = self.states.get(key)
+        if baseline is None:
             if self.mode is not Mode.LEARNING:
                 return []
-            state = self._new_state(key)
-            self.states[key] = state
-        state.baseline.last_arrival_us = now_us
-        state.silent = False
+            baseline = self.states[key] = self._new_baseline(key)
+        baseline.last_arrival_us = now_us
+        baseline.silent = False
 
         l4 = meta.l3.l4 if meta.l3 is not None else None
         if l4 is not None and l4.tcp_flags is not None and l4.tcp_flags & _NO_SAMPLE_FLAGS:
             return []
 
-        previous = state.last_sample_us
-        state.last_sample_us = now_us
+        previous = baseline.last_sample_us
+        baseline.last_sample_us = now_us
         if previous is None:
             return []
         t_us = max(1, now_us - previous)  # capture-resolution ties clamp to 1 us
         if self.mode is Mode.LEARNING:
-            state.baseline.record_learning_sample(t_us)
+            baseline.record_learning_sample(t_us)
             return []
-        if not state.timing_on:
+        if not baseline.ready:
             return []
-        verdict = state.baseline.check(t_us, state.window)
+        verdict = baseline.check(t_us)
         if verdict is TimingVerdict.OK:
-            state.baseline.adjust(t_us, self.config.alpha)
+            baseline.adjust(t_us, self.config.alpha)
             return []
         return [
             IntrusionEvent(
@@ -223,17 +213,18 @@ class Engine:
             )
         ]
 
-    def _new_state(self, key: FlowKey) -> _FlowState:
+    def _new_baseline(self, key: FlowKey, delta: float | None = None) -> FlowBaseline:
+        """A flow's empty timing record; delta, when given, overrides
+        the configured tolerance, as a model's TIMING line does."""
         if key.kind in (FlowKind.TCP, FlowKind.UDP):
-            delta = self.config.delta
-            window = ActiveWindow(self.config.window)
-        else:
-            # ARP and MAC-level flows: cache-expiry superposition makes a
-            # short-window mean meaningless, so only the min/max band and
-            # the silence check apply to them.
-            delta = self.config.delta_arp
-            window = None
-        return _FlowState(baseline=FlowBaseline(delta=delta), window=window)
+            return FlowBaseline(
+                self.config.delta if delta is None else delta,
+                ActiveWindow(self.config.window),
+            )
+        # ARP and MAC-level flows: cache-expiry superposition makes a
+        # short-window mean meaningless, so only the min/max band and
+        # the silence check apply to them.
+        return FlowBaseline(self.config.delta_arp if delta is None else delta)
 
     def _finish(self, events: list[IntrusionEvent]) -> tuple[Verdict, list[IntrusionEvent]]:
         if not events:
@@ -262,21 +253,21 @@ class Engine:
         if self.mode is not Mode.ACTIVE:
             return []
         events = []
-        for key, state in self.states.items():
-            if not state.timing_on or state.silent:
+        for key, baseline in self.states.items():
+            if not baseline.ready or baseline.silent:
                 continue
-            if state.baseline.last_arrival_us is None:
+            if baseline.last_arrival_us is None:
                 # imported baseline: measure silence from detection start
-                state.baseline.last_arrival_us = now_us
+                baseline.last_arrival_us = now_us
                 continue
-            if state.baseline.absence(now_us) is not None:
-                state.silent = True
+            if baseline.absence(now_us) is not None:
+                baseline.silent = True
                 events.append(
                     IntrusionEvent(
                         now_us,
                         Cause.HOST_SILENT,
                         key,
-                        "silent since %dus" % state.baseline.last_arrival_us,
+                        "silent since %dus" % baseline.last_arrival_us,
                     )
                 )
         if events:
@@ -290,8 +281,8 @@ class Engine:
 
     def _activate(self) -> None:
         self.mode = Mode.ACTIVE
-        for state in self.states.values():
-            state.timing_on = state.baseline.activate()
+        for baseline in self.states.values():
+            baseline.activate()
 
     # -- status --------------------------------------------------------
 
@@ -317,10 +308,9 @@ class Engine:
         for ip, mac in bindings:
             lines.append("ARP\t%s\t%s" % (ip, mac))
         for key in flow_list:
-            state = self.states.get(key)
-            if state is None or state.baseline.n_l < 2:
+            baseline = self.states.get(key)
+            if baseline is None or baseline.n_l < 2:
                 continue
-            baseline = state.baseline
             mean = baseline.mean_us if baseline.ready else baseline.learning_mean
             lines.append(
                 "TIMING\t%s\t%s\t%s\t%d\t%d\t%d\t%d\t%d\t%d"
@@ -372,21 +362,14 @@ class Engine:
             if len(fields) != 10:
                 raise MalformedModelLine("\t".join(fields))
             key = _parse_flow_key(fields[1:5])
-            baseline = FlowBaseline.from_persisted(
+            baseline = self._new_baseline(key, int(fields[9]) / 1000.0)
+            baseline.restore(
                 mean_us=int(fields[5]),
                 min_us=int(fields[6]),
                 max_us=int(fields[7]),
                 n_l=int(fields[8]),
-                delta=int(fields[9]) / 1000.0,
             )
-            window = (
-                ActiveWindow(self.config.window)
-                if key.kind in (FlowKind.TCP, FlowKind.UDP)
-                else None
-            )
-            self.states[key] = _FlowState(
-                baseline=baseline, window=window, timing_on=baseline.ready
-            )
+            self.states[key] = baseline
         else:
             raise MalformedModelLine("\t".join(fields))
 
@@ -420,25 +403,24 @@ def replay(
     engine: Engine,
     frames: Iterable[tuple[int, Direction | None, bytes]],
     tail_us: int = 0,
-) -> list[IntrusionEvent]:
+) -> Iterator[IntrusionEvent]:
     """Drive an engine from a time-ordered frame stream, interleaving
-    clock ticks every TICK_PERIOD_US. tail_us extends ticking past the
-    last frame so silence at the end of a capture is still seen."""
-    events: list[IntrusionEvent] = []
+    clock ticks every TICK_PERIOD_US, and yield each event as it is
+    raised. tail_us extends ticking past the last frame so silence at
+    the end of a capture is still seen. Nothing runs until the caller
+    iterates."""
     next_tick: int | None = None
     last = None
     for at_us, direction, data in frames:
         if next_tick is None:
             next_tick = at_us
         while next_tick <= at_us:
-            events.extend(engine.tick(next_tick))
+            yield from engine.tick(next_tick)
             next_tick += TICK_PERIOD_US
-        _, new_events = engine.ingest(direction, data, at_us)
-        events.extend(new_events)
+        yield from engine.ingest(direction, data, at_us)[1]
         last = at_us
     if last is not None and next_tick is not None:
         end = last + tail_us
         while next_tick <= end:
-            events.extend(engine.tick(next_tick))
+            yield from engine.tick(next_tick)
             next_tick += TICK_PERIOD_US
-    return events

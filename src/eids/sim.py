@@ -385,6 +385,11 @@ def _resolve_target(sc: AttackScenario) -> str:
     return sc.target if sc.target is not None else _DEFAULT_TARGET[sc.kind]
 
 
+def _resolve_peer(sc: AttackScenario) -> str:
+    # CAPTURE_NODE: the trusted node contacted when the scenario names none
+    return sc.peer if sc.peer is not None else "S1"
+
+
 def _gen_attacks(b: _Builder, scenarios: list[AttackScenario]) -> None:
     for index, sc in enumerate(scenarios):
         if sc.kind is ScenarioKind.PASSIVE_SNIFF:
@@ -424,7 +429,7 @@ def _gen_attacks(b: _Builder, scenarios: list[AttackScenario]) -> None:
             _gen_patient_attacker(b, rng, attacker, target, end)
 
         elif sc.kind is ScenarioKind.CAPTURE_NODE:
-            peer = b.topology.device(sc.peer or "S1")
+            peer = b.topology.device(_resolve_peer(sc))
             _gen_intruder_connection(b, rng, target, peer, 53000, start, end)
 
 
@@ -518,6 +523,11 @@ def _validate_scenarios(scenarios, topology, duration_us) -> None:
             continue
         target = _resolve_target(sc)
         topology.device(target)  # existence check
+        if sc.kind is ScenarioKind.CAPTURE_NODE:
+            peer = _resolve_peer(sc)
+            topology.device(peer)
+            if peer == target:
+                raise ConfigInvalid("captured node %s cannot contact itself" % target)
         start, end = _scenario_window(sc, duration_us)
         for other_target, o_start, o_end in windows:
             if other_target == target and start < o_end and o_start < end:

@@ -56,28 +56,30 @@ class ActiveWindow:
 
 @dataclass
 class FlowBaseline:
-    """Learned timing envelope of one flow.
+    """Learned timing envelope of one flow, and the flow's runtime
+    timing state: its mean window, the time of its last sample and its
+    silence latch.
 
     delta is the multiplicative tolerance widening both bands; it may
     exceed 1, in which case the lower bounds clamp at zero and only the
-    upper bounds keep widening.
+    upper bounds keep widening. A flow without a window skips the mean
+    check.
     """
 
     delta: float
+    window: ActiveWindow | None = None
     n_l: int = 0
     learned_min_us: int = 0
     learned_max_us: int = 0
     mean_us: float = 0.0
     last_arrival_us: int | None = None
+    last_sample_us: int | None = None
+    silent: bool = False
+    ready: bool = False
     _sum_us: int = 0
-    _ready: bool = False
     # low_bound()/high_bound() as of activation, set by _freeze_band
     _low_us: float = 0.0
     _high_us: float = 0.0
-
-    @property
-    def ready(self) -> bool:
-        return self._ready
 
     @property
     def learning_mean(self) -> float:
@@ -99,11 +101,22 @@ class FlowBaseline:
 
     def activate(self) -> bool:
         """Freeze the learned mean; returns whether the baseline is usable."""
-        self._ready = self.n_l >= 2
-        if self._ready:
+        self.ready = self.n_l >= 2
+        if self.ready:
             self.mean_us = self._sum_us / self.n_l
             self._freeze_band()
-        return self._ready
+        return self.ready
+
+    def restore(self, mean_us: int, min_us: int, max_us: int, n_l: int) -> None:
+        """Load a persisted envelope, leaving the baseline as activate()
+        would."""
+        self.n_l = n_l
+        self.learned_min_us = min_us
+        self.learned_max_us = max_us
+        self.mean_us = float(mean_us)
+        self._sum_us = mean_us * n_l
+        self.ready = n_l >= 2
+        self._freeze_band()
 
     def _freeze_band(self) -> None:
         # the learned extrema stop moving at activation, so check() and
@@ -117,21 +130,21 @@ class FlowBaseline:
     def high_bound(self) -> float:
         return self.learned_max_us * (1.0 + self.delta)
 
-    def check(self, t_us: int, window: ActiveWindow | None) -> TimingVerdict:
+    def check(self, t_us: int) -> TimingVerdict:
         """Classify one active-mode interarrival.
 
         The min/max band is tested first; only values inside it enter
         the window. The mean band is evaluated once the window holds a
         full complement of samples, since the mean of a handful of
         samples right after activation says nothing about drift.
-        Passing window=None skips the mean check entirely.
         """
-        if not self._ready:
+        if not self.ready:
             raise BaselineNotReady("flow has %d learning samples" % self.n_l)
         if t_us <= self._low_us:
             return TimingVerdict.TOO_FAST
         if t_us >= self._high_us:
             return TimingVerdict.TOO_SLOW
+        window = self.window
         if window is not None:
             window.push(t_us)
             if window.full:
@@ -152,24 +165,8 @@ class FlowBaseline:
 
     def absence(self, now_us: int) -> TimingVerdict | None:
         """TOO_SLOW once the flow has been silent past the upper band."""
-        if not self._ready or self.last_arrival_us is None:
+        if not self.ready or self.last_arrival_us is None:
             return None
         if now_us - self.last_arrival_us >= self._high_us:
             return TimingVerdict.TOO_SLOW
         return None
-
-    @classmethod
-    def from_persisted(
-        cls, mean_us: int, min_us: int, max_us: int, n_l: int, delta: float
-    ) -> "FlowBaseline":
-        baseline = cls(
-            delta=delta,
-            n_l=n_l,
-            learned_min_us=min_us,
-            learned_max_us=max_us,
-            mean_us=float(mean_us),
-            _sum_us=mean_us * n_l,
-        )
-        baseline._ready = n_l >= 2
-        baseline._freeze_band()
-        return baseline

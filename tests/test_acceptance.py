@@ -64,7 +64,7 @@ def test_criterion_2_benign_false_positives(benign_trace_30m):
     engine = Engine(
         EngineConfig(local_ip=S1_IP, node_id=1, learning_duration_us=600 * S)
     )
-    events = replay(engine, benign_trace_30m.frames_for("S1"))
+    events = list(replay(engine, benign_trace_30m.frames_for("S1")))
     _report(
         "2 benign false positives",
         engine.mode.value == "active" and events == [],
@@ -139,16 +139,15 @@ def test_criterion_4_band_conformance():
     for _ in range(1000):
         learning = [rng.randrange(1, 1_000_000) for _ in range(rng.randrange(2, 17))]
         delta = rng.choice([0.0, 0.05, 0.3, 1.0, 1.5, rng.random()])
-        baseline = FlowBaseline(delta=delta)
+        baseline = FlowBaseline(delta=delta, window=ActiveWindow(16))
         for sample in learning:
             baseline.record_learning_sample(sample)
         assert baseline.activate()
-        window = ActiveWindow(16)
         reference = _BruteForceReference(learning, delta, 16)
         for _ in range(1000):
             t = rng.randrange(1, 2_000_000)
             checked += 1
-            if baseline.check(t, window) is not reference.check(t):
+            if baseline.check(t) is not reference.check(t):
                 disagreements += 1
     _report(
         "4 band conformance",
@@ -259,12 +258,12 @@ def test_criterion_7_node_removal():
     detail_engine = "no HostSilent for the removed node"
     if silents:
         event = min(silents, key=lambda e: e.at_us)
-        state = result.engine.states[event.flow]
+        baseline = result.engine.states[event.flow]
         last_seen = max(
             fr.time_us for fr in result.trace.frames
             if fr.src == "S2" and _is_udp(fr.data)
         )
-        bound = state.baseline.high_bound()
+        bound = baseline.high_bound()
         latency = event.at_us - last_seen
         engine_ok = latency <= bound + 100_000  # one tick of slack
         detail_engine = "HostSilent %.2f s after last status (bound %.2f s)" % (

@@ -1,5 +1,7 @@
 """Command-line behavior: exit codes, outputs, pipelines."""
 
+import contextlib
+import os
 import re
 import socket
 import struct
@@ -12,7 +14,8 @@ import pytest
 
 from eids import sim
 from eids.announce import StatusMessage, encode
-from eids.cli import ArpRequestGaps, load_config, main
+from eids.central import CentralLogger
+from eids.cli import ArpRequestGaps, build_parser, load_config, main
 from eids.packet import ArpOp, parse_frame
 from eids.pcap import read_pcap, write_pcap
 
@@ -89,6 +92,29 @@ def test_learn_memory_does_not_grow_with_capture_length(tmp_path, capsys):
             tracemalloc.stop()
 
     peak_bytes(short)  # warm-up: first-call allocations are not per frame
+    assert peak_bytes(long) <= 1.5 * peak_bytes(short)
+
+
+def test_detect_memory_does_not_grow_with_event_count(tmp_path, capsys):
+    def flood_pcap(name, flood_s):
+        flood = sim.AttackScenario(sim.ScenarioKind.DOS_FLOOD, start_us=70 * S,
+                                   target="S1")
+        pcap, _ = _write_viewpoint_pcap(tmp_path, name, duration_s=70 + flood_s,
+                                        seed=4, scenarios=[flood])
+        return pcap
+
+    short, long = flood_pcap("short.pcap", 5), flood_pcap("long.pcap", 20)
+
+    def peak_bytes(pcap):
+        tracemalloc.start()
+        try:
+            with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+                assert main(["detect", "--learn-first", "60", "--pcap", str(pcap)]) == 1
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak_bytes(short)  # warm-up: first-call allocations are not per event
     assert peak_bytes(long) <= 1.5 * peak_bytes(short)
 
 
@@ -367,6 +393,44 @@ def test_logger_over_loopback(tmp_path, capsys, monkeypatch):
     assert any(line.endswith("\t2\tup") for line in transitions)
 
 
+def test_logger_stamps_datagrams_when_they_arrive(capsys, monkeypatch):
+    stamps = []
+
+    class RecordingLogger(CentralLogger):
+        def on_datagram(self, data, now_us):
+            stamps.append((data, now_us))
+            return super().on_datagram(data, now_us)
+
+    monkeypatch.setattr("eids.cli.CentralLogger", RecordingLogger)
+    probe = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    probe.bind(("127.0.0.1", 0))
+    port = probe.getsockname()[1]
+    probe.close()
+    result = {}
+
+    def serve():
+        result["code"] = main(["logger", "--bind", "127.0.0.1", "--port", str(port),
+                               "--duration", "1.5"])
+
+    thread = threading.Thread(target=serve)
+    thread.start()
+    time.sleep(0.3)
+    sent = {}
+    with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sender:
+        # spaced so that each one arrives while the logger waits in recvfrom
+        for k in range(5):
+            payload = b"probe-%d" % k
+            sent[payload] = int(time.time() * 1e6)
+            sender.sendto(payload, ("127.0.0.1", port))
+            time.sleep(0.13)
+    thread.join(timeout=10)
+
+    assert result.get("code") == 0
+    assert sorted(data for data, _ in stamps) == sorted(sent)
+    for data, now_us in stamps:
+        assert now_us >= sent[data], "stamp %d us before the send" % (sent[data] - now_us)
+
+
 def test_config_file_drives_simulation(tmp_path, capsys):
     config = tmp_path / "plant.ini"
     config.write_text(
@@ -392,6 +456,42 @@ def test_config_values_are_literal(tmp_path):
     config.write_text("[profile]\npsk = ab%cd\n")
     _topology, profile, _engine, _scenarios = load_config(str(config))
     assert profile.psk == b"ab%cd"
+
+
+@pytest.mark.parametrize("spec", [
+    "8:start=25,target=S2,peer=S2", "8:start=25,target=S1", "8:start=25,target=S2,peer=nope",
+], ids=["peer-is-target", "default-peer-is-target", "unknown-peer"])
+def test_capture_node_peer_checked_before_traffic_is_built(tmp_path, capsys, monkeypatch,
+                                                           spec):
+    def no_traffic(*_args):
+        raise AssertionError("traffic built for an invalid scenario")
+
+    monkeypatch.setattr(sim, "_gen_arp", no_traffic)
+    out = tmp_path / "x.pcap"
+    assert main(["simulate", "--duration", "40", "--scenario", spec,
+                 "--pcap-out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("eids: ")
+    assert not out.exists()
+
+
+def test_readme_command_lines_parse():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    block = re.search(r"## Command line\n\n```sh\n(.*?)```", readme, re.DOTALL).group(1)
+    parser = build_parser()
+    commands = set()
+    for line in block.replace("\\\n", " ").splitlines():
+        words = line.split()
+        if not words or words[0].startswith("#"):
+            continue
+        while "=" in words[0]:
+            words.pop(0)  # VAR=value environment prefix
+        assert words[0] == "eids", line
+        try:
+            args = parser.parse_args(words[1:])
+        except SystemExit:
+            pytest.fail("README command line does not parse: %s" % line)
+        commands.add(args.command)
+    assert commands == {"learn", "detect", "simulate", "logger", "bench", "stats"}
 
 
 def test_readme_example_config_loads(tmp_path):

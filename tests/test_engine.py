@@ -178,7 +178,7 @@ def test_capture_direction_matches_simulator_direction(scenario, same_flows):
         frames_in = trace.frames_for("S1")
         if not keep_direction:
             frames_in = ((at, None, data) for at, _direction, data in frames_in)
-        return replay(engine, frames_in)
+        return list(replay(engine, frames_in))
 
     from_sim, from_capture = events(True), events(False)
     assert from_sim
@@ -223,7 +223,7 @@ def test_syn_fin_rst_excluded_from_sampling():
         engine.ingest(Direction.RX, _poll_frame(k), (k + 1) * 100 * MS)
     engine.tick(10_100 * MS)
     key = next(iter(engine.states))
-    baseline = engine.states[key].baseline
+    baseline = engine.states[key]
     # the SYN-to-data gap never became a sample; all gaps are ~100 ms
     assert baseline.learned_min_us >= 99 * MS
 
@@ -304,6 +304,6 @@ def test_determinism_of_event_streams():
 def test_replay_helper_ticks_and_ingests():
     frames_in = [(k * 100 * MS, Direction.RX, _poll_frame(k)) for k in range(120)]
     engine = Engine(_config())
-    events = replay(engine, frames_in)
+    events = list(replay(engine, frames_in))
     assert engine.mode is Mode.ACTIVE
     assert events == []

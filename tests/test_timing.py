@@ -15,8 +15,8 @@ from eids.timing import (
 MS = 1000
 
 
-def _baseline(samples, delta):
-    baseline = FlowBaseline(delta=delta)
+def _baseline(samples, delta, window=None):
+    baseline = FlowBaseline(delta=delta, window=window)
     for sample in samples:
         baseline.record_learning_sample(sample)
     baseline.activate()
@@ -46,53 +46,51 @@ def test_non_positive_sample_rejected():
 
 
 def test_not_ready_with_single_sample():
-    baseline = FlowBaseline(delta=0.1)
+    baseline = FlowBaseline(delta=0.1, window=ActiveWindow(4))
     baseline.record_learning_sample(100)
     assert baseline.activate() is False
     with pytest.raises(BaselineNotReady):
-        baseline.check(100, ActiveWindow(4))
+        baseline.check(100)
 
 
 def test_too_fast_example():
     # 90 <= 95 * 0.95 = 90.25
-    baseline = _baseline([95 * MS, 105 * MS], delta=0.05)
-    assert baseline.check(90 * MS, ActiveWindow(16)) is TimingVerdict.TOO_FAST
+    baseline = _baseline([95 * MS, 105 * MS], delta=0.05, window=ActiveWindow(16))
+    assert baseline.check(90 * MS) is TimingVerdict.TOO_FAST
 
 
 def test_in_band_is_ok():
-    baseline = _baseline([95 * MS, 105 * MS, 100 * MS], delta=0.05)
-    window = ActiveWindow(16)
-    assert baseline.check(100 * MS, window) is TimingVerdict.OK
+    baseline = _baseline([95 * MS, 105 * MS, 100 * MS], delta=0.05, window=ActiveWindow(16))
+    assert baseline.check(100 * MS) is TimingVerdict.OK
 
 
 def test_boundary_equal_values_are_flagged():
     baseline = _baseline([100 * MS, 200 * MS], delta=0.5)
     # bounds: 100ms * 0.5 = 50ms, 200ms * 1.5 = 300ms, both exclusive
-    assert baseline.check(50 * MS, None) is TimingVerdict.TOO_FAST
-    assert baseline.check(300 * MS, None) is TimingVerdict.TOO_SLOW
-    assert baseline.check(50 * MS + 1, None) is TimingVerdict.OK
-    assert baseline.check(300 * MS - 1, None) is TimingVerdict.OK
+    assert baseline.check(50 * MS) is TimingVerdict.TOO_FAST
+    assert baseline.check(300 * MS) is TimingVerdict.TOO_SLOW
+    assert baseline.check(50 * MS + 1) is TimingVerdict.OK
+    assert baseline.check(300 * MS - 1) is TimingVerdict.OK
 
 
 def test_delta_above_one_clamps_lower_band():
     baseline = _baseline([100 * MS, 200 * MS], delta=1.5)
     # lower bound clamps at 0: nothing positive is ever too fast
-    assert baseline.check(1, None) is TimingVerdict.OK
-    assert baseline.check(600 * MS, None) is TimingVerdict.TOO_SLOW
+    assert baseline.check(1) is TimingVerdict.OK
+    assert baseline.check(600 * MS) is TimingVerdict.TOO_SLOW
 
 
 def test_mean_drift_derived_example():
     # learned mean 100ms, max 105ms, delta 0.1: each 115ms sample passes
     # the max band (bound 115.5ms) but a full window of them means 115ms,
     # outside the mean band of 110ms
-    baseline = FlowBaseline(delta=0.1)
+    baseline = FlowBaseline(delta=0.1, window=ActiveWindow(16))
     for sample in [95 * MS, 105 * MS] * 8:
         baseline.record_learning_sample(sample)
     baseline.activate()
     assert baseline.mean_us == 100 * MS
 
-    window = ActiveWindow(16)
-    verdicts = [baseline.check(115 * MS, window) for _ in range(16)]
+    verdicts = [baseline.check(115 * MS) for _ in range(16)]
     assert verdicts[:-1] == [TimingVerdict.OK] * 15  # window not yet full
     assert verdicts[-1] is TimingVerdict.MEAN_DRIFT
 
@@ -102,9 +100,9 @@ def test_mean_drift_derived_example():
 
 
 def test_flagged_samples_stay_out_of_window():
-    baseline = _baseline([100 * MS, 100 * MS], delta=0.1)
     window = ActiveWindow(4)
-    assert baseline.check(1, window) is TimingVerdict.TOO_FAST
+    baseline = _baseline([100 * MS, 100 * MS], delta=0.1, window=window)
+    assert baseline.check(1) is TimingVerdict.TOO_FAST
     assert len(window) == 0
 
 
@@ -166,11 +164,11 @@ def test_monotonicity_of_band_verdicts():
         samples = [rng.randrange(1, 10**6) for _ in range(rng.randrange(2, 10))]
         baseline = _baseline(samples, delta=rng.random())
         t = rng.randrange(1, 2 * 10**6)
-        verdict = baseline.check(t, None)
+        verdict = baseline.check(t)
         if verdict is TimingVerdict.TOO_SLOW:
-            assert baseline.check(t + rng.randrange(1, 10**6), None) is TimingVerdict.TOO_SLOW
+            assert baseline.check(t + rng.randrange(1, 10**6)) is TimingVerdict.TOO_SLOW
         if verdict is TimingVerdict.TOO_FAST and t > 1:
-            assert baseline.check(rng.randrange(1, t), None) is TimingVerdict.TOO_FAST
+            assert baseline.check(rng.randrange(1, t)) is TimingVerdict.TOO_FAST
 
 
 def test_learning_trace_replay_stays_in_band():
@@ -181,27 +179,26 @@ def test_learning_trace_replay_stays_in_band():
         samples = [rng.randrange(1, 10**6) for _ in range(rng.randrange(2, 50))]
         baseline = _baseline(samples, delta=0.01 + rng.random())
         for sample in samples:
-            assert baseline.check(sample, None) in (
+            assert baseline.check(sample) in (
                 TimingVerdict.OK,
             )
 
 
 def test_constant_trace_replay_no_verdicts_any_positive_delta():
     for delta in (0.001, 0.1, 0.5, 1.2):
-        baseline = _baseline([100 * MS] * 20, delta=delta)
-        window = ActiveWindow(8)
+        baseline = _baseline([100 * MS] * 20, delta=delta, window=ActiveWindow(8))
         for _ in range(100):
-            assert baseline.check(100 * MS, window) is TimingVerdict.OK
+            assert baseline.check(100 * MS) is TimingVerdict.OK
 
 
 def test_persistence_round_trip():
     baseline = _baseline([95 * MS, 105 * MS, 99 * MS], delta=0.3)
-    stored = FlowBaseline.from_persisted(
+    stored = FlowBaseline(delta=baseline.delta)
+    stored.restore(
         mean_us=round(baseline.mean_us),
         min_us=baseline.learned_min_us,
         max_us=baseline.learned_max_us,
         n_l=baseline.n_l,
-        delta=baseline.delta,
     )
     assert stored.ready
     assert stored.learned_min_us == baseline.learned_min_us
