@@ -27,7 +27,7 @@ VERSION = 1
 WIRE_LEN = 48
 HEADER_LEN = 16
 DEFAULT_PORT = 47808
-KEEPALIVE_PERIOD_MS = 10_000
+MAX_FUTURE_SKEW_MS = 120_000
 
 FLAG_INTRUSION = 0x01
 FLAG_ACTIVE = 0x02
@@ -93,9 +93,6 @@ class ReplayState:
             )
         self._last[node_id] = msg_time_ms
 
-    def last_time(self, node_id: int) -> int | None:
-        return self._last.get(node_id)
-
 
 def encode(msg: StatusMessage, psk: bytes) -> bytes:
     """Serialize and sign a status message; deterministic bytes."""
@@ -123,13 +120,13 @@ def decode_verify(
     psk: bytes,
     replay: ReplayState,
     now_ms: int | None = None,
-    max_future_skew_ms: int = 120_000,
 ) -> StatusMessage:
     """Verify and decode one datagram, updating the replay state.
 
     Checks run in order: length, magic, version, HMAC, future skew
-    (only when the caller supplies its clock), replay. Only a fully
-    accepted message advances the per-node replay floor.
+    past MAX_FUTURE_SKEW_MS (only when the caller supplies its clock),
+    replay. Only a fully accepted message advances the per-node replay
+    floor.
     """
     if len(data) != WIRE_LEN:
         raise BadLength("%d octets, want %d" % (len(data), WIRE_LEN))
@@ -144,7 +141,7 @@ def decode_verify(
     if not hmac.compare_digest(tag, data[HEADER_LEN:]):
         raise BadHmac("signature mismatch")
     msg_time_ms = int.from_bytes(time_raw, "big")
-    if now_ms is not None and msg_time_ms > now_ms + max_future_skew_ms:
+    if now_ms is not None and msg_time_ms > now_ms + MAX_FUTURE_SKEW_MS:
         raise SkewRejected("message time %d vs clock %d" % (msg_time_ms, now_ms))
     replay.accept(node_id, msg_time_ms)
     return StatusMessage(
@@ -155,15 +152,3 @@ def decode_verify(
         event_count=event_count,
     )
 
-
-def keepalive_due(
-    last_sent_ms: int | None, now_ms: int, period_ms: int = KEEPALIVE_PERIOD_MS
-) -> bool:
-    """Whether a status message should be sent now.
-
-    A clock step backwards counts as zero elapsed time rather than
-    triggering a send or an error.
-    """
-    if last_sent_ms is None:
-        return True
-    return max(0, now_ms - last_sent_ms) >= period_ms

@@ -1,17 +1,17 @@
 """Central logger: receives status broadcasts and tracks node liveness.
 
-Nodes are discovered from their first valid message; no roster is
-required, though one may be supplied so never-seen nodes show up as
-down from the start. A node that stays silent past the contamination
-timeout (default 20 s) is marked down and its intrusion state becomes
-unknown, rendered as "???". Invalid datagrams are counted but never
-touch node records, so a flood of garbage cannot evict good state.
+Nodes are discovered from their first valid message; a node that has
+never sent one is not listed. Each node's intrusion state is the
+intrusion bit of its last accepted message, as the node set it. A node
+that stays silent past the contamination timeout (default 20 s) is
+marked down and its intrusion state becomes unknown, rendered as
+"???". Invalid datagrams are counted but never touch node records, so
+a flood of garbage cannot evict good state.
 """
 
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
 
 from .announce import AnnounceError, ReplayState, StatusMessage, decode_verify
 
@@ -34,23 +34,14 @@ class NodeRecord:
     node_id: int
     liveness: Liveness
     intrusion_view: IntrusionView
-    last_msg_us: int | None = None
-    last_flags: int = 0
+    last_msg_us: int
 
 
 class CentralLogger:
-    def __init__(
-        self,
-        psk: bytes,
-        timeout_us: int = DEFAULT_TIMEOUT_US,
-        expected_nodes: Iterable[int] = (),
-    ):
+    def __init__(self, psk: bytes, timeout_us: int = DEFAULT_TIMEOUT_US):
         self.psk = psk
         self.timeout_us = timeout_us
-        self.records: dict[int, NodeRecord] = {
-            n: NodeRecord(n, Liveness.DOWN, IntrusionView.UNKNOWN)
-            for n in expected_nodes
-        }
+        self.records: dict[int, NodeRecord] = {}
         self.replay = ReplayState()
         self.rejected = Counter()
 
@@ -67,12 +58,11 @@ class CentralLogger:
     def _apply(self, msg: StatusMessage, now_us: int) -> NodeRecord:
         record = self.records.get(msg.node_id)
         if record is None:
-            record = NodeRecord(msg.node_id, Liveness.UP, IntrusionView.NO)
+            record = NodeRecord(msg.node_id, Liveness.UP, IntrusionView.NO, now_us)
             self.records[msg.node_id] = record
         record.liveness = Liveness.UP
         record.intrusion_view = IntrusionView.YES if msg.intrusion else IntrusionView.NO
         record.last_msg_us = now_us
-        record.last_flags = msg.flags
         return record
 
     def sweep(self, now_us: int) -> list[NodeRecord]:
@@ -80,7 +70,7 @@ class CentralLogger:
         up -> down on this sweep."""
         flipped = []
         for record in self.records.values():
-            if record.liveness is not Liveness.UP or record.last_msg_us is None:
+            if record.liveness is not Liveness.UP:
                 continue
             if now_us - record.last_msg_us >= self.timeout_us:
                 record.liveness = Liveness.DOWN

@@ -483,9 +483,10 @@ def main(argv=None) -> int:
         # downstream pipe closed early (e.g. | head); not our error
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
-    except (OSError, ValueError, configparser.Error) as exc:
+    except (OSError, ValueError, OverflowError, configparser.Error) as exc:
         # unreadable or invalid input: files, captures, config values,
-        # scenario specs and engine parameters all raise one of these
+        # scenario specs and engine parameters all raise one of these;
+        # an infinite time overflows when converted to microseconds
         _err(str(exc))
         return 2
 

@@ -14,9 +14,11 @@ irregular by nature. Packets whose metadata verdict is not KNOWN never
 touch timing state: a hostile frame must not refresh liveness or
 adjust a baseline.
 
-Callers serialize ingest and tick by timestamp. status() reads are
-safe from elsewhere in the sense that they only read a snapshot plus a
-latch that clears on read.
+Events go back to the caller of ingest and tick; the engine keeps no
+status summary of them, and no part of eids yet sends an engine's
+findings to the central logger.
+
+Callers serialize ingest and tick by timestamp.
 """
 
 from dataclasses import dataclass
@@ -89,13 +91,6 @@ class IntrusionEvent:
 
 
 @dataclass
-class NodeStatus:
-    mode: Mode
-    intrusion: bool
-    flow_count: int
-
-
-@dataclass
 class EngineConfig:
     local_ip: str
     node_id: int = 1
@@ -127,8 +122,6 @@ class Engine:
         self.states: dict[FlowKey, FlowBaseline] = {}
         self.mode = Mode.LEARNING
         self.started_us: int | None = None
-        self.events_total = 0
-        self._intrusion_latch = False
 
     # -- packet path ---------------------------------------------------
 
@@ -229,8 +222,6 @@ class Engine:
     def _finish(self, events: list[IntrusionEvent]) -> tuple[Verdict, list[IntrusionEvent]]:
         if not events:
             return Verdict.PASS, []
-        self.events_total += len(events)
-        self._intrusion_latch = True
         verdict = Verdict.DROP if self.config.ips_mode else Verdict.ALERT
         return verdict, events
 
@@ -270,9 +261,6 @@ class Engine:
                         "silent since %dus" % baseline.last_arrival_us,
                     )
                 )
-        if events:
-            self.events_total += len(events)
-            self._intrusion_latch = True
         return events
 
     def _note_time(self, now_us: int) -> None:
@@ -283,16 +271,6 @@ class Engine:
         self.mode = Mode.ACTIVE
         for baseline in self.states.values():
             baseline.activate()
-
-    # -- status --------------------------------------------------------
-
-    def status(self, now_us: int) -> NodeStatus:
-        """Node status snapshot; the intrusion flag reads and clears."""
-        intrusion = self._intrusion_latch
-        self._intrusion_latch = False
-        return NodeStatus(
-            mode=self.mode, intrusion=intrusion, flow_count=len(self.table.flows)
-        )
 
     # -- model persistence ----------------------------------------------
 

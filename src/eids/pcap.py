@@ -15,6 +15,7 @@ MAGIC = 0xA1B2C3D4
 MAGIC_SWAPPED = 0xD4C3B2A1
 LINKTYPE_ETHERNET = 1
 SNAPLEN = 65535
+MAX_RECORD_LEN = 262_144  # libpcap's largest snaplen
 
 _GLOBAL = "IHHiIII"
 _RECORD = "IIII"
@@ -40,8 +41,9 @@ def read_pcap(stream: BinaryIO) -> Iterator[tuple[int, bytes]]:
     """Yield (timestamp_us, frame bytes) for each record, in file order.
 
     Stops cleanly at end of file; raises BadMagic or TruncatedRecord
-    for malformed input and UnsupportedLinkType for non-Ethernet
-    captures.
+    for malformed input, PcapError for a record longer than
+    MAX_RECORD_LEN (checked before its body is read) and
+    UnsupportedLinkType for non-Ethernet captures.
     """
     lead = stream.read(4)
     if len(lead) < 4:
@@ -71,6 +73,8 @@ def read_pcap(stream: BinaryIO) -> Iterator[tuple[int, bytes]]:
         if len(head) < record.size:
             raise TruncatedRecord("record header cut short")
         ts_sec, ts_usec, incl_len, _orig = record.unpack(head)
+        if incl_len > MAX_RECORD_LEN:
+            raise PcapError("record of %d octets exceeds %d" % (incl_len, MAX_RECORD_LEN))
         body = stream.read(incl_len)
         if len(body) < incl_len:
             raise TruncatedRecord("record body cut short")

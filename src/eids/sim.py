@@ -113,7 +113,6 @@ class TrafficProfile:
     poll_period_us: int = 100_000
     response_delay_us: tuple[int, int] = (2_000, 5_000)
     jitter_frac: float = 0.02
-    plc_timeout_us: int = 1_000_000
     arp_expiry_us: tuple[int, int] = (180_000_000, 360_000_000)
     status_period_us: int = 10_000_000
     status_port: int = announce.DEFAULT_PORT
@@ -123,7 +122,6 @@ class TrafficProfile:
         durations = (
             self.poll_period_us,
             self.response_delay_us[0],
-            self.plc_timeout_us,
             self.arp_expiry_us[0],
             self.status_period_us,
         )
@@ -519,6 +517,8 @@ def _validate_scenarios(scenarios, topology, duration_us) -> None:
             raise ConfigInvalid("unknown scenario kind %r" % (sc.kind,))
         if not 0 <= sc.start_us <= duration_us:
             raise ConfigInvalid("scenario start outside the simulation horizon")
+        if sc.rate_pps < 1:
+            raise ConfigInvalid("scenario rate must be at least 1 pps")
         if sc.kind is ScenarioKind.PASSIVE_SNIFF:
             continue
         target = _resolve_target(sc)

@@ -18,7 +18,6 @@ from eids.announce import (
     StatusMessage,
     decode_verify,
     encode,
-    keepalive_due,
 )
 
 PSK = b"unit-test-psk"
@@ -118,15 +117,20 @@ def test_replay_state_is_per_node():
     replay = ReplayState()
     decode_verify(encode(_msg(node_id=1, time_ms=100), PSK), PSK, replay)
     decode_verify(encode(_msg(node_id=2, time_ms=50), PSK), PSK, replay)
-    assert replay.last_time(1) == 100
-    assert replay.last_time(2) == 50
+    for node_id, time_ms in ((1, 100), (2, 50)):
+        with pytest.raises(ReplayRejected):
+            decode_verify(encode(_msg(node_id=node_id, time_ms=time_ms), PSK), PSK, replay)
+    # node 2's floor is its own: a time below node 1's last one is accepted
+    decode_verify(encode(_msg(node_id=2, time_ms=60), PSK), PSK, replay)
+    with pytest.raises(ReplayRejected):
+        decode_verify(encode(_msg(node_id=1, time_ms=60), PSK), PSK, replay)
 
 
 def test_future_skew_rejected_only_with_clock():
     wire = encode(_msg(time_ms=10_000_000), PSK)
     decode_verify(wire, PSK, ReplayState())  # no clock, no skew check
     with pytest.raises(SkewRejected):
-        decode_verify(wire, PSK, ReplayState(), now_ms=0, max_future_skew_ms=120_000)
+        decode_verify(wire, PSK, ReplayState(), now_ms=0)
 
 
 def test_encode_validation():
@@ -136,10 +140,3 @@ def test_encode_validation():
         encode(_msg(node_id=70_000), PSK)
     with pytest.raises(ValueError):
         encode(_msg(time_ms=1 << 48), PSK)
-
-
-def test_keepalive_schedule():
-    assert keepalive_due(None, 0)
-    assert not keepalive_due(0, 9_900)
-    assert keepalive_due(0, 10_000)
-    assert not keepalive_due(10_000, 9_000)  # clock stepped backwards

@@ -103,14 +103,6 @@ def test_render_empty():
     assert CentralLogger(PSK).render_status() == ""
 
 
-def test_expected_roster_starts_down():
-    logger = CentralLogger(PSK, expected_nodes=[1, 2])
-    assert logger.render_status() == (
-        "ID: 1 is down Intrusion: ???\n"
-        "ID: 2 is down Intrusion: ???\n"
-    )
-
-
 def test_logger_feed_skips_udp_length_past_frame_end():
     topology = sim.Topology.default()
     s2 = topology.device("S2")

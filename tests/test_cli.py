@@ -197,7 +197,8 @@ def test_detect_bad_input_exits_two(tmp_path, capsys, case):
 @pytest.mark.parametrize("case", [
     "sim-unknown-local-ip", "learn-bad-config", "detect-bad-config", "stats-bad-config",
     "learn-unwritable-out", "simulate-unwritable-out", "simulate-unknown-scenario",
-    "detect-learn-first-zero",
+    "detect-learn-first-zero", "simulate-duration-inf", "simulate-scenario-start-inf",
+    "detect-learn-first-inf", "stats-duration-inf",
 ])
 def test_input_error_exits_two(tmp_path, capsys, case):
     config = tmp_path / "plant.ini"
@@ -218,6 +219,12 @@ def test_input_error_exits_two(tmp_path, capsys, case):
         "simulate-unknown-scenario": ["simulate", "--duration", "5", "--scenario", "9",
                                       "--pcap-out", str(tmp_path / "x.pcap")],
         "detect-learn-first-zero": ["detect", "--learn-first", "0"] + sim_input,
+        "simulate-duration-inf":
+            ["simulate", "--duration", "inf", "--pcap-out", str(tmp_path / "x.pcap")],
+        "simulate-scenario-start-inf": ["simulate", "--duration", "10", "--scenario",
+                                        "5:start=inf", "--pcap-out", str(tmp_path / "x.pcap")],
+        "detect-learn-first-inf": ["detect", "--learn-first", "inf", "--duration", "1"],
+        "stats-duration-inf": ["stats", "--duration", "inf", "--flow", "tcp:1.2.3.4:5"],
     }[case]
     assert main(argv) == 2
     captured = capsys.readouterr()
@@ -458,11 +465,7 @@ def test_config_values_are_literal(tmp_path):
     assert profile.psk == b"ab%cd"
 
 
-@pytest.mark.parametrize("spec", [
-    "8:start=25,target=S2,peer=S2", "8:start=25,target=S1", "8:start=25,target=S2,peer=nope",
-], ids=["peer-is-target", "default-peer-is-target", "unknown-peer"])
-def test_capture_node_peer_checked_before_traffic_is_built(tmp_path, capsys, monkeypatch,
-                                                           spec):
+def _assert_rejected_before_traffic(tmp_path, capsys, monkeypatch, spec):
     def no_traffic(*_args):
         raise AssertionError("traffic built for an invalid scenario")
 
@@ -472,6 +475,22 @@ def test_capture_node_peer_checked_before_traffic_is_built(tmp_path, capsys, mon
                  "--pcap-out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("eids: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("spec", [
+    "8:start=25,target=S2,peer=S2", "8:start=25,target=S1", "8:start=25,target=S2,peer=nope",
+], ids=["peer-is-target", "default-peer-is-target", "unknown-peer"])
+def test_capture_node_peer_checked_before_traffic_is_built(tmp_path, capsys, monkeypatch,
+                                                           spec):
+    _assert_rejected_before_traffic(tmp_path, capsys, monkeypatch, spec)
+
+
+@pytest.mark.parametrize("spec", ["5:rate=0", "5:rate=-5"], ids=["zero", "negative"])
+def test_scenario_rate_below_one_rejected_before_traffic_is_built(tmp_path, capsys,
+                                                                   monkeypatch, spec):
+    # a negative rate must never reach the flood generator: it would emit
+    # one frame per microsecond for the rest of the run
+    _assert_rejected_before_traffic(tmp_path, capsys, monkeypatch, spec)
 
 
 def test_readme_command_lines_parse():

@@ -228,17 +228,6 @@ def test_syn_fin_rst_excluded_from_sampling():
     assert baseline.learned_min_us >= 99 * MS
 
 
-def test_status_latch_reads_and_clears():
-    engine = _learned_engine()
-    status = engine.status(11 * S)
-    assert status.mode is Mode.ACTIVE
-    assert status.intrusion is False
-    assert status.flow_count == len(engine.table.flows)
-    engine.ingest(Direction.RX, b"\x00" * 7, 11 * S)
-    assert engine.status(11 * S).intrusion is True
-    assert engine.status(11 * S).intrusion is False
-
-
 def test_event_log_line_format():
     engine = _learned_engine()
     _, events = engine.ingest(Direction.RX, b"\x00" * 7, 11 * S)

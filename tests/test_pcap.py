@@ -2,11 +2,13 @@
 
 import io
 import struct
+import tracemalloc
 
 import pytest
 
 from eids.pcap import (
     BadMagic,
+    PcapError,
     TruncatedRecord,
     UnsupportedLinkType,
     read_pcap,
@@ -83,3 +85,25 @@ def test_sim_trace_round_trip():
     for (ts, data), fr in zip(records, trace.frames):
         assert ts == fr.time_us
         assert data == fr.data
+
+
+def test_oversized_record_rejected_before_its_body_is_read():
+    header = struct.pack("<IHHiIII", 0xA1B2C3D4, 2, 4, 0, 0, 65535, 1)
+    huge = header + struct.pack("<IIII", 0, 0, 64 << 20, 64 << 20)
+    huge += b"\x00" * (100 - len(huge))
+    tracemalloc.start()
+    try:
+        with pytest.raises(PcapError, match="exceeds"):
+            list(read_pcap(io.BytesIO(huge)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_record_at_largest_snaplen_is_read():
+    frame = b"\xaa" * 262_144  # libpcap's largest snaplen
+    buffer = io.BytesIO()
+    write_pcap(buffer, [(0, frame)])
+    buffer.seek(0)
+    assert list(read_pcap(buffer)) == [(0, frame)]
