@@ -17,6 +17,7 @@ from .packet import PROTO_UDP, Direction, ParseError, parse_frame
 from .sim import (
     AttackScenario,
     FrameTrace,
+    Plant,
     ScenarioKind,
     Topology,
     TrafficProfile,
@@ -92,19 +93,19 @@ class ScenarioResult:
 
 
 def run_scenario(
-    scenario: AttackScenario | None,
-    seed,
-    topology: Topology | None = None,
-    profile: TrafficProfile | None = None,
+    scenario: AttackScenario | None, seed, profile: TrafficProfile | None = None
 ) -> ScenarioResult:
-    """One full run: simulate, drive the monitored engine, drive the
-    logger from the cloud host's view."""
-    topology = topology or Topology.default()
+    """One full run: simulate, then observe the trace."""
     profile = profile or TrafficProfile()
     scenarios = [scenario] if scenario is not None else []
-    trace = run(topology, profile, scenarios, duration_us=DURATION_US, seed=seed)
+    trace = run(profile=profile, scenarios=scenarios, duration_us=DURATION_US, seed=seed)
+    return _observe(trace, profile)
 
-    monitored = topology.device(MONITOR)
+
+def _observe(trace: FrameTrace, profile: TrafficProfile) -> ScenarioResult:
+    """Drive the monitored engine and the logger from the cloud host's
+    view over one trace."""
+    monitored = trace.topology.device(MONITOR)
     engine = Engine(
         EngineConfig(
             local_ip=monitored.ip,
@@ -146,11 +147,14 @@ def _feed_logger(logger: CentralLogger, trace: FrameTrace) -> list[tuple[int, in
 
 
 def run_benchmark(seed=0) -> tuple[list[BenchRow], float]:
-    """Run the full scenario matrix; returns the rows and wall seconds."""
+    """Run the full scenario matrix on one benign plant; returns the rows
+    and wall seconds."""
     started = time.monotonic()
+    profile = TrafficProfile()
+    plant = Plant(Topology.default(), profile, DURATION_US, seed)
     rows = []
     for scenario, variant, expected in _scenario_matrix():
-        result = run_scenario(scenario, seed)
+        result = _observe(plant.trace([scenario]), profile)
         rows.append(
             BenchRow(
                 kind=scenario.kind,

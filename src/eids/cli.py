@@ -78,7 +78,6 @@ _ENGINE_KEYS = {
     "delta_arp": ("delta_arp", float),
     "alpha": ("alpha", float),
     "window": ("window", int),
-    "learning_duration_s": ("learning_duration_us", _scaled(1e6)),
 }
 
 
@@ -88,7 +87,7 @@ def load_config(
     """Read the INI config: [topology] sensors; [profile] poll_period_ms,
     response_delay_ms=LO,HI, jitter_pct, status_period_s,
     arp_expiry_s=LO,HI, status_port, psk; [engine] delta, delta_arp,
-    window, alpha, learning_duration_s; [scenarios] with one scenario
+    window, alpha; [scenarios] with one scenario
     spec per key. Flags override these values. Values are taken
     literally: no % interpolation, and a # after a value is part of it.
     A value that does not parse raises ValueError naming the file,

@@ -4,20 +4,23 @@ The simulated plant is a single broadcast domain: a PLC cyclically
 polls eight sensors and one actuator over Modbus/TCP every 100 ms, an
 HMI and a SCADA host poll the PLC at the same cadence, hosts refresh
 their ARP caches on per-host expiry clocks, and every edge node
-broadcasts an authenticated status datagram every 10 s. Eight attack
-scenarios can be injected on top. Given equal inputs and seed, the
-produced frame trace is byte-identical: every stream draws from its
-own seeded generator, so adding a scenario never perturbs benign
-traffic.
+broadcasts an authenticated status datagram every 10 s. That benign
+traffic is built without knowledge of scenarios; eight attack scenarios
+are overlaid on it, adding frames and silencing removed or flooded
+nodes. Given equal inputs and seed, the produced frame trace is
+byte-identical: every stream draws from its own seeded generator, so
+adding a scenario never perturbs benign traffic.
 
 Times are integer microseconds of simulated time starting at zero; no
 wall clock is involved anywhere.
 """
 
+import copy
 import random
 import socket
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
+from itertools import chain
 from operator import attrgetter
 from typing import BinaryIO, Iterable, Iterator, NamedTuple
 
@@ -194,32 +197,54 @@ def _rng(seed, tag: str) -> random.Random:
     return random.Random("%s:%s" % (seed, tag))
 
 
-class _Builder:
-    def __init__(self, topology, profile, duration_us, seed):
+class Plant:
+    """The benign traffic of one plant and seed, built once and without
+    knowledge of scenarios, as conversations: a question frame followed
+    by the frames that answer it."""
+
+    def __init__(self, topology: Topology, profile: TrafficProfile, duration_us: int, seed):
         self.topology = topology
         self.profile = profile
         self.duration_us = duration_us
         self.seed = seed
-        self.frames: list[TraceFrame] = []
-        self.suppressed: dict[str, list[tuple[int, int]]] = {}
+        self.conversations: list[tuple[TraceFrame, ...]] = []
+        _gen_arp(self)
+        _gen_polling(self)
+        _gen_status(self)
 
-    def suppress(self, device: str, start_us: int, end_us: int) -> None:
-        self.suppressed.setdefault(device, []).append((start_us, end_us))
-
-    def alive(self, device: str, t_us: int) -> bool:
-        for start, end in self.suppressed.get(device, ()):
-            if start <= t_us < end:
-                return False
-        return True
-
-    def emit(self, t_us: int, src: str, dst: str | None, data: bytes) -> bool:
-        if t_us > self.duration_us or not self.alive(src, t_us):
-            return False
-        self.frames.append(TraceFrame(t_us, src, dst, data))
-        return True
+    def emit(self, t_us: int, src: str, dst: str | None, data: bytes,
+             *answers: TraceFrame) -> None:
+        self.conversations.append((TraceFrame(t_us, src, dst, data), *answers))
 
     def host_start(self, device: Device) -> int:
         return _rng(self.seed, "host:%s" % device.name).randrange(0, 50_000)
+
+    def trace(self, scenarios: Iterable[AttackScenario]) -> FrameTrace:
+        """The full-domain trace with scenarios overlaid; the plant is
+        left as it was. A conversation stops at its first frame past the
+        end of the run or sent by a node that a removal or flood
+        silences at that time, so nobody answers a frame never sent."""
+        scenario_list = list(scenarios)
+        _validate_scenarios(scenario_list, self.topology, self.duration_us)
+        attacks = copy.copy(self)
+        attacks.conversations = []
+        _gen_attacks(attacks, scenario_list)
+        silent: dict[str, list[tuple[int, int]]] = {}
+        for sc in scenario_list:
+            if sc.kind in (ScenarioKind.NODE_REMOVED, ScenarioKind.DOS_FLOOD):
+                silent.setdefault(_resolve_target(sc), []).append(
+                    _scenario_window(sc, self.duration_us))
+        kept = []
+        for conversation in chain(self.conversations, attacks.conversations):
+            for fr in conversation:
+                t = fr.time_us
+                windows = silent.get(fr.src)
+                if t > self.duration_us or (
+                        windows and any(start <= t < end for start, end in windows)):
+                    break
+                kept.append(fr)
+        # stable: frames with equal times keep their generation order
+        return FrameTrace(topology=self.topology, frames=sorted(kept, key=attrgetter("time_us")))
 
 
 def _relations(topology: Topology) -> list[tuple[Device, Device]]:
@@ -245,7 +270,7 @@ def _tcp(src: Device, dst: Device, sport: int, dport: int, flags: int,
                             payload, seq=seq, ack=ack)
 
 
-def _status_frame(b: _Builder, mac: str, ip: str, node_id: int, t: int, psk: bytes) -> bytes:
+def _status_frame(b: Plant, mac: str, ip: str, node_id: int, t: int, psk: bytes) -> bytes:
     """A node's status broadcast at t, signed under psk."""
     payload = announce.encode(
         announce.StatusMessage(node_id, t // 1000, False, True, 0), psk
@@ -255,23 +280,17 @@ def _status_frame(b: _Builder, mac: str, ip: str, node_id: int, t: int, psk: byt
                             port, port, payload)
 
 
-# A builder below draws every random number of an exchange up front, so a
-# frame that is not sent never shifts the rest of its stream, and emits an
-# answer only when the frame it answers went out.
-
-
-def _arp_exchange(b: _Builder, rng, t: int, asker: Device, answerer: Device) -> None:
+def _arp_exchange(b: Plant, rng, t: int, asker: Device, answerer: Device) -> None:
     """ARP request at t, answered 0.3-1.2 ms later."""
     reply_t = t + rng.randrange(300, 1_200)
-    if b.emit(t, asker.name, None, frames.arp_frame(
+    b.emit(t, asker.name, None, frames.arp_frame(
         frames.ArpOp.REQUEST, asker.mac, asker.ip, frames.ZERO_MAC, answerer.ip
-    )):
-        b.emit(reply_t, answerer.name, asker.name, frames.arp_frame(
-            frames.ArpOp.REPLY, answerer.mac, answerer.ip, asker.mac, asker.ip
-        ))
+    ), TraceFrame(reply_t, answerer.name, asker.name, frames.arp_frame(
+        frames.ArpOp.REPLY, answerer.mac, answerer.ip, asker.mac, asker.ip
+    )))
 
 
-def _handshake(b: _Builder, rng, t: int, client: Device, server: Device,
+def _handshake(b: Plant, rng, t: int, client: Device, server: Device,
                cport: int, sport: int, cseq: int, sseq: int,
                client_ack: int | None = None) -> None:
     """SYN at t, SYN+ACK 0.2-0.8 ms later, ACK 0.15-0.5 ms after that.
@@ -279,18 +298,17 @@ def _handshake(b: _Builder, rng, t: int, client: Device, server: Device,
     both."""
     syn_ack_t = t + rng.randrange(200, 800)
     ack_t = syn_ack_t + rng.randrange(150, 500)
-    if b.emit(t, client.name, server.name, _tcp(
+    b.emit(t, client.name, server.name, _tcp(
         client, server, cport, sport, TCP_SYN, b"", cseq, client_ack or 0
-    )) and b.emit(syn_ack_t, server.name, client.name, _tcp(
+    ), TraceFrame(syn_ack_t, server.name, client.name, _tcp(
         server, client, sport, cport, TCP_SYN | TCP_ACK, b"", sseq, cseq + 1
-    )):
-        b.emit(ack_t, client.name, server.name, _tcp(
-            client, server, cport, sport, TCP_ACK, b"", cseq + 1,
-            sseq + 1 if client_ack is None else client_ack,
-        ))
+    )), TraceFrame(ack_t, client.name, server.name, _tcp(
+        client, server, cport, sport, TCP_ACK, b"", cseq + 1,
+        sseq + 1 if client_ack is None else client_ack,
+    )))
 
 
-def _gen_arp(b: _Builder) -> None:
+def _gen_arp(b: Plant) -> None:
     peers = _arp_peers(b.topology)
     lo, hi = b.profile.arp_expiry_us
     for dev in b.topology.devices:
@@ -306,7 +324,7 @@ def _gen_arp(b: _Builder) -> None:
             t += rng.randrange(lo, hi)
 
 
-def _gen_polling(b: _Builder) -> None:
+def _gen_polling(b: Plant) -> None:
     period = b.profile.poll_period_us
     jitter = int(period * b.profile.jitter_frac)
     d_lo, d_hi = b.profile.response_delay_us
@@ -327,20 +345,19 @@ def _gen_polling(b: _Builder) -> None:
             if req_t > b.duration_us:
                 break
             request = frames.modbus_read_request(k, unit)
-            sent = b.emit(req_t, client.name, server.name,
-                          _tcp(client, server, sport, MODBUS_PORT, TCP_PSH | TCP_ACK,
-                               request, client_seq, server_seq))
-            client_seq += len(request)
             response = frames.modbus_read_response(k, unit, k & 0xFF)
-            if sent:
-                b.emit(req_t + delay, server.name, client.name,
-                       _tcp(server, client, MODBUS_PORT, sport, TCP_PSH | TCP_ACK,
-                            response, server_seq, client_seq))
+            b.emit(req_t, client.name, server.name,
+                   _tcp(client, server, sport, MODBUS_PORT, TCP_PSH | TCP_ACK,
+                        request, client_seq, server_seq),
+                   TraceFrame(req_t + delay, server.name, client.name,
+                              _tcp(server, client, MODBUS_PORT, sport, TCP_PSH | TCP_ACK,
+                                   response, server_seq, client_seq + len(request))))
+            client_seq += len(request)
             server_seq += len(response)
             k += 1
 
 
-def _gen_status(b: _Builder) -> None:
+def _gen_status(b: Plant) -> None:
     period = b.profile.status_period_us
     jitter = int(period * 0.02)
     for dev in b.topology.edge_nodes():
@@ -388,7 +405,7 @@ def _resolve_peer(sc: AttackScenario) -> str:
     return sc.peer if sc.peer is not None else "S1"
 
 
-def _gen_attacks(b: _Builder, scenarios: list[AttackScenario]) -> None:
+def _gen_attacks(b: Plant, scenarios: list[AttackScenario]) -> None:
     for index, sc in enumerate(scenarios):
         if sc.kind is ScenarioKind.PASSIVE_SNIFF:
             continue  # a network diode adds nothing to the wire
@@ -442,13 +459,12 @@ def _gen_intruder_connection(b, rng, src: Device, dst: Device, sport: int,
     for k, t in enumerate(range(syn_t + 3_000, end, 1_000_000)):
         payload = frames.modbus_write_request(k, 1, 0, 0xFF00)
         echo_t = t + rng.randrange(1_000, 3_000)
-        if b.emit(t, src.name, dst.name, _tcp(
+        b.emit(t, src.name, dst.name, _tcp(
             src, dst, sport, MODBUS_PORT, TCP_PSH | TCP_ACK, payload, seq, 2
-        )):
-            b.emit(echo_t, dst.name, src.name, _tcp(
-                dst, src, MODBUS_PORT, sport, TCP_PSH | TCP_ACK, payload, 2,
-                seq + len(payload),
-            ))
+        ), TraceFrame(echo_t, dst.name, src.name, _tcp(
+            dst, src, MODBUS_PORT, sport, TCP_PSH | TCP_ACK, payload, 2,
+            seq + len(payload),
+        )))
         seq += len(payload)
 
 
@@ -493,21 +509,8 @@ def run(
     if duration_us <= 0:
         raise ConfigInvalid("duration must be positive")
     scenario_list = list(scenarios)
-    _validate_scenarios(scenario_list, topology, duration_us)
-
-    builder = _Builder(topology, profile, duration_us, seed)
-    for sc in scenario_list:
-        if sc.kind in (ScenarioKind.NODE_REMOVED, ScenarioKind.DOS_FLOOD):
-            builder.suppress(_resolve_target(sc), *_scenario_window(sc, duration_us))
-
-    _gen_arp(builder)
-    _gen_polling(builder)
-    _gen_status(builder)
-    _gen_attacks(builder, scenario_list)
-
-    # stable: frames with equal times keep their generation order
-    return FrameTrace(topology=topology,
-                      frames=sorted(builder.frames, key=attrgetter("time_us")))
+    _validate_scenarios(scenario_list, topology, duration_us)  # before any traffic
+    return Plant(topology, profile, duration_us, seed).trace(scenario_list)
 
 
 def _validate_scenarios(scenarios, topology, duration_us) -> None:
@@ -519,6 +522,8 @@ def _validate_scenarios(scenarios, topology, duration_us) -> None:
             raise ConfigInvalid("scenario start outside the simulation horizon")
         if sc.rate_pps < 1:
             raise ConfigInvalid("scenario rate must be at least 1 pps")
+        if sc.stop_us is not None and sc.stop_us <= sc.start_us:
+            raise ConfigInvalid("scenario stop must come after its start")
         if sc.kind is ScenarioKind.PASSIVE_SNIFF:
             continue
         target = _resolve_target(sc)

@@ -493,6 +493,14 @@ def test_scenario_rate_below_one_rejected_before_traffic_is_built(tmp_path, caps
     _assert_rejected_before_traffic(tmp_path, capsys, monkeypatch, spec)
 
 
+@pytest.mark.parametrize("spec", [
+    "4:start=20,stop=10,target=S2", "1:start=10,stop=-1,target=S2", "5:start=10,stop=10",
+], ids=["stop-before-start", "negative-stop", "stop-at-start"])
+def test_scenario_stop_not_after_start_rejected_before_traffic_is_built(tmp_path, capsys,
+                                                                        monkeypatch, spec):
+    _assert_rejected_before_traffic(tmp_path, capsys, monkeypatch, spec)
+
+
 def test_readme_command_lines_parse():
     readme = (Path(__file__).parent.parent / "README.md").read_text()
     block = re.search(r"## Command line\n\n```sh\n(.*?)```", readme, re.DOTALL).group(1)
@@ -525,8 +533,7 @@ def test_readme_example_config_loads(tmp_path):
         status_period_us=10 * S, arp_expiry_us=(180 * S, 360 * S), status_port=47808,
         psk=b"eids-testbed-psk",
     )
-    assert engine == {"delta": 0.3, "delta_arp": 1.0, "window": 16,
-                      "alpha": 1 / 256, "learning_duration_us": 600 * S}
+    assert engine == {"delta": 0.3, "delta_arp": 1.0, "window": 16, "alpha": 1 / 256}
     assert scenarios == [
         sim.AttackScenario(sim.ScenarioKind.DOS_FLOOD, start_us=650 * S, target="S1")
     ]

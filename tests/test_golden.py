@@ -108,3 +108,16 @@ def test_simulated_view_pcaps(viewpoint):
     stream = io.BytesIO()
     _simulate(sim.ScenarioKind.LEARNING_ATTACK).write_pcap(stream, viewpoint=viewpoint)
     assert _sha256(stream.getvalue()) == VIEW_PCAP_SHA256[viewpoint]
+
+
+def test_one_shared_plant_gives_every_scenario_kind_trace():
+    # the last kind first: overlaying a scenario leaves the plant as it
+    # was, so every row of a matrix can share one benign plant
+    plant = sim.Plant(sim.Topology.default(), sim.TrafficProfile(), 40 * S, 11)
+    for kind in sorted(TRACE_SHA256, reverse=True):
+        kwargs, expected = TRACE_SHA256[kind]
+        trace = plant.trace([sim.AttackScenario(sim.ScenarioKind(kind), **kwargs)])
+        digest = hashlib.sha256()
+        for fr in trace.frames:
+            digest.update(repr((fr.time_us, fr.src, fr.dst, fr.data)).encode())
+        assert digest.hexdigest() == expected, kind
