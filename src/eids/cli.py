@@ -87,11 +87,11 @@ def load_config(
     """Read the INI config: [topology] sensors; [profile] poll_period_ms,
     response_delay_ms=LO,HI, jitter_pct, status_period_s,
     arp_expiry_s=LO,HI, status_port, psk; [engine] delta, delta_arp,
-    window, alpha; [scenarios] with one scenario
-    spec per key. Flags override these values. Values are taken
-    literally: no % interpolation, and a # after a value is part of it.
-    A value that does not parse raises ValueError naming the file,
-    section and key."""
+    window, alpha; [scenarios] with one scenario spec per key, under
+    any name. Flags override these values. Values are taken literally:
+    no % interpolation, and a # after a value is part of it. A value
+    that does not parse, and a section or key not listed here, raise
+    ValueError naming the file, section and key."""
     topology = sim.Topology.default()
     profile = sim.TrafficProfile()
     engine_overrides: dict = {}
@@ -112,6 +112,18 @@ def load_config(
             return convert(parser[section][key])
         except (ValueError, OverflowError) as exc:
             raise ValueError("%s: [%s] %s: %s" % (path, section, key, exc)) from None
+
+    known = {"topology": {"sensors"}, "profile": _PROFILE_KEYS, "engine": _ENGINE_KEYS}
+    if parser.defaults():
+        raise ValueError("%s: [%s]: unknown section" % (path, parser.default_section))
+    for section in parser.sections():
+        if section == "scenarios":
+            continue
+        if section not in known:
+            raise ValueError("%s: [%s]: unknown section" % (path, section))
+        for key in parser.options(section):
+            if key not in known[section]:
+                raise ValueError("%s: [%s] %s: unknown key" % (path, section, key))
 
     if parser.has_option("topology", "sensors"):
         topology = value("topology", "sensors", lambda text: sim.Topology.default(int(text)))
@@ -474,8 +486,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if not hasattr(args, "local_ip"):
-        args.local_ip = DEFAULT_LOCAL_IP
     try:
         return args.func(args)
     except BrokenPipeError:

@@ -4,9 +4,7 @@ The engine owns one flow table and one timing baseline per flow. It
 starts in learning mode, where every packet is admitted and only
 recorded; a clock tick past the configured learning duration switches
 it to active mode, where metadata and timing verdicts turn into
-intrusion events. With ips_mode set the engine answers DROP instead of
-ALERT for intrusive packets, so a caller wired into the stack's
-receive/send path can discard them before the application sees them.
+intrusion events and the frame that raised them is answered ALERT.
 
 Frames carrying a TCP SYN, FIN or RST are connection setup/teardown
 and excluded from interarrival sampling in both modes; their timing is
@@ -26,7 +24,7 @@ from datetime import datetime, timedelta, timezone
 from enum import Enum
 from typing import Iterable, Iterator
 
-from .flows import FlowKey, FlowKind, FlowTable, FlowVerdict, Mode
+from .flows import IP_KINDS, FlowKey, FlowKind, FlowTable, FlowVerdict, Mode
 from .packet import (
     TCP_FIN,
     TCP_RST,
@@ -58,7 +56,6 @@ class Cause(Enum):
 class Verdict(Enum):
     PASS = "pass"
     ALERT = "alert"
-    DROP = "drop"
 
 
 _FLOW_CAUSE = {
@@ -99,7 +96,6 @@ class EngineConfig:
     delta_arp: float = 1.0
     window: int = 16
     alpha: float = 1.0 / 256.0
-    ips_mode: bool = False
 
     def __post_init__(self):
         if self.learning_duration_us <= 0:
@@ -131,9 +127,9 @@ class Engine:
         """Run one frame through the detection path.
 
         Learning mode records and always passes. Active mode returns
-        ALERT (or DROP under ips_mode) with one event per triggered
-        cause. A frame that cannot be parsed is itself suspicious and
-        alerts rather than raising.
+        ALERT with one event per triggered cause, or PASS with none. A
+        frame that cannot be parsed is itself suspicious and alerts
+        rather than raising.
 
         A direction of None means the input does not say, as in a pcap
         capture: a frame whose IPv4 source or ARP sender is the node's
@@ -145,10 +141,9 @@ class Engine:
         except ParseError as exc:
             if self.mode is Mode.LEARNING:
                 return Verdict.PASS, []
-            events = [
+            return Verdict.ALERT, [
                 IntrusionEvent(now_us, Cause.NEW_FLOW, None, "unparseable: %s" % exc)
             ]
-            return self._finish(events)
 
         if direction is None:
             local_ip = self.config.local_ip
@@ -169,7 +164,7 @@ class Engine:
 
         if self.mode is Mode.LEARNING:
             return Verdict.PASS, []
-        return self._finish(events)
+        return (Verdict.ALERT if events else Verdict.PASS), events
 
     def _track_timing(
         self, meta: PacketMeta, key: FlowKey, now_us: int
@@ -209,7 +204,7 @@ class Engine:
     def _new_baseline(self, key: FlowKey, delta: float | None = None) -> FlowBaseline:
         """A flow's empty timing record; delta, when given, overrides
         the configured tolerance, as a model's TIMING line does."""
-        if key.kind in (FlowKind.TCP, FlowKind.UDP):
+        if key.kind in IP_KINDS:
             return FlowBaseline(
                 self.config.delta if delta is None else delta,
                 ActiveWindow(self.config.window),
@@ -218,12 +213,6 @@ class Engine:
         # short-window mean meaningless, so only the min/max band and
         # the silence check apply to them.
         return FlowBaseline(self.config.delta_arp if delta is None else delta)
-
-    def _finish(self, events: list[IntrusionEvent]) -> tuple[Verdict, list[IntrusionEvent]]:
-        if not events:
-            return Verdict.PASS, []
-        verdict = Verdict.DROP if self.config.ips_mode else Verdict.ALERT
-        return verdict, events
 
     # -- clock path ----------------------------------------------------
 
@@ -251,7 +240,7 @@ class Engine:
                 # imported baseline: measure silence from detection start
                 baseline.last_arrival_us = now_us
                 continue
-            if baseline.absence(now_us) is not None:
+            if now_us - baseline.last_arrival_us >= baseline.high_us:
                 baseline.silent = True
                 events.append(
                     IntrusionEvent(
@@ -279,10 +268,7 @@ class Engine:
         flow_list, bindings = self.table.export_records()
         lines = [MODEL_HEADER]
         for key in flow_list:
-            lines.append(
-                "FLOW\t%s\t%s\t%s\t%d"
-                % (key.kind.value, _peer_field(key), key.local_ip or "-", key.service_port)
-            )
+            lines.append("FLOW\t" + _key_columns(key))
         for ip, mac in bindings:
             lines.append("ARP\t%s\t%s" % (ip, mac))
         for key in flow_list:
@@ -291,12 +277,9 @@ class Engine:
                 continue
             mean = baseline.mean_us if baseline.ready else baseline.learning_mean
             lines.append(
-                "TIMING\t%s\t%s\t%s\t%d\t%d\t%d\t%d\t%d\t%d"
+                "TIMING\t%s\t%d\t%d\t%d\t%d\t%d"
                 % (
-                    key.kind.value,
-                    _peer_field(key),
-                    key.local_ip or "-",
-                    key.service_port,
+                    _key_columns(key),
                     round(mean),
                     baseline.learned_min_us,
                     baseline.learned_max_us,
@@ -318,28 +301,24 @@ class Engine:
             if not line:
                 continue
             fields = line.split("\t")
+            if _MODEL_FIELDS.get(fields[0]) != len(fields):
+                raise MalformedModelLine(line)
             try:
                 self._import_line(fields)
-            except (ValueError, KeyError) as exc:
-                if isinstance(exc, (BadModelVersion, MalformedModelLine)):
-                    raise
+            except ValueError as exc:
                 raise MalformedModelLine(line) from exc
         self.mode = Mode.ACTIVE
 
     def _import_line(self, fields: list[str]) -> None:
+        """Apply one model line whose field count import_model checked."""
         tag = fields[0]
-        if tag == "FLOW":
-            if len(fields) != 5:
-                raise MalformedModelLine("\t".join(fields))
-            self.table.admit(_parse_flow_key(fields[1:5]))
-        elif tag == "ARP":
-            if len(fields) != 3:
-                raise MalformedModelLine("\t".join(fields))
+        if tag == "ARP":
             self.table.bindings[fields[1]] = fields[2]
-        elif tag == "TIMING":
-            if len(fields) != 10:
-                raise MalformedModelLine("\t".join(fields))
-            key = _parse_flow_key(fields[1:5])
+            return
+        key = _parse_flow_key(*fields[1:5])
+        if tag == "FLOW":
+            self.table.admit(key)
+        else:
             baseline = self._new_baseline(key, int(fields[9]) / 1000.0)
             baseline.restore(
                 mean_us=int(fields[5]),
@@ -348,24 +327,21 @@ class Engine:
                 n_l=int(fields[8]),
             )
             self.states[key] = baseline
-        else:
-            raise MalformedModelLine("\t".join(fields))
 
 
-def _peer_field(key: FlowKey) -> str:
-    # IP flows persist the peer address; MAC-keyed kinds persist the MAC
-    if key.kind in (FlowKind.TCP, FlowKind.UDP):
-        return key.peer_ip
-    return key.peer_mac
+# fields per model line, the tag included
+_MODEL_FIELDS = {"FLOW": 5, "ARP": 3, "TIMING": 10}
 
 
-def _parse_flow_key(fields: list[str]) -> FlowKey:
-    kind = FlowKind(fields[0])
-    local = "" if fields[2] == "-" else fields[2]
-    port = int(fields[3])
-    if kind in (FlowKind.TCP, FlowKind.UDP):
-        return FlowKey(kind, peer_ip=fields[1], local_ip=local, service_port=port)
-    return FlowKey(kind, peer_mac=fields[1], local_ip=local, service_port=port)
+def _key_columns(key: FlowKey) -> str:
+    """A flow key's four model columns: kind, peer, local address, port."""
+    return "%s\t%s\t%s\t%d" % (
+        key.kind.value, key.peer, key.local_ip or "-", key.service_port
+    )
+
+
+def _parse_flow_key(kind: str, peer: str, local: str, port: str) -> FlowKey:
+    return FlowKey(FlowKind(kind), peer, "" if local == "-" else local, int(port))
 
 
 def format_event(event: IntrusionEvent, node_id: int) -> str:

@@ -30,6 +30,10 @@ class FlowKind(Enum):
     OTHER = "OtherEth"
 
 
+#: Kinds keyed on the peer's IP address; the others key on its MAC.
+IP_KINDS = (FlowKind.TCP, FlowKind.UDP)
+
+
 class FlowVerdict(Enum):
     KNOWN = "known"
     NEW_FLOW = "new-flow"
@@ -39,20 +43,19 @@ class FlowVerdict(Enum):
 
 class FlowKey(NamedTuple):
     kind: FlowKind
-    peer_ip: str = ""
+    peer: str  # IP address for IP_KINDS, MAC address otherwise
     local_ip: str = ""
     service_port: int = 0
-    peer_mac: str = ""
 
     def render(self) -> str:
-        if self.kind in (FlowKind.TCP, FlowKind.UDP):
+        if self.kind in IP_KINDS:
             return "%s/%s->%s:%d" % (
                 self.kind.value.lower(),
-                self.peer_ip,
+                self.peer,
                 self.local_ip,
                 self.service_port,
             )
-        return "%s/%s" % (self.kind.value.lower(), self.peer_mac)
+        return "%s/%s" % (self.kind.value.lower(), self.peer)
 
 
 def _ip_sort_key(ip: str) -> tuple:
@@ -63,10 +66,13 @@ def _ip_sort_key(ip: str) -> tuple:
 
 
 def flow_sort_key(key: FlowKey) -> tuple:
+    if key.kind in IP_KINDS:
+        peer = _ip_sort_key(key.peer) if key.peer else ()
+    else:
+        peer = key.peer
     return (
         key.kind.value,
-        key.peer_mac,
-        _ip_sort_key(key.peer_ip) if key.peer_ip else (),
+        peer,
         _ip_sort_key(key.local_ip) if key.local_ip else (),
         key.service_port,
     )
@@ -104,7 +110,7 @@ def derive_key(meta: PacketMeta, direction: Direction, local_ip: str) -> FlowKey
     """
     if meta.arp is not None:
         peer = meta.arp.sender_mac if direction is Direction.RX else meta.arp.target_mac
-        return FlowKey(FlowKind.ARP, peer_mac=peer)
+        return FlowKey(FlowKind.ARP, peer)
     if meta.l3 is not None and meta.l3.l4 is not None:
         l4 = meta.l3.l4
         kind = FlowKind.TCP if meta.l3.protocol == PROTO_TCP else FlowKind.UDP
@@ -121,7 +127,7 @@ def derive_key(meta: PacketMeta, direction: Direction, local_ip: str) -> FlowKey
                 service = min(l4.src_port, l4.dst_port)
         return FlowKey(kind, peer_ip, home_ip, service)
     peer = meta.src_mac if direction is Direction.RX else meta.dst_mac
-    return FlowKey(FlowKind.OTHER, peer_mac=peer)
+    return FlowKey(FlowKind.OTHER, peer)
 
 
 class FlowTable:
@@ -203,7 +209,7 @@ class FlowTable:
             self.bindings[meta.arp.sender_ip] = meta.arp.sender_mac
         if key not in self.flows:
             self.flows.add(key)
-            if key.kind in (FlowKind.TCP, FlowKind.UDP):
+            if key.kind in IP_KINDS:
                 l4 = meta.l3.l4
                 if l4.src_port == key.service_port:
                     self.services.add((meta.l3.src_ip, l4.src_port))

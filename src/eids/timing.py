@@ -76,10 +76,10 @@ class FlowBaseline:
     last_sample_us: int | None = None
     silent: bool = False
     ready: bool = False
+    # the min/max band's exclusive edges, set by activate()
+    low_us: float = 0.0
+    high_us: float = 0.0
     _sum_us: int = 0
-    # low_bound()/high_bound() as of activation, set by _freeze_band
-    _low_us: float = 0.0
-    _high_us: float = 0.0
 
     @property
     def learning_mean(self) -> float:
@@ -100,35 +100,22 @@ class FlowBaseline:
         self._sum_us += t_us
 
     def activate(self) -> bool:
-        """Freeze the learned mean; returns whether the baseline is usable."""
+        """Freeze the learned mean and the min/max band; returns whether
+        the baseline is usable."""
         self.ready = self.n_l >= 2
         if self.ready:
             self.mean_us = self._sum_us / self.n_l
-            self._freeze_band()
+            self.low_us = max(0.0, self.learned_min_us * (1.0 - self.delta))
+            self.high_us = self.learned_max_us * (1.0 + self.delta)
         return self.ready
 
     def restore(self, mean_us: int, min_us: int, max_us: int, n_l: int) -> None:
-        """Load a persisted envelope, leaving the baseline as activate()
-        would."""
+        """Load a persisted envelope as learning totals and activate it."""
         self.n_l = n_l
         self.learned_min_us = min_us
         self.learned_max_us = max_us
-        self.mean_us = float(mean_us)
         self._sum_us = mean_us * n_l
-        self.ready = n_l >= 2
-        self._freeze_band()
-
-    def _freeze_band(self) -> None:
-        # the learned extrema stop moving at activation, so check() and
-        # absence() compare against these instead of recomputing them
-        self._low_us = self.low_bound()
-        self._high_us = self.high_bound()
-
-    def low_bound(self) -> float:
-        return max(0.0, self.learned_min_us * (1.0 - self.delta))
-
-    def high_bound(self) -> float:
-        return self.learned_max_us * (1.0 + self.delta)
+        self.activate()
 
     def check(self, t_us: int) -> TimingVerdict:
         """Classify one active-mode interarrival.
@@ -140,9 +127,9 @@ class FlowBaseline:
         """
         if not self.ready:
             raise BaselineNotReady("flow has %d learning samples" % self.n_l)
-        if t_us <= self._low_us:
+        if t_us <= self.low_us:
             return TimingVerdict.TOO_FAST
-        if t_us >= self._high_us:
+        if t_us >= self.high_us:
             return TimingVerdict.TOO_SLOW
         window = self.window
         if window is not None:
@@ -162,11 +149,3 @@ class FlowBaseline:
         extrema are never widened by runtime traffic.
         """
         self.mean_us = (1.0 - alpha) * self.mean_us + alpha * t_us
-
-    def absence(self, now_us: int) -> TimingVerdict | None:
-        """TOO_SLOW once the flow has been silent past the upper band."""
-        if not self.ready or self.last_arrival_us is None:
-            return None
-        if now_us - self.last_arrival_us >= self._high_us:
-            return TimingVerdict.TOO_SLOW
-        return None

@@ -252,7 +252,7 @@ def test_criterion_7_node_removal():
     silents = [
         e for e in result.events
         if e.cause is Cause.HOST_SILENT and e.flow is not None
-        and e.flow.peer_ip == s2.ip
+        and e.flow.peer == s2.ip
     ]
     engine_ok = False
     detail_engine = "no HostSilent for the removed node"
@@ -263,7 +263,7 @@ def test_criterion_7_node_removal():
             fr.time_us for fr in result.trace.frames
             if fr.src == "S2" and _is_udp(fr.data)
         )
-        bound = baseline.high_bound()
+        bound = baseline.high_us
         latency = event.at_us - last_seen
         engine_ok = latency <= bound + 100_000  # one tick of slack
         detail_engine = "HostSilent %.2f s after last status (bound %.2f s)" % (

@@ -167,6 +167,25 @@ def test_detect_with_model_file(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+_TAIL_SILENT = {
+    "arp": "1970-01-01T00:00:30.003037Z\t1\tHostSilent\tarp/02:00:ac:10:01:32"
+           "\tsilent since 68885us\n",
+    # after the last frame (59.909531 s), seen only by ticking past it
+    "tcp": "1970-01-01T00:01:00.103037Z\t1\tHostSilent"
+           "\ttcp/192.168.1.50->192.168.1.101:502\tsilent since 59909531us\n",
+}
+
+
+@pytest.mark.parametrize("tail, expected", [
+    ([], _TAIL_SILENT["arp"]),
+    (["--tail-us", "1000000"], _TAIL_SILENT["arp"] + _TAIL_SILENT["tcp"]),
+], ids=["default", "one-second-tail"])
+def test_detect_tail_us_reports_silence_after_last_frame(tmp_path, capsys, tail, expected):
+    pcap, _ = _write_viewpoint_pcap(tmp_path, "s1.pcap", duration_s=60, seed=3)
+    code = main(["detect", "--learn-first", "30", "--pcap", str(pcap)] + tail)
+    assert (code, capsys.readouterr().out) == (1, expected)
+
+
 @pytest.mark.parametrize("case", [
     "missing-pcap", "not-a-pcap", "raw-ip-pcap", "missing-model", "bad-model-header",
 ])
@@ -246,6 +265,25 @@ def test_config_error_names_file_section_and_key(tmp_path, capsys, line, key):
     err = capsys.readouterr().err
     assert err.startswith("eids: %s: [profile] %s: " % (config, key))
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("text, where", [
+    ("[engine]\ndelat = 0.9\n", "[engine] delat: unknown key"),
+    ("[engine]\nlearning_duration_s = 10\n", "[engine] learning_duration_s: unknown key"),
+    ("[profile]\npoll_period = 50\n", "[profile] poll_period: unknown key"),
+    ("[topology]\nsensors = 3\nactors = 2\n", "[topology] actors: unknown key"),
+    ("[typo]\nsensors = 3\n", "[typo]: unknown section"),
+    ("[DEFAULT]\ndelta = 0.9\n[engine]\n", "[DEFAULT]: unknown section"),
+], ids=["engine-typo", "engine-removed", "profile-typo", "topology", "section", "default"])
+def test_unknown_config_section_or_key_is_an_input_error(tmp_path, capsys, text, where):
+    config = tmp_path / "plant.ini"
+    config.write_text(text)
+    argv = ["stats", "--config", str(config), "--flow", "udp:10.0.0.1:9", "--sim",
+            "--duration", "5"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "eids: %s: %s\n" % (config, where)
 
 
 @pytest.mark.parametrize("command", [

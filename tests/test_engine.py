@@ -85,37 +85,24 @@ def test_benign_continuation_stays_quiet():
         assert events == []
 
 
-def test_flood_is_too_fast_and_drops_under_ips():
-    def run(ips):
-        engine = _learned_engine(ips_mode=ips)
-        collected = []
-        verdicts = []
-        start = 101 * 100 * MS
-        for k in range(10):
-            verdict, events = engine.ingest(Direction.RX, _poll_frame(200 + k),
-                                            start + k * MS)
-            verdicts.append(verdict)
-            collected.extend(events)
-        return verdicts, collected
-
-    drop_verdicts, drop_events = run(ips=True)
-    alert_verdicts, alert_events = run(ips=False)
-    assert Verdict.DROP in drop_verdicts
-    assert Verdict.DROP not in alert_verdicts
-    assert Verdict.ALERT in alert_verdicts
-    assert [e.cause for e in drop_events] == [e.cause for e in alert_events]
-    assert any(e.cause is Cause.TOO_FAST for e in drop_events)
-    # with ips disabled the event stream is identical
-    assert drop_events == alert_events
+def test_flood_is_too_fast_and_alerts():
+    engine = _learned_engine()
+    events = []
+    start = 101 * 100 * MS
+    for k in range(10):
+        verdict, raised = engine.ingest(Direction.RX, _poll_frame(200 + k), start + k * MS)
+        assert verdict is (Verdict.ALERT if raised else Verdict.PASS)
+        events.extend(raised)
+    assert any(e.cause is Cause.TOO_FAST for e in events)
 
 
-def test_unknown_host_write_dropped_as_new_flow():
-    engine = _learned_engine(ips_mode=True)
+def test_unknown_host_write_alerts_as_new_flow():
+    engine = _learned_engine()
     attack = frames.tcp_frame(
         "02:00:ac:10:01:c8", LOCAL_MAC, "192.168.1.200", LOCAL, 51000, 502, 0x02
     )
     verdict, events = engine.ingest(Direction.RX, attack, 11 * S)
-    assert verdict is Verdict.DROP
+    assert verdict is Verdict.ALERT
     assert [e.cause for e in events] == [Cause.NEW_FLOW]
 
 
@@ -141,14 +128,14 @@ _ICMP = frames._ipv4_header(LOCAL, PLC, 1, 8) + b"\x08" + b"\x00" * 7
 @pytest.mark.parametrize("frame, direction, key", [
     # an ARP request the node sends keys on the MAC it asks
     (frames.arp_frame(ArpOp.REQUEST, LOCAL_MAC, LOCAL, PLC_MAC, PLC), Direction.TX,
-     FlowKey(FlowKind.ARP, peer_mac=PLC_MAC)),
+     FlowKey(FlowKind.ARP, peer=PLC_MAC)),
     (frames.tcp_frame(LOCAL_MAC, PLC_MAC, LOCAL, PLC, 502, 49152, 0x18), Direction.TX,
-     FlowKey(FlowKind.TCP, peer_ip=PLC, local_ip=LOCAL, service_port=502)),
+     FlowKey(FlowKind.TCP, peer=PLC, local_ip=LOCAL, service_port=502)),
     # IPv4 without a decoded L4 header keys on the destination MAC
     (frames.ethernet(PLC_MAC, LOCAL_MAC, 0x0800, _ICMP), Direction.TX,
-     FlowKey(FlowKind.OTHER, peer_mac=PLC_MAC)),
+     FlowKey(FlowKind.OTHER, peer=PLC_MAC)),
     (frames.arp_frame(ArpOp.REQUEST, PLC_MAC, PLC, LOCAL_MAC, LOCAL), Direction.RX,
-     FlowKey(FlowKind.ARP, peer_mac=PLC_MAC)),
+     FlowKey(FlowKind.ARP, peer=PLC_MAC)),
 ], ids=["sent-arp-request", "sent-tcp", "sent-ipv4-without-l4", "received-arp-request"])
 def test_unknown_direction_is_inferred_from_addressing(frame, direction, key):
     def learned_flows(direction):
@@ -211,6 +198,40 @@ def test_host_silent_fires_once_and_rearms():
     assert engine.tick(last + 500 * MS) == []
     events = engine.tick(last + 700 * MS)
     assert [e.cause for e in events] == [Cause.HOST_SILENT]
+
+
+def test_host_silent_fires_at_first_tick_past_upper_band():
+    # learned gaps of 250 s and 300 s at delta 0.1: the upper band is 330 s
+    engine = Engine(_config(learning_duration_us=600 * S, delta=0.1))
+    engine.tick(0)
+    for at in (0, 250 * S, 550 * S):
+        engine.ingest(Direction.RX, _poll_frame(0), at)
+    engine.tick(600 * S)
+    baseline = engine.states[FlowKey(FlowKind.TCP, PLC, LOCAL, 502)]
+    assert baseline.high_us == 330 * S
+    assert engine.tick(550 * S + 330 * S - 1) == []
+    events = engine.tick(550 * S + 330 * S)
+    assert [(e.cause, e.detail) for e in events] == [
+        (Cause.HOST_SILENT, "silent since %dus" % (550 * S))
+    ]
+
+
+def test_imported_flow_never_seen_is_silent_one_band_after_first_tick():
+    key = FlowKey(FlowKind.TCP, PLC, LOCAL, 502)
+    engine = Engine(_config())
+    engine.import_model(
+        b"EIDS-MODEL 1\nFLOW\tTcp\t%s\t%s\t502\n"
+        b"TIMING\tTcp\t%s\t%s\t502\t100000\t100000\t100000\t50\t300\n"
+        % ((PLC.encode(), LOCAL.encode()) * 2)
+    )
+    assert engine.states[key].high_us == 130 * MS
+    first = 7 * S
+    assert engine.tick(first) == []  # silence is measured from here
+    assert engine.tick(first + 130 * MS - 1) == []
+    events = engine.tick(first + 130 * MS)
+    assert [(e.cause, e.flow, e.detail) for e in events] == [
+        (Cause.HOST_SILENT, key, "silent since %dus" % first)
+    ]
 
 
 def test_syn_fin_rst_excluded_from_sampling():

@@ -46,7 +46,7 @@ def _observe(table, packet, mode):
 
 def test_derive_key_server_port_502():
     key = derive_key(*_tcp(49152, 502), LOCAL)
-    assert key == FlowKey(FlowKind.TCP, peer_ip=PLC, local_ip=LOCAL, service_port=502)
+    assert key == FlowKey(FlowKind.TCP, peer=PLC, local_ip=LOCAL, service_port=502)
 
 
 def test_reconnect_new_client_port_same_key():
@@ -67,7 +67,7 @@ def test_response_direction_same_key():
 
 def test_arp_key_is_sender_mac():
     arp = _arp(ArpOp.REQUEST, PLC_MAC, PLC, frames.ZERO_MAC, LOCAL)
-    assert derive_key(*arp, LOCAL) == FlowKey(FlowKind.ARP, peer_mac=PLC_MAC)
+    assert derive_key(*arp, LOCAL) == FlowKey(FlowKind.ARP, peer=PLC_MAC)
 
 
 def test_syn_decides_orientation_without_well_known_port():
@@ -96,7 +96,7 @@ def test_key_for_admitted_flow_with_equal_ports():
     table = FlowTable(LOCAL)
     packet = _tcp(5000, 5000)
     _observe(table, packet, Mode.LEARNING)
-    key = FlowKey(FlowKind.TCP, peer_ip=PLC, local_ip=LOCAL, service_port=5000)
+    key = FlowKey(FlowKind.TCP, peer=PLC, local_ip=LOCAL, service_port=5000)
     assert table.flows == {key}
     assert table.key_for(*packet) == key
     assert _observe(table, packet, Mode.ACTIVE) is FlowVerdict.KNOWN
@@ -108,7 +108,7 @@ def test_key_for_both_candidates_admitted_falls_through():
     # derive_key heuristic (min port, 5000) pick the key
     table = FlowTable(LOCAL)
     for port in (5000, 6000):
-        table.admit(FlowKey(FlowKind.TCP, peer_ip=PLC, local_ip=LOCAL, service_port=port))
+        table.admit(FlowKey(FlowKind.TCP, peer=PLC, local_ip=LOCAL, service_port=port))
     packet = _tcp(6000, 5000)
     assert table.key_for(*packet).service_port == 5000
     table.services.add((PLC, 6000))
@@ -124,7 +124,7 @@ def test_key_for_learned_service_overrides_heuristic():
     packet = _tcp(4000, 6000, src="192.168.1.60")
     assert derive_key(*packet, LOCAL).service_port == 4000
     assert table.key_for(*packet) == FlowKey(
-        FlowKind.TCP, peer_ip="192.168.1.60", local_ip=LOCAL, service_port=6000
+        FlowKind.TCP, peer="192.168.1.60", local_ip=LOCAL, service_port=6000
     )
 
 
@@ -226,14 +226,14 @@ def test_learned_topology_has_two_kinds_per_peer():
         _observe(table, (parse_frame(data), direction), Mode.LEARNING)
     topo = trace.topology
     plc = topo.device("PLC")
-    assert FlowKey(FlowKind.TCP, peer_ip=plc.ip, local_ip=LOCAL, service_port=502) in table.flows
-    assert FlowKey(FlowKind.ARP, peer_mac=plc.mac) in table.flows
+    assert FlowKey(FlowKind.TCP, peer=plc.ip, local_ip=LOCAL, service_port=502) in table.flows
+    assert FlowKey(FlowKind.ARP, peer=plc.mac) in table.flows
     for dev in topo.edge_nodes():
         if dev.name == "S1":
             continue
-        assert FlowKey(FlowKind.UDP, peer_ip=dev.ip, local_ip="255.255.255.255",
+        assert FlowKey(FlowKind.UDP, peer=dev.ip, local_ip="255.255.255.255",
                        service_port=47808) in table.flows
-        assert FlowKey(FlowKind.ARP, peer_mac=dev.mac) in table.flows
+        assert FlowKey(FlowKind.ARP, peer=dev.mac) in table.flows
     for dev in topo.devices:
         assert table.bindings[dev.ip] == dev.mac
 

@@ -131,19 +131,6 @@ def test_alpha_zero_never_moves_the_mean():
     assert baseline.mean_us == before
 
 
-def test_absence_bounds():
-    baseline = _baseline([250_000_000, 300_000_000], delta=0.1)
-    baseline.last_arrival_us = 0
-    # 300s * 1.1 = 330s
-    assert baseline.absence(331_000_000) is TimingVerdict.TOO_SLOW
-    assert baseline.absence(10_000_000) is None
-
-
-def test_absence_without_sighting_is_none():
-    baseline = _baseline([100, 200], delta=0.1)
-    assert baseline.absence(10**9) is None
-
-
 def test_window_running_sum_matches_brute_force():
     rng = random.Random(17)
     window = ActiveWindow(capacity=7)
