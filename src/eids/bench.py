@@ -12,7 +12,7 @@ import time
 from dataclasses import dataclass
 
 from .central import CentralLogger
-from .engine import Engine, EngineConfig, IntrusionEvent, replay
+from .engine import Clock, Engine, EngineConfig, IntrusionEvent, replay
 from .packet import PROTO_UDP, Direction, ParseError, parse_frame
 from .sim import (
     AttackScenario,
@@ -120,15 +120,12 @@ def _observe(trace: FrameTrace, profile: TrafficProfile) -> ScenarioResult:
 
 def _feed_logger(logger: CentralLogger, trace: FrameTrace) -> list[tuple[int, int]]:
     downs: list[tuple[int, int]] = []
-    next_sweep = None
+    due = Clock(1_000_000).due
     for at_us, direction, data in trace.frames_for(LOGGER_HOST):
         if direction is not Direction.RX:
             continue
-        if next_sweep is None:
-            next_sweep = at_us
-        while next_sweep <= at_us:
-            downs.extend((next_sweep, r.node_id) for r in logger.sweep(next_sweep))
-            next_sweep += 1_000_000
+        for sweep_us in due(at_us):
+            downs.extend((sweep_us, r.node_id) for r in logger.sweep(sweep_us))
         try:
             l3 = parse_frame(data).l3
         except ParseError:
@@ -139,10 +136,8 @@ def _feed_logger(logger: CentralLogger, trace: FrameTrace) -> list[tuple[int, in
         end = start + l3.l4.payload_len
         if end <= len(data):
             logger.on_datagram(data[start:end], at_us)
-    if next_sweep is not None:
-        while next_sweep <= DURATION_US:
-            downs.extend((next_sweep, r.node_id) for r in logger.sweep(next_sweep))
-            next_sweep += 1_000_000
+    for sweep_us in due(DURATION_US):
+        downs.extend((sweep_us, r.node_id) for r in logger.sweep(sweep_us))
     return downs
 
 

@@ -22,6 +22,7 @@ from . import announce, bench, sim
 from .central import CentralLogger
 from .engine import (
     BadModelVersion,
+    Clock,
     Engine,
     EngineConfig,
     MalformedModelLine,
@@ -63,7 +64,7 @@ def _scaled_range(unit):
     return convert
 
 
-# config key -> (attribute or override name, converter)
+# config or scenario spec key -> (attribute, override or field name, converter)
 _PROFILE_KEYS = {
     "poll_period_ms": ("poll_period_us", _scaled(1000)),
     "response_delay_ms": ("response_delay_us", _scaled_range(1000)),
@@ -78,6 +79,15 @@ _ENGINE_KEYS = {
     "delta_arp": ("delta_arp", float),
     "alpha": ("alpha", float),
     "window": ("window", int),
+}
+_SCENARIO_KEYS = {
+    "start": ("start_us", _scaled(1e6)),
+    "stop": ("stop_us", _scaled(1e6)),
+    "target": ("target", str),
+    "peer": ("peer", str),
+    "rate": ("rate_pps", int),
+    "attacker-ip": ("attacker_ip", str),
+    "attacker-mac": ("attacker_mac", str),
 }
 
 
@@ -141,14 +151,9 @@ def load_config(
 
 def _engine_config(args, overrides: dict, learning_s: float | None) -> EngineConfig:
     merged = dict(overrides)
-    if args.delta is not None:
-        merged["delta"] = args.delta
-    if args.delta_arp is not None:
-        merged["delta_arp"] = args.delta_arp
-    if args.window is not None:
-        merged["window"] = args.window
-    if args.alpha is not None:
-        merged["alpha"] = args.alpha
+    for name in _ENGINE_KEYS:
+        if getattr(args, name) is not None:
+            merged[name] = getattr(args, name)
     if learning_s is not None:
         merged["learning_duration_us"] = int(learning_s * 1e6)
     return EngineConfig(local_ip=args.local_ip, node_id=args.node_id, **merged)
@@ -291,22 +296,10 @@ def _parse_scenario(spec: str) -> sim.AttackScenario:
     if rest:
         for pair in rest.split(","):
             key, _, value = pair.partition("=")
-            if key == "start":
-                kwargs["start_us"] = int(float(value) * 1e6)
-            elif key == "stop":
-                kwargs["stop_us"] = int(float(value) * 1e6)
-            elif key == "target":
-                kwargs["target"] = value
-            elif key == "peer":
-                kwargs["peer"] = value
-            elif key == "rate":
-                kwargs["rate_pps"] = int(value)
-            elif key == "attacker-ip":
-                kwargs["attacker_ip"] = value
-            elif key == "attacker-mac":
-                kwargs["attacker_mac"] = value
-            else:
+            if key not in _SCENARIO_KEYS:
                 raise ValueError("unknown scenario parameter %r" % key)
+            name, convert = _SCENARIO_KEYS[key]
+            kwargs[name] = convert(value)
     return sim.AttackScenario(kind, **kwargs)
 
 
@@ -337,7 +330,7 @@ def cmd_logger(args) -> int:
     # sweeps and --duration run on the monotonic clock, immune to clock
     # steps; the logger gets wall-clock stamps read on arrival
     started = time.monotonic()
-    next_sweep = started
+    sweeps = Clock(1_000_000)
     last_render = ""
     try:
         while args.duration is None or time.monotonic() - started < args.duration:
@@ -347,9 +340,8 @@ def cmd_logger(args) -> int:
                 pass
             else:
                 logger.on_datagram(data, int(time.time() * 1e6))
-            if time.monotonic() >= next_sweep:
+            if sweeps.due(int(time.monotonic() * 1e6)):
                 logger.sweep(int(time.time() * 1e6))
-                next_sweep += 1.0
             note_transitions()
             rendered = logger.render_status()
             if rendered != last_render:
@@ -399,9 +391,8 @@ def cmd_stats(args) -> int:
 
 def _add_input_options(p, with_duration_default=1200.0):
     p.add_argument("--pcap", help="read frames from a capture file")
-    p.add_argument("--sim", action="store_true", help="use simulated benign traffic")
     p.add_argument("--duration", type=float, default=with_duration_default,
-                   help="simulated seconds when using --sim")
+                   help="simulated seconds when --pcap is not given")
     p.add_argument("--seed", default=0, help="simulation seed")
     p.add_argument("--config", help="INI config for topology/profile/engine")
 

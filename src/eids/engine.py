@@ -22,7 +22,7 @@ Callers serialize ingest and tick by timestamp.
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from enum import Enum
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .flows import IP_KINDS, FlowKey, FlowKind, FlowTable, FlowVerdict, Mode
 from .packet import (
@@ -305,8 +305,12 @@ class Engine:
                 raise MalformedModelLine(line)
             try:
                 self._import_line(fields)
-            except ValueError as exc:
+            except (ValueError, OverflowError) as exc:
                 raise MalformedModelLine(line) from exc
+        # checked once all lines are read: FLOW lines may come after TIMING
+        unadmitted = sorted(key.render() for key in self.states.keys() - self.table.flows)
+        if unadmitted:
+            raise MalformedModelLine("TIMING without FLOW: %s" % ", ".join(unadmitted))
         self.mode = Mode.ACTIVE
 
     def _import_line(self, fields: list[str]) -> None:
@@ -353,28 +357,40 @@ def format_event(event: IntrusionEvent, node_id: int) -> str:
     return "%s\t%d\t%s\t%s\t%s" % (stamp, node_id, event.cause.value, flow, event.detail)
 
 
+class Clock:
+    """A grid of times period_us apart, anchored at the first time it is
+    shown. Its state is plain attributes, so a copy carries on the grid."""
+
+    def __init__(self, period_us: int):
+        self.period_us = period_us
+        self.next_us: int | None = None
+
+    def due(self, now_us: int) -> Sequence[int]:
+        """The grid times at or before now_us not returned before, oldest first."""
+        first = now_us if self.next_us is None else self.next_us
+        if now_us < first:
+            return ()
+        self.next_us = now_us - (now_us - first) % self.period_us + self.period_us
+        return range(first, self.next_us, self.period_us)
+
+
 def replay(
     engine: Engine,
     frames: Iterable[tuple[int, Direction | None, bytes]],
     tail_us: int = 0,
 ) -> Iterator[IntrusionEvent]:
     """Drive an engine from a time-ordered frame stream, interleaving
-    clock ticks every TICK_PERIOD_US, and yield each event as it is
-    raised. tail_us extends ticking past the last frame so silence at
-    the end of a capture is still seen. Nothing runs until the caller
-    iterates."""
-    next_tick: int | None = None
+    clock ticks every TICK_PERIOD_US from the first frame, and yield
+    each event as it is raised. tail_us extends ticking past the last
+    frame so silence at the end of a capture is still seen. Nothing
+    runs until the caller iterates."""
+    due = Clock(TICK_PERIOD_US).due
     last = None
     for at_us, direction, data in frames:
-        if next_tick is None:
-            next_tick = at_us
-        while next_tick <= at_us:
-            yield from engine.tick(next_tick)
-            next_tick += TICK_PERIOD_US
+        for tick_us in due(at_us):
+            yield from engine.tick(tick_us)
         yield from engine.ingest(direction, data, at_us)[1]
         last = at_us
-    if last is not None and next_tick is not None:
-        end = last + tail_us
-        while next_tick <= end:
-            yield from engine.tick(next_tick)
-            next_tick += TICK_PERIOD_US
+    if last is not None:
+        for tick_us in due(last + tail_us):
+            yield from engine.tick(tick_us)

@@ -50,9 +50,6 @@ class ActiveWindow:
     def mean(self) -> float:
         return self.running_sum / len(self.samples)
 
-    def __len__(self) -> int:
-        return len(self.samples)
-
 
 @dataclass
 class FlowBaseline:

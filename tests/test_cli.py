@@ -222,7 +222,7 @@ def test_detect_bad_input_exits_two(tmp_path, capsys, case):
 def test_input_error_exits_two(tmp_path, capsys, case):
     config = tmp_path / "plant.ini"
     config.write_text("[profile]\npoll_period_ms = abc\n")
-    sim_input = ["--sim", "--duration", "5"]
+    sim_input = ["--duration", "5"]
     absent_dir = tmp_path / "absent"
     argv = {
         "sim-unknown-local-ip":
@@ -259,7 +259,7 @@ def test_input_error_exits_two(tmp_path, capsys, case):
 def test_config_error_names_file_section_and_key(tmp_path, capsys, line, key):
     config = tmp_path / "plant.ini"
     config.write_text("[profile]\n%s\n" % line)
-    argv = ["stats", "--config", str(config), "--flow", "udp:10.0.0.1:9", "--sim",
+    argv = ["stats", "--config", str(config), "--flow", "udp:10.0.0.1:9",
             "--duration", "5"]
     assert main(argv) == 2
     err = capsys.readouterr().err
@@ -278,7 +278,7 @@ def test_config_error_names_file_section_and_key(tmp_path, capsys, line, key):
 def test_unknown_config_section_or_key_is_an_input_error(tmp_path, capsys, text, where):
     config = tmp_path / "plant.ini"
     config.write_text(text)
-    argv = ["stats", "--config", str(config), "--flow", "udp:10.0.0.1:9", "--sim",
+    argv = ["stats", "--config", str(config), "--flow", "udp:10.0.0.1:9",
             "--duration", "5"]
     assert main(argv) == 2
     captured = capsys.readouterr()
@@ -294,7 +294,7 @@ def test_unknown_config_section_or_key_is_an_input_error(tmp_path, capsys, text,
 def test_config_without_section_header_is_one_line(tmp_path, capsys, command):
     config = tmp_path / "plant.ini"
     config.write_text("poll_period_ms = 100\n")
-    argv = command + ["--config", str(config), "--sim", "--duration", "5"]
+    argv = command + ["--config", str(config), "--duration", "5"]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -306,7 +306,7 @@ def test_learn_unwritable_out_fails_before_reading_input(tmp_path, monkeypatch, 
     replays = []
     monkeypatch.setattr("eids.cli.replay", lambda *args, **kwargs: replays.append(args))
     out = tmp_path / "absent" / "m.model"
-    assert main(["learn", "--sim", "--duration", "600", "-o", str(out)]) == 2
+    assert main(["learn", "--duration", "600", "-o", str(out)]) == 2
     assert replays == []
     assert capsys.readouterr().err.startswith("eids: ")
 
@@ -337,7 +337,7 @@ def test_broken_pipe_exits_zero(tmp_path, monkeypatch):
 
     with open(tmp_path / "stdout", "w") as handle:
         monkeypatch.setattr("sys.stdout", ClosedPipe(handle))
-        code = main(["stats", "--sim", "--duration", "5", "--flow", "udp:10.0.0.1:9"])
+        code = main(["stats", "--duration", "5", "--flow", "udp:10.0.0.1:9"])
     assert code == 0
 
 
@@ -377,7 +377,7 @@ def test_simulate_writes_pcap(tmp_path, capsys):
 
 def test_stats_csv_to_stdout(tmp_path, capsys):
     code = main([
-        "stats", "--sim", "--duration", "30", "--seed", "2",
+        "stats", "--duration", "30", "--seed", "2",
         "--flow", "tcp:192.168.1.101:502",
     ])
     out = capsys.readouterr().out
@@ -389,7 +389,7 @@ def test_stats_csv_to_stdout(tmp_path, capsys):
 
 def test_stats_unmatched_filter_header_only(capsys):
     code = main([
-        "stats", "--sim", "--duration", "5", "--seed", "2",
+        "stats", "--duration", "5", "--seed", "2",
         "--flow", "udp:10.0.0.1:9",
     ])
     assert code == 0
@@ -397,7 +397,7 @@ def test_stats_unmatched_filter_header_only(capsys):
 
 
 def test_stats_bad_filter_exits_two(capsys):
-    assert main(["stats", "--sim", "--duration", "1", "--flow", "nope"]) == 2
+    assert main(["stats", "--duration", "1", "--flow", "nope"]) == 2
 
 
 def test_logger_over_loopback(tmp_path, capsys, monkeypatch):
@@ -488,7 +488,7 @@ def test_config_file_drives_simulation(tmp_path, capsys):
         "attack = 5:start=40,target=S1,stop=50\n"
     )
     code = main([
-        "detect", "--learn-first", "30", "--sim", "--duration", "60",
+        "detect", "--learn-first", "30", "--duration", "60",
         "--seed", "3", "--config", str(config),
     ])
     out = capsys.readouterr().out

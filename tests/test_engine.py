@@ -6,6 +6,7 @@ from eids import frames, sim
 from eids.engine import (
     BadModelVersion,
     Cause,
+    Clock,
     Engine,
     EngineConfig,
     MalformedModelLine,
@@ -291,6 +292,31 @@ def test_model_version_and_malformed_lines():
         engine.import_model(b"EIDS-MODEL 1\nTIMING\tTcp\ta\tb\tnot-an-int\tc\td\te\tf\tg\n")
 
 
+def test_model_import_names_an_overflowing_line():
+    line = "TIMING\tTcp\t%s\t%s\t502\t100000\t100000\t100000\t50\t%s" % (
+        PLC, LOCAL, "9" * 400)  # a tolerance too large for a float
+    model = "EIDS-MODEL 1\nFLOW\tTcp\t%s\t%s\t502\n%s\n" % (PLC, LOCAL, line)
+    with pytest.raises(MalformedModelLine) as info:
+        Engine(_config()).import_model(model.encode())
+    assert str(info.value) == line
+
+
+def test_model_import_rejects_timing_for_a_flow_it_never_admits():
+    with pytest.raises(MalformedModelLine, match="arp/zz"):
+        Engine(_config()).import_model(
+            b"EIDS-MODEL 1\nTIMING\tArp\tzz\t-\t0\t100000\t100000\t100000\t50\t1000\n"
+        )
+
+
+def test_model_timing_line_may_precede_its_flow_line():
+    engine = Engine(_config())
+    engine.import_model(
+        b"EIDS-MODEL 1\nTIMING\tArp\tzz\t-\t0\t100000\t100000\t100000\t50\t1000\n"
+        b"FLOW\tArp\tzz\t-\t0\n"
+    )
+    assert list(engine.states) == [FlowKey(FlowKind.ARP, "zz")]
+
+
 def test_import_refused_after_traffic():
     engine = _learned_engine()
     with pytest.raises(RuntimeError):
@@ -317,3 +343,14 @@ def test_replay_helper_ticks_and_ingests():
     events = list(replay(engine, frames_in))
     assert engine.mode is Mode.ACTIVE
     assert events == []
+
+
+def test_clock_returns_each_grid_point_once_from_the_first_time():
+    clock = Clock(100)
+    assert list(clock.due(7)) == [7]  # the first call anchors the grid
+    assert list(clock.due(106)) == []
+    assert list(clock.due(107)) == [107]  # a point at the time itself is due
+    assert list(clock.due(107)) == []
+    assert list(clock.due(450)) == [207, 307, 407]  # every point a gap skipped
+    assert list(clock.due(300)) == []  # time going back fires nothing
+    assert list(clock.due(507)) == [507]

@@ -17,8 +17,9 @@ import io
 
 import pytest
 
-from eids import sim
+from eids import bench, sim
 from eids.cli import main
+from eids.engine import format_event
 
 PCAP_SHA256 = "3b733a63af9333b94798fcd496641d1e2de1f5e6e72241072e13b32d9f9948b7"
 MODEL_SHA256 = "01bda656c7a6a2beea3454d7d3e872e5babf474f1375e78eeac078087cd34a5b"
@@ -44,6 +45,11 @@ VIEW_PCAP_SHA256 = {
     "S1": "0ef45b68d3cffa7a85b09d88eaac9ea1773425ddf34184c878fb14b911839316",
     "PLC": "9821be2e18bf5c006a1754e0d58217739211083451dcfba1124c0e947b6f9c65",
 }
+# sha256 of every scenario matrix row's event log lines and logger
+# downs, on one shared 100 s plant at seed 3 with the bench shrunk as
+# perfbench/selfcheck.py shrinks it; taken while the engine's ticks and
+# the logger's sweeps each kept a schedule of their own
+OBSERVE_SHA256 = "b1122ac059ef79c8a7112a7e50b8c8f7f0c2c82414e13a37897adb9ac898e99c"
 
 
 def _sha256(data: bytes) -> str:
@@ -121,3 +127,18 @@ def test_one_shared_plant_gives_every_scenario_kind_trace():
         for fr in trace.frames:
             digest.update(repr((fr.time_us, fr.src, fr.dst, fr.data)).encode())
         assert digest.hexdigest() == expected, kind
+
+
+def test_observe_matrix_rows_on_a_short_shared_plant(monkeypatch):
+    monkeypatch.setattr(bench, "LEARNING_US", 60 * S)
+    monkeypatch.setattr(bench, "ATTACK_START_US", 65 * S)
+    monkeypatch.setattr(bench, "DURATION_US", 100 * S)
+    profile = sim.TrafficProfile()
+    plant = sim.Plant(sim.Topology.default(), profile, bench.DURATION_US, 3)
+    digest = hashlib.sha256()
+    for scenario, _variant, _expected in bench._scenario_matrix():
+        result = bench._observe(plant.trace([scenario]), profile)
+        for event in result.events:
+            digest.update((format_event(event, result.engine.config.node_id) + "\n").encode())
+        digest.update((repr(result.downs) + "\n").encode())
+    assert digest.hexdigest() == OBSERVE_SHA256

@@ -5,7 +5,7 @@ import statistics
 
 import pytest
 
-from eids import sim
+from eids import bench, sim
 from eids.announce import ReplayState, decode_verify
 from eids.packet import PROTO_UDP, TCP_ACK, TCP_SYN, ArpOp, Direction, ParseError, parse_frame
 from eids.pcap import read_pcap
@@ -330,3 +330,18 @@ def test_topology_defaults_match_reference_plant():
     assert topo.device("HMI").ip == "192.168.1.40"
     assert topo.device("Cloud").ip == "192.168.1.1"
     assert len(topo.edge_nodes()) == 9
+
+
+def test_every_edge_node_sees_the_benign_plant_before_each_matrix_row_starts(monkeypatch):
+    # a row's run can start from a copy of the benign run taken at the
+    # row's start only if no node sees the row's scenario any earlier
+    monkeypatch.setattr(bench, "LEARNING_US", 60 * S)
+    monkeypatch.setattr(bench, "ATTACK_START_US", 65 * S)
+    plant = sim.Plant(sim.Topology.default(), sim.TrafficProfile(), 100 * S, 3)
+    benign = plant.trace([])
+    for scenario, _variant, _expected in bench._scenario_matrix():
+        trace = plant.trace([scenario])
+        for node in plant.topology.edge_nodes():
+            before = [f for f in trace.frames_for(node.name) if f[0] < scenario.start_us]
+            assert before == [f for f in benign.frames_for(node.name)
+                              if f[0] < scenario.start_us], (scenario, node.name)

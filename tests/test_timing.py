@@ -103,7 +103,7 @@ def test_flagged_samples_stay_out_of_window():
     window = ActiveWindow(4)
     baseline = _baseline([100 * MS, 100 * MS], delta=0.1, window=window)
     assert baseline.check(1) is TimingVerdict.TOO_FAST
-    assert len(window) == 0
+    assert len(window.samples) == 0
 
 
 def test_runtime_adjust_fixed_point_and_arithmetic():
