@@ -198,6 +198,9 @@ class ArpRequestGaps:
         """Yield frame_triples unchanged, measuring gaps on the way."""
         for triple in frame_triples:
             ts_us, _direction, data = triple
+            if data[12:14] == b"\x08\x00":
+                yield triple  # untagged IPv4 never carries ARP: skip it unparsed
+                continue
             try:
                 arp = parse_frame(data).arp
             except ParseError:
@@ -265,10 +268,11 @@ def cmd_detect(args) -> int:
             _err("cannot load model %s: %s" % (args.model, exc))
             return 2
     raised = False
+    write = sys.stdout.write
     for event in replay(
         engine, _input_frames(args, topology, profile, scenarios), tail_us=args.tail_us
     ):
-        print(format_event(event, config.node_id))
+        write(format_event(event, config.node_id) + "\n")
         raised = True
     return 1 if raised else 0
 

@@ -22,7 +22,8 @@ Callers serialize ingest and tick by timestamp.
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from enum import Enum
-from typing import Iterable, Iterator, Sequence
+from functools import lru_cache
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .flows import IP_KINDS, FlowKey, FlowKind, FlowTable, FlowVerdict, Mode
 from .packet import (
@@ -79,8 +80,7 @@ class MalformedModelLine(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class IntrusionEvent:
+class IntrusionEvent(NamedTuple):
     at_us: int
     cause: Cause
     flow: FlowKey | None
@@ -348,13 +348,21 @@ def _parse_flow_key(kind: str, peer: str, local: str, port: str) -> FlowKey:
     return FlowKey(FlowKind(kind), peer, "" if local == "-" else local, int(port))
 
 
+@lru_cache(maxsize=256)
+def _stamp_second(seconds: int) -> str:
+    return (_EPOCH + timedelta(seconds=seconds)).strftime("%Y-%m-%dT%H:%M:%S")
+
+
+_render_flow = lru_cache(maxsize=1024)(FlowKey.render)
+
+
 def format_event(event: IntrusionEvent, node_id: int) -> str:
     """One event-log line: ISO8601 time, node, cause, flow, detail."""
-    stamp = (_EPOCH + timedelta(microseconds=event.at_us)).strftime(
-        "%Y-%m-%dT%H:%M:%S.%f"
-    ) + "Z"
-    flow = event.flow.render() if event.flow is not None else "-"
-    return "%s\t%d\t%s\t%s\t%s" % (stamp, node_id, event.cause.value, flow, event.detail)
+    seconds, micros = divmod(event.at_us, 1_000_000)
+    flow = _render_flow(event.flow) if event.flow is not None else "-"
+    return "%s.%06dZ\t%d\t%s\t%s\t%s" % (
+        _stamp_second(seconds), micros, node_id, event.cause.value, flow, event.detail
+    )
 
 
 class Clock:

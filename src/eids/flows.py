@@ -23,7 +23,9 @@ class Mode(Enum):
     ACTIVE = "active"
 
 
-class FlowKind(Enum):
+# a str mixin: a FlowKey hashes and compares in C, equal to the plain tuple
+# of its fields; render through .value, as format() differs across versions
+class FlowKind(str, Enum):
     TCP = "Tcp"
     UDP = "Udp"
     ARP = "Arp"
@@ -150,24 +152,24 @@ class FlowTable:
         which side carries the service port; the pure heuristic of
         derive_key is the fallback.
         """
-        if meta.l3 is None or meta.l3.l4 is None:
+        l3 = meta.l3
+        if l3 is None or l3.l4 is None:
             return derive_key(meta, direction, self.local_ip)
-        l4 = meta.l3.l4
-        kind = FlowKind.TCP if meta.l3.protocol == PROTO_TCP else FlowKind.UDP
-        peer_ip, peer_port, home_ip, home_port = _endpoints(meta, direction, self.local_ip)
-        by_src = FlowKey(kind, peer_ip, home_ip, l4.src_port)
-        by_dst = FlowKey(kind, peer_ip, home_ip, l4.dst_port)
-        if by_src in self.flows:
+        l4 = l3.l4
+        kind = FlowKind.TCP if l3.protocol == PROTO_TCP else FlowKind.UDP
+        peer_ip, _, home_ip, _ = _endpoints(meta, direction, self.local_ip)
+        # plain tuples probe the set: they hash and compare as FlowKeys do
+        src_port, dst_port, flows = l4.src_port, l4.dst_port, self.flows
+        if (kind, peer_ip, home_ip, src_port) in flows:
             # equal ports make one candidate, not two admitted ones
-            if l4.src_port == l4.dst_port or by_dst not in self.flows:
-                return by_src
-        elif by_dst in self.flows:
-            return by_dst
-        src_known = (meta.l3.src_ip, l4.src_port) in self.services
-        dst_known = (meta.l3.dst_ip, l4.dst_port) in self.services
+            if src_port == dst_port or (kind, peer_ip, home_ip, dst_port) not in flows:
+                return FlowKey(kind, peer_ip, home_ip, src_port)
+        elif (kind, peer_ip, home_ip, dst_port) in flows:
+            return FlowKey(kind, peer_ip, home_ip, dst_port)
+        src_known = (l3.src_ip, src_port) in self.services
+        dst_known = (l3.dst_ip, dst_port) in self.services
         if src_known != dst_known:
-            port = l4.src_port if src_known else l4.dst_port
-            return FlowKey(kind, peer_ip, home_ip, port)
+            return FlowKey(kind, peer_ip, home_ip, src_port if src_known else dst_port)
         return derive_key(meta, direction, self.local_ip)
 
     def observe(self, meta: PacketMeta, mode: Mode, key: FlowKey) -> FlowVerdict:

@@ -39,6 +39,7 @@ _ARP_BODY = 28
 
 _ARP_FIXED = struct.Struct(">HHBBH")
 _UDP_HDR = struct.Struct(">HHHH")
+_PORTS = struct.Struct(">HH")
 
 
 class ParseError(ValueError):
@@ -164,7 +165,6 @@ def _parse_ipv4(data: bytes, offset: int) -> Ipv4Meta | None:
         return None  # nonsensical header length; keep MAC level only
     if len(data) < offset + ihl:
         raise TruncatedFrame("IPv4 options promised but frame ends")
-    total_len = (data[offset + 2] << 8) | data[offset + 3]
     protocol = data[offset + 9]
     src_ip = format_ip(data[offset + 12 : offset + 16])
     dst_ip = format_ip(data[offset + 16 : offset + 20])
@@ -172,26 +172,20 @@ def _parse_ipv4(data: bytes, offset: int) -> Ipv4Meta | None:
     l4 = None
     l4_off = offset + ihl
     if protocol == PROTO_TCP:
-        l4 = _parse_tcp(data, l4_off, total_len - ihl)
+        if len(data) < l4_off + 14:
+            raise TruncatedFrame("TCP header promised but frame ends")
+        doff = (data[l4_off + 12] >> 4) * 4
+        if doff >= 20:  # a shorter header length leaves the port block undecoded
+            if len(data) < l4_off + doff:
+                raise TruncatedFrame("TCP options promised but frame ends")
+            payload_len = ((data[offset + 2] << 8) | data[offset + 3]) - ihl - doff
+            if payload_len < 0:
+                raise TruncatedFrame("IP total length ends inside the TCP header")
+            src_port, dst_port = _PORTS.unpack_from(data, l4_off)
+            l4 = TransportMeta(src_port, dst_port, payload_len, l4_off + doff, data[l4_off + 13])
     elif protocol == PROTO_UDP:
         l4 = _parse_udp(data, l4_off)
     return Ipv4Meta(src_ip, dst_ip, protocol, l4)
-
-
-def _parse_tcp(data: bytes, offset: int, ip_payload_len: int) -> TransportMeta | None:
-    if len(data) < offset + 14:
-        raise TruncatedFrame("TCP header promised but frame ends")
-    src_port = (data[offset] << 8) | data[offset + 1]
-    dst_port = (data[offset + 2] << 8) | data[offset + 3]
-    doff = (data[offset + 12] >> 4) * 4
-    if doff < 20:
-        return None  # header length field below the fixed header
-    if len(data) < offset + doff:
-        raise TruncatedFrame("TCP options promised but frame ends")
-    payload_len = ip_payload_len - doff
-    if payload_len < 0:
-        raise TruncatedFrame("IP total length ends inside the TCP header")
-    return TransportMeta(src_port, dst_port, payload_len, offset + doff, data[offset + 13])
 
 
 def _parse_udp(data: bytes, offset: int) -> TransportMeta:

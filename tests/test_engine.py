@@ -1,7 +1,10 @@
 """Engine orchestration: modes, verdicts, events, model persistence."""
 
+from datetime import datetime, timedelta, timezone
+
 import pytest
 
+from eids import engine as engine_module
 from eids import frames, sim
 from eids.engine import (
     BadModelVersion,
@@ -9,6 +12,7 @@ from eids.engine import (
     Clock,
     Engine,
     EngineConfig,
+    IntrusionEvent,
     MalformedModelLine,
     Verdict,
     format_event,
@@ -24,6 +28,12 @@ PLC_MAC = "02:00:ac:10:01:32"
 
 MS = 1000
 S = 1_000_000
+EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+
+
+def _at_us(*fields):
+    """Microseconds since the epoch of a UTC date and time."""
+    return (datetime(*fields, tzinfo=timezone.utc) - EPOCH) // timedelta(microseconds=1)
 
 
 def _poll_frame(k):
@@ -259,6 +269,75 @@ def test_event_log_line_format():
     assert node == "1"
     assert cause == "NewFlow"
     assert flow == "-"
+
+
+@pytest.mark.parametrize("at_us", [
+    0,
+    999_999,
+    1_000_000,
+    _at_us(2024, 2, 29, 23, 59, 59, 999_999),
+    _at_us(2038, 1, 19, 3, 14, 8),
+    (2**32 - 1) * S + 999_999,  # the latest time a pcap record holds
+])
+def test_event_stamp_matches_the_datetime_formula(at_us):
+    event = IntrusionEvent(at_us, Cause.TOO_FAST, FlowKey(FlowKind.TCP, PLC, LOCAL, 502), "d")
+    stamp = (EPOCH + timedelta(microseconds=at_us)).strftime("%Y-%m-%dT%H:%M:%S.%f") + "Z"
+    assert format_event(event, 7) == "%s\t7\tTooFast\ttcp/%s->%s:502\td" % (stamp, PLC, LOCAL)
+
+
+def test_event_text_caches_stay_at_their_bound():
+    for k in range(10_000):
+        key = FlowKey(FlowKind.ARP, "02:00:00:00:%02x:%02x" % divmod(k, 256))
+        line = format_event(IntrusionEvent(k * S + 5, Cause.HOST_SILENT, key, ""), 1)
+    assert line == "1970-01-01T02:46:39.000005Z\t1\tHostSilent\tarp/02:00:00:00:27:0f\t"
+    for cache in (engine_module._stamp_second, engine_module._render_flow):
+        info = cache.cache_info()
+        assert info.currsize == info.maxsize < 10_000
+
+
+def test_intrusion_events_are_immutable_hashable_values():
+    key = FlowKey(FlowKind.TCP, PLC, LOCAL, 502)
+    event = IntrusionEvent(5, Cause.TOO_FAST, key, "dt=1us")
+    with pytest.raises(AttributeError):
+        event.at_us = 6
+    twin = IntrusionEvent(5, Cause.TOO_FAST, FlowKey(FlowKind.TCP, PLC, LOCAL, 502), "dt=1us")
+    slower = IntrusionEvent(5, Cause.TOO_SLOW, key, "dt=1us")
+    assert {event, twin, slower} == {event, slower}
+    assert len({event, twin, slower, IntrusionEvent(5, Cause.NEW_FLOW, None)}) == 3
+
+    engine = _learned_engine()
+    flood = [engine.ingest(Direction.RX, _poll_frame(k), 10_200 * MS + k)[1] for k in range(4)]
+    raised = [e for events in flood for e in events]
+    assert [e.cause for e in raised] == [Cause.TOO_SLOW] + [Cause.TOO_FAST] * 3
+    assert len(set(raised)) == 4 and raised[1] in set(raised)
+
+
+def test_model_of_every_flow_kind_re_exports_byte_identically():
+    engine = Engine(_config())
+    engine.tick(0)
+    learned = [
+        frames.arp_frame(ArpOp.REQUEST, PLC_MAC, PLC, frames.ZERO_MAC, LOCAL),
+        frames.udp_frame(PLC_MAC, frames.BROADCAST_MAC, PLC, "255.255.255.255",
+                         47808, 47808, b"x" * 48),
+        frames.ethernet(LOCAL_MAC, PLC_MAC, 0x86DD, b"\x60" + b"\x00" * 39),
+    ]
+    for k in range(60):
+        at = (k + 1) * 100 * MS
+        engine.ingest(Direction.RX, _poll_frame(k), at)
+        engine.ingest(Direction.RX, learned[k % 3], at + 7 * MS + k)
+    engine.tick(10_100 * MS)
+    model = engine.export_model()
+    lines = [line.split(b"\t") for line in model.splitlines()[1:]]
+    assert {f[1] for f in lines if f[0] == b"FLOW"} == {b"Tcp", b"Udp", b"Arp", b"OtherEth"}
+    assert {f[1] for f in lines if f[0] == b"TIMING"} == {b"Tcp", b"Udp", b"Arp", b"OtherEth"}
+
+    clone = Engine(_config())
+    clone.import_model(model)
+    again = clone.export_model()
+    assert again == model
+    third = Engine(_config())
+    third.import_model(again)
+    assert third.export_model() == model
 
 
 def test_model_round_trip_and_replay():

@@ -83,6 +83,21 @@ def test_min_port_tiebreak():
     assert derive_key(*packet, LOCAL).service_port == 5000
 
 
+def test_flow_key_hashes_and_compares_as_the_tuple_key_for_probes():
+    for kind in FlowKind:
+        key = FlowKey(kind, PLC, LOCAL, 502)
+        probe = (kind, PLC, LOCAL, 502)  # what key_for looks up in table.flows
+        assert type(probe) is tuple and hash(key) == hash(probe)
+        assert key == probe and probe == key
+        assert probe in {key} and key in {probe}
+        assert (kind, PLC, LOCAL, 503) not in {key}
+    table = FlowTable(LOCAL)
+    packet = _tcp(49152, 502)
+    _observe(table, packet, Mode.LEARNING)
+    key = table.key_for(*packet)
+    assert type(key) is FlowKey and key.render() == "tcp/%s->%s:502" % (PLC, LOCAL)
+
+
 def test_table_reuses_learned_orientation():
     table = FlowTable(LOCAL)
     _observe(table, _tcp(5000, 6000, flags=0x02), Mode.LEARNING)  # SYN toward 6000

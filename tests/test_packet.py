@@ -247,3 +247,93 @@ def test_round_trip_all_builders():
             )
         elif meta.l3:
             assert meta.l3.l4.payload_len == 0
+
+
+def _with_ip_bytes(frame: bytes, **fields) -> bytes:
+    """FRAME with IPv4 header fields overwritten: ihl (words), total_len."""
+    out = bytearray(frame)
+    if "ihl" in fields:
+        out[14] = 0x40 | fields["ihl"]
+    if "total_len" in fields:
+        out[16:18] = struct.pack(">H", fields["total_len"])
+    return bytes(out)
+
+
+def _parse_error_cases():
+    arp = frames.arp_frame(
+        ArpOp.REQUEST, PLC_MAC, "192.168.1.50", frames.ZERO_MAC, "192.168.1.101"
+    )
+    tcp = frames.tcp_frame(
+        PLC_MAC, S1_MAC, "192.168.1.50", "192.168.1.101", 49152, 502, 0x18, b"data"
+    )
+    udp = frames.udp_frame(
+        S1_MAC, PLC_MAC, "192.168.1.101", "192.168.1.50", 1000, 2000, b"hi"
+    )
+    tagged = arp[:12] + b"\x81\x00\x00\x05" + arp[12:]
+    tcp_options = bytearray(tcp)
+    tcp_options[14 + 20 + 12] = 7 << 4  # data offset 28: 8 option bytes
+    udp_short = bytearray(udp)
+    udp_short[14 + 20 + 4 : 14 + 20 + 6] = b"\x00\x07"
+    bad_op = bytearray(arp)
+    bad_op[14 + 6 : 14 + 8] = b"\x00\x03"
+    cases = {
+        "ethernet": (arp[:13], "frame of 13 bytes is below the 14-byte Ethernet header"),
+        "empty": (b"", "frame of 0 bytes is below the 14-byte Ethernet header"),
+        "vlan-tag": (tagged[:17], "802.1Q tag promised but frame ends"),
+        "arp-fixed": (arp[:14 + 7], "ARP header promised but frame ends"),
+        "arp-body": (arp[:14 + 8], "ARP body promised but frame ends"),
+        "arp-body-last-byte": (arp[:41], "ARP body promised but frame ends"),
+        "ipv4-header": (tcp[:14 + 19], "IPv4 header promised but frame ends"),
+        "ipv4-options": (_with_ip_bytes(tcp, ihl=15)[:14 + 59],
+                         "IPv4 options promised but frame ends"),
+        "tcp-header": (tcp[:34 + 13], "TCP header promised but frame ends"),
+        "tcp-fixed-tail": (tcp[:34 + 19], "TCP options promised but frame ends"),
+        "tcp-options": (bytes(tcp_options[:34 + 27]), "TCP options promised but frame ends"),
+        "ip-total-length-in-tcp-header": (_with_ip_bytes(tcp, total_len=20 + 19),
+                                          "IP total length ends inside the TCP header"),
+        "udp-header": (udp[:34 + 7], "UDP header promised but frame ends"),
+        "udp-length-below-8": (bytes(udp_short), "UDP length field below the 8-byte header"),
+    }
+    return [pytest.param(frame, TruncatedFrame, text, id=name)
+            for name, (frame, text) in cases.items()] + [
+        pytest.param(bytes(bad_op), MalformedArp, "ARP opcode 3", id="arp-opcode-3")]
+
+
+@pytest.mark.parametrize("frame, error, text", _parse_error_cases())
+def test_parse_error_texts(frame, error, text):
+    # the text reaches `eids detect` output as "unparseable: <text>"
+    with pytest.raises(error) as raised:
+        parse_frame(frame)
+    assert type(raised.value) is error
+    assert str(raised.value) == text
+
+
+def test_frames_one_byte_past_each_boundary_parse():
+    arp = frames.arp_frame(
+        ArpOp.REQUEST, PLC_MAC, "192.168.1.50", frames.ZERO_MAC, "192.168.1.101"
+    )
+    tcp = frames.tcp_frame(
+        PLC_MAC, S1_MAC, "192.168.1.50", "192.168.1.101", 49152, 502, 0x18, b"data"
+    )
+    udp = frames.udp_frame(
+        S1_MAC, PLC_MAC, "192.168.1.101", "192.168.1.50", 1000, 2000, b"hi"
+    )
+    opaque = frames.ethernet(S1_MAC, PLC_MAC, 0x86DD, b"")
+    assert parse_frame(opaque) == PacketMeta(PLC_MAC, S1_MAC)
+    assert parse_frame(opaque[:12] + b"\x81\x00\x00\x05" + opaque[12:]) == PacketMeta(
+        PLC_MAC, S1_MAC)
+    assert parse_frame(arp).arp.target_ip == "192.168.1.101"
+    # the IP total length, not the frame length, sizes the TCP payload
+    assert parse_frame(tcp[:34 + 20]).l3.l4.payload_len == 4
+    assert parse_frame(_with_ip_bytes(tcp, total_len=40)).l3.l4.payload_len == 0
+    assert parse_frame(udp[:34 + 8]).l3.l4.payload_len == 2
+
+
+def test_tcp_data_offset_below_20_keeps_only_l3():
+    frame = bytearray(frames.tcp_frame(
+        PLC_MAC, S1_MAC, "192.168.1.50", "192.168.1.101", 49152, 502, 0x18, b"data"
+    ))
+    frame[14 + 20 + 12] = 4 << 4  # 16 bytes
+    meta = parse_frame(bytes(frame))
+    assert meta.l3.protocol == 6 and meta.l3.src_ip == "192.168.1.50"
+    assert meta.l3.l4 is None
