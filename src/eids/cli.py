@@ -13,6 +13,7 @@ through process listings.
 
 import argparse
 import configparser
+import functools
 import os
 import socket
 import sys
@@ -74,11 +75,12 @@ _PROFILE_KEYS = {
     "status_port": ("status_port", int),
     "psk": ("psk", str.encode),
 }
+# config key and EngineConfig field -> (converter, flag help)
 _ENGINE_KEYS = {
-    "delta": ("delta", float),
-    "delta_arp": ("delta_arp", float),
-    "alpha": ("alpha", float),
-    "window": ("window", int),
+    "delta": (float, "timing tolerance for IP flows"),
+    "delta_arp": (float, "timing tolerance for ARP flows"),
+    "window": (int, "active-mode mean window size"),
+    "alpha": (float, "runtime mean adjustment weight"),
 }
 _SCENARIO_KEYS = {
     "start": ("start_us", _scaled(1e6)),
@@ -140,9 +142,9 @@ def load_config(
     for key, (attr, convert) in _PROFILE_KEYS.items():
         if parser.has_option("profile", key):
             setattr(profile, attr, value("profile", key, convert))
-    for key, (name, convert) in _ENGINE_KEYS.items():
+    for key, (convert, _help) in _ENGINE_KEYS.items():
         if parser.has_option("engine", key):
-            engine_overrides[name] = value("engine", key, convert)
+            engine_overrides[key] = value("engine", key, convert)
     if parser.has_section("scenarios"):
         for key, _text in parser.items("scenarios"):
             scenarios.append(value("scenarios", key, _parse_scenario))
@@ -404,17 +406,13 @@ def _add_input_options(p, with_duration_default=1200.0):
 def _add_engine_options(p):
     p.add_argument("--local-ip", default=DEFAULT_LOCAL_IP,
                    help="address of the monitored node")
-    p.add_argument("--node-id", type=int, default=1)
-    p.add_argument("--delta", type=float, default=None,
-                   help="timing tolerance for IP flows (default 0.3)")
-    p.add_argument("--delta-arp", type=float, default=None,
-                   help="timing tolerance for ARP flows (default 1.0)")
-    p.add_argument("--window", type=int, default=None,
-                   help="active-mode mean window size (default 16)")
-    p.add_argument("--alpha", type=float, default=None,
-                   help="runtime mean adjustment weight (default 1/256)")
+    p.add_argument("--node-id", type=int, default=EngineConfig.node_id)
+    for key, (convert, text) in _ENGINE_KEYS.items():
+        p.add_argument("--" + key.replace("_", "-"), type=convert, default=None,
+                       help="%s (default %s)" % (text, getattr(EngineConfig, key)))
 
 
+@functools.cache  # built once: a process that calls main repeatedly reuses it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="eids")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -129,11 +129,8 @@ class Engine:
         Learning mode records and always passes. Active mode returns
         ALERT with one event per triggered cause, or PASS with none. A
         frame that cannot be parsed is itself suspicious and alerts
-        rather than raising.
-
-        A direction of None means the input does not say, as in a pcap
-        capture: a frame whose IPv4 source or ARP sender is the node's
-        own address counts as sent (TX), any other as received (RX).
+        rather than raising. A direction of None means the input does
+        not say, as in a pcap capture; the flow table decides the side.
         """
         self._note_time(now_us)
         try:
@@ -145,25 +142,14 @@ class Engine:
                 IntrusionEvent(now_us, Cause.NEW_FLOW, None, "unparseable: %s" % exc)
             ]
 
-        if direction is None:
-            local_ip = self.config.local_ip
-            sent = (meta.l3 is not None and meta.l3.src_ip == local_ip) or (
-                meta.arp is not None and meta.arp.sender_ip == local_ip
-            )
-            direction = Direction.TX if sent else Direction.RX
         key = self.table.key_for(meta, direction)
+        # learning mode answers KNOWN and raises no timing events
         flow_verdict = self.table.observe(meta, self.mode, key)
-        events: list[IntrusionEvent] = []
-        if self.mode is Mode.ACTIVE and flow_verdict is not FlowVerdict.KNOWN:
-            events.append(
+        if flow_verdict is not FlowVerdict.KNOWN:
+            return Verdict.ALERT, [
                 IntrusionEvent(now_us, _FLOW_CAUSE[flow_verdict], key, flow_verdict.value)
-            )
-
-        if flow_verdict is FlowVerdict.KNOWN:
-            events.extend(self._track_timing(meta, key, now_us))
-
-        if self.mode is Mode.LEARNING:
-            return Verdict.PASS, []
+            ]
+        events = self._track_timing(meta, key, now_us)
         return (Verdict.ALERT if events else Verdict.PASS), events
 
     def _track_timing(
@@ -182,15 +168,17 @@ class Engine:
             return []
 
         previous = baseline.last_sample_us
+        if self.mode is Mode.LEARNING:
+            # a reordered or tied capture record is no interarrival sample
+            if previous is None or now_us > previous:
+                baseline.last_sample_us = now_us
+                if previous is not None:
+                    baseline.record_learning_sample(now_us - previous)
+            return []
         baseline.last_sample_us = now_us
-        if previous is None:
+        if previous is None or not baseline.ready:
             return []
         t_us = max(1, now_us - previous)  # capture-resolution ties clamp to 1 us
-        if self.mode is Mode.LEARNING:
-            baseline.record_learning_sample(t_us)
-            return []
-        if not baseline.ready:
-            return []
         verdict = baseline.check(t_us)
         if verdict is TimingVerdict.OK:
             baseline.adjust(t_us, self.config.alpha)
@@ -323,13 +311,13 @@ class Engine:
         if tag == "FLOW":
             self.table.admit(key)
         else:
-            baseline = self._new_baseline(key, int(fields[9]) / 1000.0)
-            baseline.restore(
-                mean_us=int(fields[5]),
-                min_us=int(fields[6]),
-                max_us=int(fields[7]),
-                n_l=int(fields[8]),
-            )
+            mean_us, min_us, max_us, n_l, delta_milli = map(int, fields[5:])
+            # learn writes at least two samples, positive times and a
+            # delta in [0, 2) rounded to thousandths
+            if n_l < 2 or mean_us < 1 or not 1 <= min_us <= max_us or not 0 <= delta_milli <= 2000:
+                raise ValueError("TIMING value out of range")
+            baseline = self._new_baseline(key, delta_milli / 1000.0)
+            baseline.restore(mean_us=mean_us, min_us=min_us, max_us=max_us, n_l=n_l)
             self.states[key] = baseline
 
 

@@ -85,22 +85,20 @@ def _is_group_mac(mac: str) -> bool:
     return bool(int(mac[0:2], 16) & 0x01)
 
 
-def _endpoints(
-    meta: PacketMeta, direction: Direction, local_ip: str
-) -> tuple[str, int, str, int]:
-    """(peer_ip, peer_port, home_ip, home_port) for a TCP/UDP packet."""
+def _endpoints(meta: PacketMeta, direction: Direction | None, local_ip: str) -> tuple[str, str]:
+    """(peer_ip, home_ip) of a TCP/UDP packet. A direction other than TX
+    reads as received, then a peer that is local_ip swaps sides."""
     l3 = meta.l3
-    l4 = l3.l4
     if direction is Direction.TX:
-        peer_ip, peer_port, home_ip, home_port = l3.dst_ip, l4.dst_port, l3.src_ip, l4.src_port
+        peer_ip, home_ip = l3.dst_ip, l3.src_ip
     else:
-        peer_ip, peer_port, home_ip, home_port = l3.src_ip, l4.src_port, l3.dst_ip, l4.dst_port
+        peer_ip, home_ip = l3.src_ip, l3.dst_ip
     if peer_ip == local_ip and home_ip != local_ip:
-        peer_ip, peer_port, home_ip, home_port = home_ip, home_port, peer_ip, peer_port
-    return peer_ip, peer_port, home_ip, home_port
+        return home_ip, peer_ip
+    return peer_ip, home_ip
 
 
-def derive_key(meta: PacketMeta, direction: Direction, local_ip: str) -> FlowKey:
+def derive_key(meta: PacketMeta, direction: Direction | None, local_ip: str) -> FlowKey:
     """Pure flow-key derivation, no table state.
 
     The server side of a TCP/UDP conversation is picked from, in order:
@@ -109,14 +107,20 @@ def derive_key(meta: PacketMeta, direction: Direction, local_ip: str) -> FlowKey
     1024, or 502), and finally the numerically smaller port. ARP maps
     to a key per remote MAC; everything else falls back to a MAC-level
     key so link-layer rules still apply.
+
+    A direction of None means the input does not say, as in a pcap
+    capture: a frame whose ARP sender or IPv4 source is local_ip counts
+    as sent, any other as received.
     """
-    if meta.arp is not None:
-        peer = meta.arp.sender_mac if direction is Direction.RX else meta.arp.target_mac
-        return FlowKey(FlowKind.ARP, peer)
-    if meta.l3 is not None and meta.l3.l4 is not None:
-        l4 = meta.l3.l4
-        kind = FlowKind.TCP if meta.l3.protocol == PROTO_TCP else FlowKind.UDP
-        peer_ip, peer_port, home_ip, home_port = _endpoints(meta, direction, local_ip)
+    arp = meta.arp
+    if arp is not None:
+        sent = arp.sender_ip == local_ip if direction is None else direction is Direction.TX
+        return FlowKey(FlowKind.ARP, arp.target_mac if sent else arp.sender_mac)
+    l3 = meta.l3
+    if l3 is not None and l3.l4 is not None:
+        l4 = l3.l4
+        kind = FlowKind.TCP if l3.protocol == PROTO_TCP else FlowKind.UDP
+        peer_ip, home_ip = _endpoints(meta, direction, local_ip)
         flags = l4.tcp_flags
         if flags is not None and flags & TCP_SYN:
             service = l4.src_port if flags & TCP_ACK else l4.dst_port
@@ -128,8 +132,11 @@ def derive_key(meta: PacketMeta, direction: Direction, local_ip: str) -> FlowKey
             else:
                 service = min(l4.src_port, l4.dst_port)
         return FlowKey(kind, peer_ip, home_ip, service)
-    peer = meta.src_mac if direction is Direction.RX else meta.dst_mac
-    return FlowKey(FlowKind.OTHER, peer)
+    if direction is None:
+        sent = l3 is not None and l3.src_ip == local_ip
+    else:
+        sent = direction is Direction.TX
+    return FlowKey(FlowKind.OTHER, meta.dst_mac if sent else meta.src_mac)
 
 
 class FlowTable:
@@ -145,7 +152,7 @@ class FlowTable:
         self.bindings: dict[str, str] = {}  # ip -> mac
         self.services: set[tuple[str, int]] = set()
 
-    def key_for(self, meta: PacketMeta, direction: Direction) -> FlowKey:
+    def key_for(self, meta: PacketMeta, direction: Direction | None) -> FlowKey:
         """Flow key for a packet, reusing learned server orientation.
 
         An already-admitted flow or a learned service endpoint decides
@@ -157,7 +164,7 @@ class FlowTable:
             return derive_key(meta, direction, self.local_ip)
         l4 = l3.l4
         kind = FlowKind.TCP if l3.protocol == PROTO_TCP else FlowKind.UDP
-        peer_ip, _, home_ip, _ = _endpoints(meta, direction, self.local_ip)
+        peer_ip, home_ip = _endpoints(meta, direction, self.local_ip)
         # plain tuples probe the set: they hash and compare as FlowKeys do
         src_port, dst_port, flows = l4.src_port, l4.dst_port, self.flows
         if (kind, peer_ip, home_ip, src_port) in flows:

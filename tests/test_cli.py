@@ -16,6 +16,7 @@ from eids import sim
 from eids.announce import StatusMessage, encode
 from eids.central import CentralLogger
 from eids.cli import ArpRequestGaps, build_parser, load_config, main
+from eids.engine import EngineConfig
 from eids.packet import ArpOp, parse_frame
 from eids.pcap import read_pcap, write_pcap
 
@@ -538,6 +539,20 @@ def test_scenario_rate_below_one_rejected_before_traffic_is_built(tmp_path, caps
 def test_scenario_stop_not_after_start_rejected_before_traffic_is_built(tmp_path, capsys,
                                                                         monkeypatch, spec):
     _assert_rejected_before_traffic(tmp_path, capsys, monkeypatch, spec)
+
+
+@pytest.mark.parametrize("command", ["learn", "detect", "simulate", "logger", "bench", "stats"])
+def test_help_exits_zero_and_shows_the_engine_defaults(capsys, command):
+    with pytest.raises(SystemExit) as info:
+        main([command, "--help"])
+    assert info.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    if command in ("learn", "detect"):
+        for flag, name in [("--delta", "delta"), ("--delta-arp", "delta_arp"),
+                           ("--window", "window"), ("--alpha", "alpha")]:
+            assert re.search(r"%s \S+ [^(]*\(default %s\)" % (flag, getattr(EngineConfig, name)),
+                             text), flag
+    assert build_parser() is build_parser()
 
 
 def test_readme_command_lines_parse():

@@ -133,7 +133,11 @@ def test_unparseable_frame_of_unknown_direction_alerts():
     assert [(e.cause, e.flow) for e in events] == [(Cause.NEW_FLOW, None)]
 
 
-_ICMP = frames._ipv4_header(LOCAL, PLC, 1, 8) + b"\x08" + b"\x00" * 7
+def _icmp(src_ip, dst_ip):
+    return frames._ipv4_header(src_ip, dst_ip, 1, 8) + b"\x08" + b"\x00" * 7
+
+
+ATTACKER_MAC = "02:00:ac:10:01:c8"
 
 
 @pytest.mark.parametrize("frame, direction, key", [
@@ -143,11 +147,24 @@ _ICMP = frames._ipv4_header(LOCAL, PLC, 1, 8) + b"\x08" + b"\x00" * 7
     (frames.tcp_frame(LOCAL_MAC, PLC_MAC, LOCAL, PLC, 502, 49152, 0x18), Direction.TX,
      FlowKey(FlowKind.TCP, peer=PLC, local_ip=LOCAL, service_port=502)),
     # IPv4 without a decoded L4 header keys on the destination MAC
-    (frames.ethernet(PLC_MAC, LOCAL_MAC, 0x0800, _ICMP), Direction.TX,
+    (frames.ethernet(PLC_MAC, LOCAL_MAC, 0x0800, _icmp(LOCAL, PLC)), Direction.TX,
+     FlowKey(FlowKind.OTHER, peer=PLC_MAC)),
+    # and a received one on the source MAC
+    (frames.ethernet(LOCAL_MAC, PLC_MAC, 0x0800, _icmp(PLC, LOCAL)), Direction.RX,
      FlowKey(FlowKind.OTHER, peer=PLC_MAC)),
     (frames.arp_frame(ArpOp.REQUEST, PLC_MAC, PLC, LOCAL_MAC, LOCAL), Direction.RX,
      FlowKey(FlowKind.ARP, peer=PLC_MAC)),
-], ids=["sent-arp-request", "sent-tcp", "sent-ipv4-without-l4", "received-arp-request"])
+    # without an IPv4 or ARP header a sent frame reads as received: own MAC
+    (frames.ethernet(PLC_MAC, LOCAL_MAC, 0x86DD, b"\x60" + b"\x00" * 39), Direction.RX,
+     FlowKey(FlowKind.OTHER, peer=LOCAL_MAC)),
+    # a forged local source reads as sent, so the attacker's MAC is not the key
+    (frames.ethernet(LOCAL_MAC, ATTACKER_MAC, 0x0800, _icmp(LOCAL, LOCAL)), Direction.TX,
+     FlowKey(FlowKind.OTHER, peer=LOCAL_MAC)),
+    (frames.udp_frame(PLC_MAC, frames.BROADCAST_MAC, PLC, "192.168.1.255", 47808, 47808,
+                      b"x" * 48), Direction.RX,
+     FlowKey(FlowKind.UDP, peer=PLC, local_ip="192.168.1.255", service_port=47808)),
+], ids=["sent-arp-request", "sent-tcp", "sent-ipv4-without-l4", "received-ipv4-without-l4",
+        "received-arp-request", "sent-ipv6", "forged-local-source", "peer-udp-broadcast"])
 def test_unknown_direction_is_inferred_from_addressing(frame, direction, key):
     def learned_flows(direction):
         engine = Engine(_config())
@@ -192,6 +209,19 @@ def test_capture_direction_matches_simulator_direction(scenario, same_flows):
             if sim_event.flow != capture_event.flow
         }
         assert renamed == {("arp/" + scenario.attacker_mac, "arp/ff:ff:ff:ff:ff:ff")}
+
+
+@pytest.mark.parametrize("times_ms, samples_ms", [
+    ((100, 200, 400, 300, 500), (100, 200, 100)),
+    ((100, 200, 200, 300), (100, 100)),
+], ids=["reordered-pair", "tie"])
+def test_learning_takes_no_sample_from_a_frame_not_after_the_last(times_ms, samples_ms):
+    engine = Engine(_config())
+    for k, at_ms in enumerate(times_ms):
+        engine.ingest(Direction.RX, _poll_frame(k), at_ms * MS)
+    (baseline,) = engine.states.values()
+    assert (baseline.n_l, baseline.learned_min_us, baseline.learned_max_us, baseline._sum_us) == (
+        len(samples_ms), min(samples_ms) * MS, max(samples_ms) * MS, sum(samples_ms) * MS)
 
 
 def test_host_silent_fires_once_and_rearms():
@@ -378,6 +408,34 @@ def test_model_import_names_an_overflowing_line():
     with pytest.raises(MalformedModelLine) as info:
         Engine(_config()).import_model(model.encode())
     assert str(info.value) == line
+
+
+@pytest.mark.parametrize("values", [
+    "100000\t100000\t100000\t1\t300",
+    "100000\t0\t100000\t50\t300",
+    "100000\t200000\t10\t50\t300",
+    "0\t100000\t100000\t50\t300",
+    "100000\t100000\t100000\t50\t-500",
+    "100000\t100000\t100000\t50\t2001",
+], ids=["one-sample", "min-zero", "min-above-max", "mean-zero", "negative-delta",
+        "delta-above-2000"])
+def test_model_import_rejects_timing_values_learn_never_writes(values):
+    line = "TIMING\tTcp\t%s\t%s\t502\t%s" % (PLC, LOCAL, values)
+    model = "EIDS-MODEL 1\nFLOW\tTcp\t%s\t%s\t502\n%s\n" % (PLC, LOCAL, line)
+    with pytest.raises(MalformedModelLine) as info:
+        Engine(_config()).import_model(model.encode())
+    assert str(info.value) == line
+
+
+@pytest.mark.parametrize("values", [
+    "2\t1\t3\t2\t0", "100000\t100000\t100000\t2\t2000",
+], ids=["least", "widest-delta"])
+def test_model_import_accepts_timing_values_at_their_bounds(values):
+    model = "EIDS-MODEL 1\nFLOW\tTcp\t%s\t%s\t502\nTIMING\tTcp\t%s\t%s\t502\t%s\n" % (
+        PLC, LOCAL, PLC, LOCAL, values)
+    engine = Engine(_config())
+    engine.import_model(model.encode())
+    assert engine.export_model() == model.encode()
 
 
 def test_model_import_rejects_timing_for_a_flow_it_never_admits():
