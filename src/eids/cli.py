@@ -13,6 +13,7 @@ through process listings.
 
 import argparse
 import configparser
+import contextlib
 import functools
 import os
 import socket
@@ -312,54 +313,51 @@ def _parse_scenario(spec: str) -> sim.AttackScenario:
 def cmd_logger(args) -> int:
     psk = _psk_from_env(args)
     logger = CentralLogger(psk, timeout_us=int(args.timeout * 1e6))
-    sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-    sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-    sock.bind((args.bind, args.port))
-    sock.settimeout(0.2)
-    print("listening on %s:%d" % (args.bind, args.port), file=sys.stderr)
-    log_handle = open(args.log_file, "a") if args.log_file else None
-    liveness_seen: dict[int, str] = {}
+    # the log file opens first, and the socket closes on every way out
+    log_file = open(args.log_file, "a") if args.log_file else contextlib.nullcontext()
+    with log_file as log_handle, socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        sock.bind((args.bind, args.port))
+        sock.settimeout(0.2)
+        print("listening on %s:%d" % (args.bind, args.port), file=sys.stderr)
+        liveness_seen: dict[int, str] = {}
 
-    def note_transitions():
-        for record in logger.records.values():
-            state = record.liveness.value
-            if liveness_seen.get(record.node_id) != state:
-                liveness_seen[record.node_id] = state
-                if log_handle is not None:
-                    log_handle.write(
-                        "%s\t%d\t%s\n" % (time.strftime("%Y-%m-%dT%H:%M:%SZ",
-                                                        time.gmtime()),
-                                          record.node_id, state)
-                    )
-                    log_handle.flush()
+        def note_transitions():
+            for record in logger.records.values():
+                state = record.liveness.value
+                if liveness_seen.get(record.node_id) != state:
+                    liveness_seen[record.node_id] = state
+                    if log_handle is not None:
+                        log_handle.write(
+                            "%s\t%d\t%s\n" % (time.strftime("%Y-%m-%dT%H:%M:%SZ",
+                                                            time.gmtime()),
+                                              record.node_id, state)
+                        )
+                        log_handle.flush()
 
-    # sweeps and --duration run on the monotonic clock, immune to clock
-    # steps; the logger gets wall-clock stamps read on arrival
-    started = time.monotonic()
-    sweeps = Clock(1_000_000)
-    last_render = ""
-    try:
-        while args.duration is None or time.monotonic() - started < args.duration:
-            try:
-                data, _addr = sock.recvfrom(4096)
-            except socket.timeout:
-                pass
-            else:
-                logger.on_datagram(data, int(time.time() * 1e6))
-            if sweeps.due(int(time.monotonic() * 1e6)):
-                logger.sweep(int(time.time() * 1e6))
-            note_transitions()
-            rendered = logger.render_status()
-            if rendered != last_render:
-                sys.stdout.write(rendered)
-                sys.stdout.flush()
-                last_render = rendered
-    except KeyboardInterrupt:
-        pass
-    finally:
-        sock.close()
-        if log_handle is not None:
-            log_handle.close()
+        # sweeps and --duration run on the monotonic clock, immune to clock
+        # steps; the logger gets wall-clock stamps read on arrival
+        started = time.monotonic()
+        sweeps = Clock(1_000_000)
+        last_render = ""
+        try:
+            while args.duration is None or time.monotonic() - started < args.duration:
+                try:
+                    data, _addr = sock.recvfrom(4096)
+                except socket.timeout:
+                    pass
+                else:
+                    logger.on_datagram(data, int(time.time() * 1e6))
+                if sweeps.due(int(time.monotonic() * 1e6)):
+                    logger.sweep(int(time.time() * 1e6))
+                note_transitions()
+                rendered = logger.render_status()
+                if rendered != last_render:
+                    sys.stdout.write(rendered)
+                    sys.stdout.flush()
+                    last_render = rendered
+        except KeyboardInterrupt:
+            pass
     return 0
 
 

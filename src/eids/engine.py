@@ -3,14 +3,16 @@
 The engine owns one flow table and one timing baseline per flow. It
 starts in learning mode, where every packet is admitted and only
 recorded; a clock tick past the configured learning duration switches
-it to active mode, where metadata and timing verdicts turn into
-intrusion events and the frame that raised them is answered ALERT.
+it to active mode, where the Cause that the flow table or a timing
+baseline reports goes into an intrusion event as it is, and the frame
+that raised it is answered ALERT.
 
 Frames carrying a TCP SYN, FIN or RST are connection setup/teardown
 and excluded from interarrival sampling in both modes; their timing is
-irregular by nature. Packets whose metadata verdict is not KNOWN never
-touch timing state: a hostile frame must not refresh liveness or
-adjust a baseline.
+irregular by nature. Packets with a metadata cause never touch timing
+state: a hostile frame must not refresh liveness or adjust a baseline.
+A capture record earlier than its flow's last one moves neither the
+flow's last arrival nor its last sample back.
 
 Events go back to the caller of ingest and tick; the engine keeps no
 status summary of them, and no part of eids yet sends an engine's
@@ -25,7 +27,7 @@ from enum import Enum
 from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .flows import IP_KINDS, FlowKey, FlowKind, FlowTable, FlowVerdict, Mode
+from .flows import IP_KINDS, Cause, FlowKey, FlowKind, FlowTable, Mode
 from .packet import (
     TCP_FIN,
     TCP_RST,
@@ -35,7 +37,7 @@ from .packet import (
     ParseError,
     parse_frame,
 )
-from .timing import ActiveWindow, FlowBaseline, TimingVerdict
+from .timing import ActiveWindow, FlowBaseline
 
 MODEL_HEADER = "EIDS-MODEL 1"
 TICK_PERIOD_US = 100_000
@@ -44,32 +46,9 @@ _NO_SAMPLE_FLAGS = TCP_SYN | TCP_FIN | TCP_RST
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 
 
-class Cause(Enum):
-    NEW_FLOW = "NewFlow"
-    BINDING_CONFLICT = "BindingConflict"
-    L2L3_MISMATCH = "L2L3Mismatch"
-    TOO_FAST = "TooFast"
-    TOO_SLOW = "TooSlow"
-    MEAN_DRIFT = "MeanDrift"
-    HOST_SILENT = "HostSilent"
-
-
 class Verdict(Enum):
     PASS = "pass"
     ALERT = "alert"
-
-
-_FLOW_CAUSE = {
-    FlowVerdict.NEW_FLOW: Cause.NEW_FLOW,
-    FlowVerdict.BINDING_CONFLICT: Cause.BINDING_CONFLICT,
-    FlowVerdict.L2L3_MISMATCH: Cause.L2L3_MISMATCH,
-}
-
-_TIMING_CAUSE = {
-    TimingVerdict.TOO_FAST: Cause.TOO_FAST,
-    TimingVerdict.TOO_SLOW: Cause.TOO_SLOW,
-    TimingVerdict.MEAN_DRIFT: Cause.MEAN_DRIFT,
-}
 
 
 class BadModelVersion(ValueError):
@@ -143,12 +122,12 @@ class Engine:
             ]
 
         key = self.table.key_for(meta, direction)
-        # learning mode answers KNOWN and raises no timing events
-        flow_verdict = self.table.observe(meta, self.mode, key)
-        if flow_verdict is not FlowVerdict.KNOWN:
-            return Verdict.ALERT, [
-                IntrusionEvent(now_us, _FLOW_CAUSE[flow_verdict], key, flow_verdict.value)
-            ]
+        # learning mode finds no cause and raises no timing events
+        cause = self.table.observe(meta, self.mode, key)
+        if cause is not None:
+            # the detail names the cause in lower case: new-flow, l2l3-mismatch
+            detail = cause.name.lower().replace("_", "-")
+            return Verdict.ALERT, [IntrusionEvent(now_us, cause, key, detail)]
         events = self._track_timing(meta, key, now_us)
         return (Verdict.ALERT if events else Verdict.PASS), events
 
@@ -160,34 +139,34 @@ class Engine:
             if self.mode is not Mode.LEARNING:
                 return []
             baseline = self.states[key] = self._new_baseline(key)
-        baseline.last_arrival_us = now_us
-        baseline.silent = False
+        # a record earlier than the flow's last one moves no flow time back
+        # and is no sign of life now
+        if baseline.last_arrival_us is None or now_us >= baseline.last_arrival_us:
+            baseline.last_arrival_us = now_us
+            baseline.silent = False
 
         l4 = meta.l3.l4 if meta.l3 is not None else None
         if l4 is not None and l4.tcp_flags is not None and l4.tcp_flags & _NO_SAMPLE_FLAGS:
             return []
 
         previous = baseline.last_sample_us
+        if previous is None or now_us > previous:
+            baseline.last_sample_us = now_us
+        if previous is None:
+            return []
         if self.mode is Mode.LEARNING:
             # a reordered or tied capture record is no interarrival sample
-            if previous is None or now_us > previous:
-                baseline.last_sample_us = now_us
-                if previous is not None:
-                    baseline.record_learning_sample(now_us - previous)
+            if now_us > previous:
+                baseline.record_learning_sample(now_us - previous)
             return []
-        baseline.last_sample_us = now_us
-        if previous is None or not baseline.ready:
+        if not baseline.ready:
             return []
-        t_us = max(1, now_us - previous)  # capture-resolution ties clamp to 1 us
-        verdict = baseline.check(t_us)
-        if verdict is TimingVerdict.OK:
+        t_us = max(1, now_us - previous)  # a reordered or tied record is 1 us
+        cause = baseline.check(t_us)
+        if cause is None:
             baseline.adjust(t_us, self.config.alpha)
             return []
-        return [
-            IntrusionEvent(
-                now_us, _TIMING_CAUSE[verdict], key, "dt=%dus" % t_us
-            )
-        ]
+        return [IntrusionEvent(now_us, cause, key, "dt=%dus" % t_us)]
 
     def _new_baseline(self, key: FlowKey, delta: float | None = None) -> FlowBaseline:
         """A flow's empty timing record; delta, when given, overrides

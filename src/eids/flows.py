@@ -6,6 +6,9 @@ reconnect with a fresh client port lands on the same key. The table
 additionally holds the learned IP-to-MAC bindings and enforces the
 metadata consistency rules (binding conflicts, L2/L3 address coherence)
 once learning has ended.
+
+Cause, beside Mode, is the one outcome vocabulary that the table, the
+timing baselines and the engine share.
 """
 
 from enum import Enum
@@ -23,6 +26,20 @@ class Mode(Enum):
     ACTIVE = "active"
 
 
+class Cause(Enum):
+    """Why a frame or a tick is suspicious: the metadata causes come from
+    FlowTable.observe, the interarrival causes from FlowBaseline.check
+    and the silence cause from the engine's tick."""
+
+    NEW_FLOW = "NewFlow"
+    BINDING_CONFLICT = "BindingConflict"
+    L2L3_MISMATCH = "L2L3Mismatch"
+    TOO_FAST = "TooFast"
+    TOO_SLOW = "TooSlow"
+    MEAN_DRIFT = "MeanDrift"
+    HOST_SILENT = "HostSilent"
+
+
 # a str mixin: a FlowKey hashes and compares in C, equal to the plain tuple
 # of its fields; render through .value, as format() differs across versions
 class FlowKind(str, Enum):
@@ -34,13 +51,6 @@ class FlowKind(str, Enum):
 
 #: Kinds keyed on the peer's IP address; the others key on its MAC.
 IP_KINDS = (FlowKind.TCP, FlowKind.UDP)
-
-
-class FlowVerdict(Enum):
-    KNOWN = "known"
-    NEW_FLOW = "new-flow"
-    BINDING_CONFLICT = "binding-conflict"
-    L2L3_MISMATCH = "l2l3-mismatch"
 
 
 class FlowKey(NamedTuple):
@@ -179,11 +189,11 @@ class FlowTable:
             return FlowKey(kind, peer_ip, home_ip, src_port if src_known else dst_port)
         return derive_key(meta, direction, self.local_ip)
 
-    def observe(self, meta: PacketMeta, mode: Mode, key: FlowKey) -> FlowVerdict:
+    def observe(self, meta: PacketMeta, mode: Mode, key: FlowKey) -> Cause | None:
         """Judge one packet's metadata, already keyed by key_for, and
-        update the table.
+        update the table; None means a known flow.
 
-        Learning mode admits everything and always answers KNOWN.
+        Learning mode admits everything and always answers None.
         Active mode admits nothing: unseen keys report NEW_FLOW, an ARP
         re-binding of a known IP reports BINDING_CONFLICT, and an
         Ethernet address that contradicts the binding of the packet's
@@ -191,27 +201,27 @@ class FlowTable:
         """
         if mode is Mode.LEARNING:
             self._learn(meta, key)
-            return FlowVerdict.KNOWN
+            return None
 
         arp = meta.arp
         if arp is not None:
             bound = self.bindings.get(arp.sender_ip)
             if bound is not None:
                 if bound != arp.sender_mac:
-                    return FlowVerdict.BINDING_CONFLICT
+                    return Cause.BINDING_CONFLICT
                 if bound != meta.src_mac:
-                    return FlowVerdict.L2L3_MISMATCH
+                    return Cause.L2L3_MISMATCH
         elif meta.l3 is not None:
             bound = self.bindings.get(meta.l3.src_ip)
             if bound is not None and bound != meta.src_mac:
-                return FlowVerdict.L2L3_MISMATCH
+                return Cause.L2L3_MISMATCH
             if not _is_group_mac(meta.dst_mac):
                 bound = self.bindings.get(meta.l3.dst_ip)
                 if bound is not None and bound != meta.dst_mac:
-                    return FlowVerdict.L2L3_MISMATCH
+                    return Cause.L2L3_MISMATCH
         if key not in self.flows:
-            return FlowVerdict.NEW_FLOW
-        return FlowVerdict.KNOWN
+            return Cause.NEW_FLOW
+        return None
 
     def _learn(self, meta: PacketMeta, key: FlowKey) -> None:
         if meta.arp is not None:

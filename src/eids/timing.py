@@ -4,20 +4,16 @@ During learning a flow accumulates the minimum, maximum and cumulative
 mean of its interarrival times. In active mode each new interarrival is
 first held against the widened min/max band; values inside it enter a
 sliding window whose mean is held against the widened learned mean.
-Band boundaries are exclusive: a value equal to a bound is flagged.
-All durations are integer microseconds, which keeps window sums exact.
+Band boundaries are exclusive: a value equal to a bound is flagged. The
+check names the band an interarrival broke as a Cause (TOO_FAST,
+TOO_SLOW or MEAN_DRIFT), or returns None for a clean one. All
+durations are integer microseconds, which keeps window sums exact.
 """
 
 from collections import deque
 from dataclasses import dataclass, field
-from enum import Enum
 
-
-class TimingVerdict(Enum):
-    OK = "ok"
-    TOO_FAST = "too-fast"
-    TOO_SLOW = "too-slow"
-    MEAN_DRIFT = "mean-drift"
+from .flows import Cause
 
 
 class NonPositiveInterarrival(ValueError):
@@ -114,8 +110,9 @@ class FlowBaseline:
         self._sum_us = mean_us * n_l
         self.activate()
 
-    def check(self, t_us: int) -> TimingVerdict:
-        """Classify one active-mode interarrival.
+    def check(self, t_us: int) -> Cause | None:
+        """The cause one active-mode interarrival raises, or None for a
+        clean one.
 
         The min/max band is tested first; only values inside it enter
         the window. The mean band is evaluated once the window holds a
@@ -125,19 +122,19 @@ class FlowBaseline:
         if not self.ready:
             raise BaselineNotReady("flow has %d learning samples" % self.n_l)
         if t_us <= self.low_us:
-            return TimingVerdict.TOO_FAST
+            return Cause.TOO_FAST
         if t_us >= self.high_us:
-            return TimingVerdict.TOO_SLOW
+            return Cause.TOO_SLOW
         window = self.window
         if window is not None:
             window.push(t_us)
             if window.full:
                 mean = window.mean
                 if mean <= max(0.0, self.mean_us * (1.0 - self.delta)):
-                    return TimingVerdict.MEAN_DRIFT
+                    return Cause.MEAN_DRIFT
                 if mean >= self.mean_us * (1.0 + self.delta):
-                    return TimingVerdict.MEAN_DRIFT
-        return TimingVerdict.OK
+                    return Cause.MEAN_DRIFT
+        return None
 
     def adjust(self, t_us: int, alpha: float) -> None:
         """Runtime baseline adaptation from a sample judged OK.

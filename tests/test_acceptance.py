@@ -20,7 +20,7 @@ from eids.bench import ATTACK_START_US, run_benchmark, run_scenario
 from eids.central import CentralLogger, Liveness
 from eids.engine import Cause, Engine, EngineConfig, replay
 from eids.packet import PROTO_UDP, parse_frame
-from eids.timing import ActiveWindow, FlowBaseline, TimingVerdict
+from eids.timing import ActiveWindow, FlowBaseline
 
 S = 1_000_000
 S1_IP = "192.168.1.101"
@@ -117,19 +117,19 @@ class _BruteForceReference:
         lo = max(0.0, min(self.learning) * (1.0 - self.delta))
         hi = max(self.learning) * (1.0 + self.delta)
         if t <= lo:
-            return TimingVerdict.TOO_FAST
+            return Cause.TOO_FAST
         if t >= hi:
-            return TimingVerdict.TOO_SLOW
+            return Cause.TOO_SLOW
         self.window.append(t)
         self.window = self.window[-self.capacity :]
         if len(self.window) == self.capacity:
             mean = sum(self.window) / self.capacity
             learned_mean = sum(self.learning) / len(self.learning)
             if mean <= max(0.0, learned_mean * (1.0 - self.delta)):
-                return TimingVerdict.MEAN_DRIFT
+                return Cause.MEAN_DRIFT
             if mean >= learned_mean * (1.0 + self.delta):
-                return TimingVerdict.MEAN_DRIFT
-        return TimingVerdict.OK
+                return Cause.MEAN_DRIFT
+        return None
 
 
 def test_criterion_4_band_conformance():

@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, outputs, pipelines."""
 
 import contextlib
+import gc
 import os
 import re
 import socket
@@ -8,6 +9,7 @@ import struct
 import threading
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import pytest
@@ -438,6 +440,26 @@ def test_logger_over_loopback(tmp_path, capsys, monkeypatch):
     assert "ID: 3 is up Intrusion: yes" in out
     transitions = log_file.read_text().splitlines()
     assert any(line.endswith("\t2\tup") for line in transitions)
+
+
+@pytest.mark.parametrize("case", ["unwritable-log-file", "port-in-use"])
+def test_logger_input_error_exits_two_and_closes_its_socket(case, tmp_path, capsys,
+                                                            monkeypatch):
+    monkeypatch.setenv("EIDS_PSK", "loopback-psk")
+    with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as holder:
+        holder.bind(("127.0.0.1", 0))
+        argv = ["logger", "--bind", "127.0.0.1", "--port", str(holder.getsockname()[1]),
+                "--duration", "1"]
+        if case == "unwritable-log-file":
+            holder.close()
+            argv += ["--log-file", str(tmp_path / "missing" / "transitions.log")]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(argv)
+            gc.collect()
+    assert code == 2
+    assert "listening on" not in capsys.readouterr().err
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
 def test_logger_stamps_datagrams_when_they_arrive(capsys, monkeypatch):

@@ -25,6 +25,7 @@ LOCAL = "192.168.1.101"
 LOCAL_MAC = "02:00:ac:10:01:65"
 PLC = "192.168.1.50"
 PLC_MAC = "02:00:ac:10:01:32"
+POLL_FLOW = "tcp/%s->%s:502" % (PLC, LOCAL)  # the learned polls' flow, as logged
 
 MS = 1000
 S = 1_000_000
@@ -224,6 +225,30 @@ def test_learning_takes_no_sample_from_a_frame_not_after_the_last(times_ms, samp
         len(samples_ms), min(samples_ms) * MS, max(samples_ms) * MS, sum(samples_ms) * MS)
 
 
+def _polls(count):
+    """count polls 100 ms apart from 100 ms, as replay input."""
+    return [((k + 1) * 100 * MS, Direction.RX, _poll_frame(k)) for k in range(count)]
+
+
+def test_a_record_out_of_order_in_active_mode_moves_no_flow_time_back():
+    frames_in = _polls(199)
+    frames_in[150], frames_in[151] = frames_in[151], frames_in[150]
+    events = list(replay(Engine(_config()), frames_in))
+    # the earlier record is one 1 us interarrival; the next poll is on time
+    assert [format_event(e, 1) for e in events] == [
+        "1970-01-01T00:00:15.200000Z\t1\tHostSilent\t%s\tsilent since %dus"
+        % (POLL_FLOW, 15 * S),
+        "1970-01-01T00:00:15.200000Z\t1\tTooSlow\t%s\tdt=200000us" % POLL_FLOW,
+        "1970-01-01T00:00:15.100000Z\t1\tTooFast\t%s\tdt=1us" % POLL_FLOW,
+    ]
+
+
+def test_a_stale_learning_record_does_not_date_the_flow_silent():
+    frames_in = _polls(120)
+    frames_in.insert(100, frames_in[49])  # the 5.0 s record again, after 10.0 s
+    assert list(replay(Engine(_config()), frames_in)) == []
+
+
 def test_host_silent_fires_once_and_rearms():
     engine = _learned_engine()
     last = 101 * 100 * MS  # keep the flow alive a moment into active mode
@@ -290,15 +315,67 @@ def test_syn_fin_rst_excluded_from_sampling():
     assert baseline.learned_min_us >= 99 * MS
 
 
-def test_event_log_line_format():
-    engine = _learned_engine()
-    _, events = engine.ingest(Direction.RX, b"\x00" * 7, 11 * S)
-    line = format_event(events[0], node_id=1)
-    stamp, node, cause, flow, detail = line.split("\t")
-    assert stamp == "1970-01-01T00:00:11.000000Z"
-    assert node == "1"
-    assert cause == "NewFlow"
-    assert flow == "-"
+def _drifting_engine():
+    """Engine on an imported model whose min/max band (35-260 ms) is wider
+    than its mean band (70-130 ms), so in-band polls can drift the mean."""
+    engine = Engine(_config())
+    engine.import_model(
+        b"EIDS-MODEL 1\nFLOW\tTcp\t%s\t%s\t502\n"
+        b"TIMING\tTcp\t%s\t%s\t502\t100000\t50000\t200000\t50\t300\n"
+        % ((PLC.encode(), LOCAL.encode()) * 2)
+    )
+    return engine
+
+
+def _ingest_all(engine, timed_frames):
+    return [e for at, frame in timed_frames for e in engine.ingest(Direction.RX, frame, at)[1]]
+
+
+# per case, named after its cause: what a fresh engine raises, and its line
+_EVENT_LINES = {
+    "NEW_FLOW-unparseable": (
+        lambda: _learned_engine().ingest(Direction.RX, b"\x00" * 7, 11 * S)[1],
+        "1970-01-01T00:00:11.000000Z\t1\tNewFlow\t-\t"
+        "unparseable: frame of 7 bytes is below the 14-byte Ethernet header"),
+    "NEW_FLOW": (
+        lambda: _learned_engine().ingest(Direction.RX, frames.tcp_frame(
+            ATTACKER_MAC, LOCAL_MAC, "192.168.1.200", LOCAL, 51000, 502, 0x02), 11 * S)[1],
+        "1970-01-01T00:00:11.000000Z\t1\tNewFlow\ttcp/192.168.1.200->%s:502\tnew-flow"
+        % LOCAL),
+    "BINDING_CONFLICT": (
+        lambda: _learned_engine().ingest(Direction.RX, frames.arp_frame(
+            ArpOp.REPLY, ATTACKER_MAC, PLC, LOCAL_MAC, LOCAL), 12 * S + 5)[1],
+        "1970-01-01T00:00:12.000005Z\t1\tBindingConflict\tarp/%s\tbinding-conflict"
+        % ATTACKER_MAC),
+    "L2L3_MISMATCH": (
+        lambda: _learned_engine().ingest(Direction.RX, frames.tcp_frame(
+            ATTACKER_MAC, LOCAL_MAC, PLC, LOCAL, 49152, 502, 0x18), 10_150 * MS)[1],
+        "1970-01-01T00:00:10.150000Z\t1\tL2L3Mismatch\t%s\tl2l3-mismatch" % POLL_FLOW),
+    "TOO_FAST": (
+        lambda: _ingest_all(_learned_engine(), [(10_100 * MS, _poll_frame(100)),
+                                                (10_101 * MS, _poll_frame(101))]),
+        "1970-01-01T00:00:10.101000Z\t1\tTooFast\t%s\tdt=1000us" % POLL_FLOW),
+    "TOO_SLOW": (
+        lambda: _learned_engine().ingest(Direction.RX, _poll_frame(100), 10_150 * MS)[1],
+        "1970-01-01T00:00:10.150000Z\t1\tTooSlow\t%s\tdt=150000us" % POLL_FLOW),
+    "MEAN_DRIFT": (
+        lambda: _ingest_all(_drifting_engine(), [(S + k * 150 * MS, _poll_frame(k))
+                                                 for k in range(17)]),
+        "1970-01-01T00:00:03.400000Z\t1\tMeanDrift\t%s\tdt=150000us" % POLL_FLOW),
+    "HOST_SILENT": (
+        lambda: _learned_engine().tick(10_130 * MS),
+        "1970-01-01T00:00:10.130000Z\t1\tHostSilent\t%s\tsilent since %dus"
+        % (POLL_FLOW, 10 * S)),
+}
+
+
+@pytest.mark.parametrize("drive, line", _EVENT_LINES.values(), ids=_EVENT_LINES)
+def test_event_log_line_format(drive, line):
+    assert [format_event(event, node_id=1) for event in drive()] == [line]
+
+
+def test_event_log_line_cases_cover_every_cause():
+    assert {case.partition("-")[0] for case in _EVENT_LINES} == set(Cause.__members__)
 
 
 @pytest.mark.parametrize("at_us", [

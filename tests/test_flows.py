@@ -4,10 +4,10 @@ import random
 
 from eids import frames, sim
 from eids.flows import (
+    Cause,
     FlowKey,
     FlowKind,
     FlowTable,
-    FlowVerdict,
     Mode,
     derive_key,
 )
@@ -114,7 +114,7 @@ def test_key_for_admitted_flow_with_equal_ports():
     key = FlowKey(FlowKind.TCP, peer=PLC, local_ip=LOCAL, service_port=5000)
     assert table.flows == {key}
     assert table.key_for(*packet) == key
-    assert _observe(table, packet, Mode.ACTIVE) is FlowVerdict.KNOWN
+    assert _observe(table, packet, Mode.ACTIVE) is None
 
 
 def test_key_for_both_candidates_admitted_falls_through():
@@ -146,17 +146,17 @@ def test_key_for_learned_service_overrides_heuristic():
 def test_learning_admits_then_known():
     table = FlowTable(LOCAL)
     packet = _tcp(49152, 502)
-    assert _observe(table, packet, Mode.LEARNING) is FlowVerdict.KNOWN
-    assert _observe(table, packet, Mode.ACTIVE) is FlowVerdict.KNOWN
+    assert _observe(table, packet, Mode.LEARNING) is None
+    assert _observe(table, packet, Mode.ACTIVE) is None
 
 
 def test_active_unseen_udp_is_new_flow():
     table = FlowTable(LOCAL)
     frame = frames.udp_frame(EVIL_MAC, LOCAL_MAC, "192.168.1.200", LOCAL, 777, 888, b"x")
     packet = _rx(frame)
-    assert _observe(table, packet, Mode.ACTIVE) is FlowVerdict.NEW_FLOW
+    assert _observe(table, packet, Mode.ACTIVE) is Cause.NEW_FLOW
     # not auto-admitted: still new on the next packet
-    assert _observe(table, packet, Mode.ACTIVE) is FlowVerdict.NEW_FLOW
+    assert _observe(table, packet, Mode.ACTIVE) is Cause.NEW_FLOW
 
 
 def test_binding_conflict_on_rebind():
@@ -164,7 +164,7 @@ def test_binding_conflict_on_rebind():
     _observe(table, _arp(ArpOp.REQUEST, PLC_MAC, PLC, frames.ZERO_MAC, LOCAL),
              Mode.LEARNING)
     evil = _arp(ArpOp.REPLY, EVIL_MAC, PLC, frames.BROADCAST_MAC, PLC)
-    assert _observe(table, evil, Mode.ACTIVE) is FlowVerdict.BINDING_CONFLICT
+    assert _observe(table, evil, Mode.ACTIVE) is Cause.BINDING_CONFLICT
 
 
 def test_same_binding_reannounced_is_known():
@@ -172,7 +172,7 @@ def test_same_binding_reannounced_is_known():
     announce = _arp(ArpOp.REQUEST, PLC_MAC, PLC, frames.ZERO_MAC, LOCAL)
     _observe(table, announce, Mode.LEARNING)
     again = _arp(ArpOp.REQUEST, PLC_MAC, PLC, frames.ZERO_MAC, LOCAL)
-    assert _observe(table, again, Mode.ACTIVE) is FlowVerdict.KNOWN
+    assert _observe(table, again, Mode.ACTIVE) is None
 
 
 def test_l2l3_mismatch_on_forged_source():
@@ -181,7 +181,7 @@ def test_l2l3_mismatch_on_forged_source():
              Mode.LEARNING)
     _observe(table, _tcp(49152, 502), Mode.LEARNING)
     forged = _tcp(49152, 502, src_mac=EVIL_MAC)  # claims the PLC's IP
-    assert _observe(table, forged, Mode.ACTIVE) is FlowVerdict.L2L3_MISMATCH
+    assert _observe(table, forged, Mode.ACTIVE) is Cause.L2L3_MISMATCH
 
 
 def test_broadcast_destination_exempt_from_dst_check():
@@ -192,7 +192,7 @@ def test_broadcast_destination_exempt_from_dst_check():
                              "255.255.255.255", 47808, 47808, b"k")
     packet = _rx(frame)
     _observe(table, packet, Mode.LEARNING)
-    assert _observe(table, packet, Mode.ACTIVE) is FlowVerdict.KNOWN
+    assert _observe(table, packet, Mode.ACTIVE) is None
 
 
 def test_learning_never_raises_verdicts():
@@ -213,7 +213,7 @@ def test_learning_never_raises_verdicts():
                                      rng.randrange(1, 65536), rng.randrange(1, 65536), b"")
             packets.append(_rx(frame))
     for packet in packets:
-        assert _observe(table, packet, Mode.LEARNING) is FlowVerdict.KNOWN
+        assert _observe(table, packet, Mode.LEARNING) is None
 
 
 def test_key_set_is_order_independent():

@@ -4,12 +4,12 @@ import random
 
 import pytest
 
+from eids.flows import Cause
 from eids.timing import (
     ActiveWindow,
     BaselineNotReady,
     FlowBaseline,
     NonPositiveInterarrival,
-    TimingVerdict,
 )
 
 MS = 1000
@@ -56,28 +56,28 @@ def test_not_ready_with_single_sample():
 def test_too_fast_example():
     # 90 <= 95 * 0.95 = 90.25
     baseline = _baseline([95 * MS, 105 * MS], delta=0.05, window=ActiveWindow(16))
-    assert baseline.check(90 * MS) is TimingVerdict.TOO_FAST
+    assert baseline.check(90 * MS) is Cause.TOO_FAST
 
 
 def test_in_band_is_ok():
     baseline = _baseline([95 * MS, 105 * MS, 100 * MS], delta=0.05, window=ActiveWindow(16))
-    assert baseline.check(100 * MS) is TimingVerdict.OK
+    assert baseline.check(100 * MS) is None
 
 
 def test_boundary_equal_values_are_flagged():
     baseline = _baseline([100 * MS, 200 * MS], delta=0.5)
     # bounds: 100ms * 0.5 = 50ms, 200ms * 1.5 = 300ms, both exclusive
-    assert baseline.check(50 * MS) is TimingVerdict.TOO_FAST
-    assert baseline.check(300 * MS) is TimingVerdict.TOO_SLOW
-    assert baseline.check(50 * MS + 1) is TimingVerdict.OK
-    assert baseline.check(300 * MS - 1) is TimingVerdict.OK
+    assert baseline.check(50 * MS) is Cause.TOO_FAST
+    assert baseline.check(300 * MS) is Cause.TOO_SLOW
+    assert baseline.check(50 * MS + 1) is None
+    assert baseline.check(300 * MS - 1) is None
 
 
 def test_delta_above_one_clamps_lower_band():
     baseline = _baseline([100 * MS, 200 * MS], delta=1.5)
     # lower bound clamps at 0: nothing positive is ever too fast
-    assert baseline.check(1) is TimingVerdict.OK
-    assert baseline.check(600 * MS) is TimingVerdict.TOO_SLOW
+    assert baseline.check(1) is None
+    assert baseline.check(600 * MS) is Cause.TOO_SLOW
 
 
 def test_mean_drift_derived_example():
@@ -91,8 +91,8 @@ def test_mean_drift_derived_example():
     assert baseline.mean_us == 100 * MS
 
     verdicts = [baseline.check(115 * MS) for _ in range(16)]
-    assert verdicts[:-1] == [TimingVerdict.OK] * 15  # window not yet full
-    assert verdicts[-1] is TimingVerdict.MEAN_DRIFT
+    assert verdicts[:-1] == [None] * 15  # window not yet full
+    assert verdicts[-1] is Cause.MEAN_DRIFT
 
     # brute-force reference on the same sequence
     raw = [115 * MS] * 16
@@ -102,7 +102,7 @@ def test_mean_drift_derived_example():
 def test_flagged_samples_stay_out_of_window():
     window = ActiveWindow(4)
     baseline = _baseline([100 * MS, 100 * MS], delta=0.1, window=window)
-    assert baseline.check(1) is TimingVerdict.TOO_FAST
+    assert baseline.check(1) is Cause.TOO_FAST
     assert len(window.samples) == 0
 
 
@@ -152,10 +152,10 @@ def test_monotonicity_of_band_verdicts():
         baseline = _baseline(samples, delta=rng.random())
         t = rng.randrange(1, 2 * 10**6)
         verdict = baseline.check(t)
-        if verdict is TimingVerdict.TOO_SLOW:
-            assert baseline.check(t + rng.randrange(1, 10**6)) is TimingVerdict.TOO_SLOW
-        if verdict is TimingVerdict.TOO_FAST and t > 1:
-            assert baseline.check(rng.randrange(1, t)) is TimingVerdict.TOO_FAST
+        if verdict is Cause.TOO_SLOW:
+            assert baseline.check(t + rng.randrange(1, 10**6)) is Cause.TOO_SLOW
+        if verdict is Cause.TOO_FAST and t > 1:
+            assert baseline.check(rng.randrange(1, t)) is Cause.TOO_FAST
 
 
 def test_learning_trace_replay_stays_in_band():
@@ -166,16 +166,14 @@ def test_learning_trace_replay_stays_in_band():
         samples = [rng.randrange(1, 10**6) for _ in range(rng.randrange(2, 50))]
         baseline = _baseline(samples, delta=0.01 + rng.random())
         for sample in samples:
-            assert baseline.check(sample) in (
-                TimingVerdict.OK,
-            )
+            assert baseline.check(sample) in (None,)
 
 
 def test_constant_trace_replay_no_verdicts_any_positive_delta():
     for delta in (0.001, 0.1, 0.5, 1.2):
         baseline = _baseline([100 * MS] * 20, delta=delta, window=ActiveWindow(8))
         for _ in range(100):
-            assert baseline.check(100 * MS) is TimingVerdict.OK
+            assert baseline.check(100 * MS) is None
 
 
 def test_persistence_round_trip():
