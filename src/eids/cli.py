@@ -66,7 +66,7 @@ def _scaled_range(unit):
     return convert
 
 
-# config or scenario spec key -> (attribute, override or field name, converter)
+# config or scenario spec key -> (attribute or field name, converter)
 _PROFILE_KEYS = {
     "poll_period_ms": ("poll_period_us", _scaled(1000)),
     "response_delay_ms": ("response_delay_us", _scaled_range(1000)),
@@ -78,8 +78,10 @@ _PROFILE_KEYS = {
 }
 # config key and EngineConfig field -> (converter, flag help)
 _ENGINE_KEYS = {
-    "delta": (float, "timing tolerance for IP flows"),
-    "delta_arp": (float, "timing tolerance for ARP flows"),
+    "delta": (float, "timing tolerance for IP flows learned in this run; "
+                     "a --model flow keeps its own"),
+    "delta_arp": (float, "timing tolerance for ARP flows learned in this run; "
+                         "a --model flow keeps its own"),
     "window": (int, "active-mode mean window size"),
     "alpha": (float, "runtime mean adjustment weight"),
 }
@@ -175,13 +177,13 @@ def _input_frames(args, topology, profile, scenarios=()):
     viewed from the monitored node."""
     if args.pcap is not None:
         return _directed_pcap_frames(args.pcap)
-    duration_us = int(args.duration * 1e6)
-    trace = sim.run(topology, profile, scenarios, duration_us=duration_us,
+    # an unknown address fails before a whole simulation runs
+    name = next((dev.name for dev in topology.devices if dev.ip == args.local_ip), None)
+    if name is None:
+        raise sim.ConfigInvalid("no simulated device has address %s" % args.local_ip)
+    trace = sim.run(topology, profile, scenarios, duration_us=int(args.duration * 1e6),
                     seed=args.seed)
-    for device in topology.devices:
-        if device.ip == args.local_ip:
-            return trace.frames_for(device.name)
-    raise sim.ConfigInvalid("no simulated device has address %s" % args.local_ip)
+    return trace.frames_for(name)
 
 
 class ArpRequestGaps:
@@ -244,9 +246,8 @@ def cmd_learn(args) -> int:
         return 2
     with open(args.out, "wb") as handle:
         handle.write(engine.export_model())
-    flows, bindings = engine.table.export_records()
-    print("flows learned: %d" % len(flows), file=sys.stderr)
-    print("arp bindings: %d" % len(bindings), file=sys.stderr)
+    print("flows learned: %d" % len(engine.table.flows), file=sys.stderr)
+    print("arp bindings: %d" % len(engine.table.bindings), file=sys.stderr)
     if gaps.longest is not None:
         print(
             "suggested learning duration: %.1f s (2 x longest ARP request gap)"
@@ -370,6 +371,7 @@ def cmd_bench(args) -> int:
 
 def cmd_stats(args) -> int:
     topology, profile, _, scenarios = load_config(args.config)
+    sim.parse_flow_filter(args.flow)  # a bad filter fails before any input is built
     if args.pcap is not None:
         with open(args.pcap, "rb") as handle:
             trace_frames = [

@@ -231,7 +231,7 @@ class Engine:
     # -- model persistence ----------------------------------------------
 
     def export_model(self) -> bytes:
-        """Serialize learned flows, bindings and timing baselines."""
+        """Serialize the flows, bindings and timing envelopes learning found."""
         flow_list, bindings = self.table.export_records()
         lines = [MODEL_HEADER]
         for key in flow_list:
@@ -242,12 +242,11 @@ class Engine:
             baseline = self.states.get(key)
             if baseline is None or baseline.n_l < 2:
                 continue
-            mean = baseline.mean_us if baseline.ready else baseline.learning_mean
             lines.append(
                 "TIMING\t%s\t%d\t%d\t%d\t%d\t%d"
                 % (
                     _key_columns(key),
-                    round(mean),
+                    round(baseline.learning_mean),
                     baseline.learned_min_us,
                     baseline.learned_max_us,
                     baseline.n_l,
@@ -288,12 +287,12 @@ class Engine:
             return
         key = _parse_flow_key(*fields[1:5])
         if tag == "FLOW":
-            self.table.admit(key)
+            self.table.flows.add(key)
         else:
             mean_us, min_us, max_us, n_l, delta_milli = map(int, fields[5:])
-            # learn writes at least two samples, positive times and a
-            # delta in [0, 2) rounded to thousandths
-            if n_l < 2 or mean_us < 1 or not 1 <= min_us <= max_us or not 0 <= delta_milli <= 2000:
+            # learn writes at least two samples, positive times with the
+            # mean inside the extrema, and a delta in [0, 2) in thousandths
+            if n_l < 2 or not 1 <= min_us <= mean_us <= max_us or not 0 <= delta_milli <= 2000:
                 raise ValueError("TIMING value out of range")
             baseline = self._new_baseline(key, delta_milli / 1000.0)
             baseline.restore(mean_us=mean_us, min_us=min_us, max_us=max_us, n_l=n_l)

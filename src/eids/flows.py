@@ -235,10 +235,6 @@ class FlowTable:
                 if l4.dst_port == key.service_port:
                     self.services.add((meta.l3.dst_ip, l4.dst_port))
 
-    def admit(self, key: FlowKey) -> None:
-        """Directly admit a flow key (model import path)."""
-        self.flows.add(key)
-
     def export_records(self) -> tuple[list[FlowKey], list[tuple[str, str]]]:
         """Deterministically ordered snapshot of flows and (ip, mac)
         bindings."""

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from eids import sim
+from eids import cli, frames, sim
 from eids.announce import StatusMessage, encode
 from eids.central import CentralLogger
 from eids.cli import ArpRequestGaps, build_parser, load_config, main
@@ -168,6 +168,26 @@ def test_detect_with_model_file(tmp_path, capsys):
     assert main(["learn", "--pcap", str(pcap), "-o", str(model)]) == 0
     assert main(["detect", "--model", str(model), "--pcap", str(pcap)]) == 0
     assert capsys.readouterr().out == ""
+
+
+def test_learned_model_holds_the_learning_mean_not_the_runtime_one(tmp_path, capsys):
+    # 100 polls 100 ms apart, then 300 polls 120 ms apart after learning
+    # ends at 10 s: the later polls nudge the runtime mean, not the model
+    times = [k * 100_000 for k in range(100)] + [9_900_000 + j * 120_000
+                                                 for j in range(1, 301)]
+    poll = frames.tcp_frame("02:00:ac:10:01:32", "02:00:ac:10:01:65", "192.168.1.50",
+                            "192.168.1.101", 49152, 502, 0x18,
+                            frames.modbus_read_request(1, 1))
+    pcap = tmp_path / "polls.pcap"
+    with open(pcap, "wb") as handle:
+        write_pcap(handle, [(at, poll) for at in times])
+    model = tmp_path / "m.model"
+    assert main(["learn", "--pcap", str(pcap), "--learning-duration", "10",
+                 "-o", str(model)]) == 0
+    timing = [line for line in model.read_text().splitlines() if line.startswith("TIMING")]
+    assert timing == ["TIMING\tTcp\t192.168.1.50\t192.168.1.101\t502"
+                      "\t100000\t100000\t100000\t99\t300"]
+    assert "flows learned: 1\narp bindings: 0\n" in capsys.readouterr().err
 
 
 _TAIL_SILENT = {
@@ -527,11 +547,12 @@ def test_config_values_are_literal(tmp_path):
     assert profile.psk == b"ab%cd"
 
 
-def _assert_rejected_before_traffic(tmp_path, capsys, monkeypatch, spec):
-    def no_traffic(*_args):
-        raise AssertionError("traffic built for an invalid scenario")
+def _no_traffic(*_args):
+    raise AssertionError("input built for an invalid command line")
 
-    monkeypatch.setattr(sim, "_gen_arp", no_traffic)
+
+def _assert_rejected_before_traffic(tmp_path, capsys, monkeypatch, spec):
+    monkeypatch.setattr(sim, "_gen_arp", _no_traffic)
     out = tmp_path / "x.pcap"
     assert main(["simulate", "--duration", "40", "--scenario", spec,
                  "--pcap-out", str(out)]) == 2
@@ -561,6 +582,27 @@ def test_scenario_rate_below_one_rejected_before_traffic_is_built(tmp_path, caps
 def test_scenario_stop_not_after_start_rejected_before_traffic_is_built(tmp_path, capsys,
                                                                         monkeypatch, spec):
     _assert_rejected_before_traffic(tmp_path, capsys, monkeypatch, spec)
+
+
+@pytest.mark.parametrize("command", ["learn", "detect"])
+def test_unknown_local_ip_rejected_before_traffic_is_built(tmp_path, capsys, monkeypatch,
+                                                          command):
+    monkeypatch.setattr(sim, "_gen_arp", _no_traffic)
+    mode = ["-o", str(tmp_path / "m.model")] if command == "learn" else ["--learn-first", "10"]
+    assert main([command, "--duration", "600", "--local-ip", "10.0.0.9"] + mode) == 2
+    assert capsys.readouterr().err == "eids: no simulated device has address 10.0.0.9\n"
+
+
+@pytest.mark.parametrize("source", ["sim", "pcap"])
+def test_stats_filter_checked_before_input_is_built(tmp_path, capsys, monkeypatch, source):
+    monkeypatch.setattr(sim, "_gen_arp", _no_traffic)
+    monkeypatch.setattr(cli, "read_pcap", _no_traffic)
+    pcap = tmp_path / "x.pcap"
+    with open(pcap, "wb") as handle:
+        write_pcap(handle, [])
+    argv = ["--pcap", str(pcap)] if source == "pcap" else ["--duration", "600"]
+    assert main(["stats", "--flow", "nope"] + argv) == 2
+    assert capsys.readouterr().err == "eids: unknown filter 'nope'\n"
 
 
 @pytest.mark.parametrize("command", ["learn", "detect", "simulate", "logger", "bench", "stats"])

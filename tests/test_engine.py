@@ -494,8 +494,10 @@ def test_model_import_names_an_overflowing_line():
     "0\t100000\t100000\t50\t300",
     "100000\t100000\t100000\t50\t-500",
     "100000\t100000\t100000\t50\t2001",
+    "99999\t100000\t100000\t50\t300",
+    "100001\t100000\t100000\t50\t300",
 ], ids=["one-sample", "min-zero", "min-above-max", "mean-zero", "negative-delta",
-        "delta-above-2000"])
+        "delta-above-2000", "mean-below-min", "mean-above-max"])
 def test_model_import_rejects_timing_values_learn_never_writes(values):
     line = "TIMING\tTcp\t%s\t%s\t502\t%s" % (PLC, LOCAL, values)
     model = "EIDS-MODEL 1\nFLOW\tTcp\t%s\t%s\t502\n%s\n" % (PLC, LOCAL, line)

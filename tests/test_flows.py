@@ -123,7 +123,7 @@ def test_key_for_both_candidates_admitted_falls_through():
     # derive_key heuristic (min port, 5000) pick the key
     table = FlowTable(LOCAL)
     for port in (5000, 6000):
-        table.admit(FlowKey(FlowKind.TCP, peer=PLC, local_ip=LOCAL, service_port=port))
+        table.flows.add(FlowKey(FlowKind.TCP, peer=PLC, local_ip=LOCAL, service_port=port))
     packet = _tcp(6000, 5000)
     assert table.key_for(*packet).service_port == 5000
     table.services.add((PLC, 6000))

@@ -22,7 +22,7 @@ from eids.cli import main
 from eids.engine import format_event
 
 PCAP_SHA256 = "3b733a63af9333b94798fcd496641d1e2de1f5e6e72241072e13b32d9f9948b7"
-MODEL_SHA256 = "01bda656c7a6a2beea3454d7d3e872e5babf474f1375e78eeac078087cd34a5b"
+MODEL_SHA256 = "f2e818dda414abc13bd793eaaccd8515a67e9f109d2ad1437f71c41620d1049f"
 DETECT_MODEL_SHA256 = "48bedb8ec8abbfd10d730da7013a3aeeaab485c954b2325f7a934ab071981db8"
 DETECT_LEARN_FIRST_SHA256 = "4c86bd1cfe3f8488f52776b453ce84f68b0edfdb7970dd07871583a10c871ea5"
 
