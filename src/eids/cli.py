@@ -374,16 +374,13 @@ def cmd_stats(args) -> int:
     sim.parse_flow_filter(args.flow)  # a bad filter fails before any input is built
     if args.pcap is not None:
         with open(args.pcap, "rb") as handle:
-            trace_frames = [
-                sim.TraceFrame(ts, "capture", None, data) for ts, data in read_pcap(handle)
-            ]
-        trace = sim.FrameTrace(topology=topology, frames=trace_frames)
+            csv = sim.stats_csv(read_pcap(handle), args.flow)
     else:
         trace = sim.run(
             topology, profile, scenarios,
             duration_us=int(args.duration * 1e6), seed=args.seed,
         )
-    csv = sim.stats_csv(trace, args.flow)
+        csv = sim.stats_csv(trace.records(), args.flow)
     if args.out is None or args.out == "-":
         sys.stdout.write(csv)
     else:

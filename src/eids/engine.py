@@ -29,18 +29,23 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .flows import IP_KINDS, Cause, FlowKey, FlowKind, FlowTable, Mode
 from .packet import (
+    PROTO_TCP,
     TCP_FIN,
     TCP_RST,
     TCP_SYN,
     Direction,
     PacketMeta,
     ParseError,
+    header_signature,
     parse_frame,
 )
 from .timing import ActiveWindow, FlowBaseline
 
 MODEL_HEADER = "EIDS-MODEL 1"
 TICK_PERIOD_US = 100_000
+# header signatures an active engine keeps the verdict of: a plant has
+# tens of flows, a flood of fresh ports fills it and then parses in full
+SIGNATURE_CAPACITY = 4096
 
 _NO_SAMPLE_FLAGS = TCP_SYN | TCP_FIN | TCP_RST
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
@@ -97,6 +102,8 @@ class Engine:
         self.states: dict[FlowKey, FlowBaseline] = {}
         self.mode = Mode.LEARNING
         self.started_us: int | None = None
+        # (sent, header signature) -> key_for/observe result; see ingest
+        self._judged: dict[tuple, tuple[FlowKey, Cause | None, str]] = {}
 
     # -- packet path ---------------------------------------------------
 
@@ -110,29 +117,59 @@ class Engine:
         frame that cannot be parsed is itself suspicious and alerts
         rather than raising. A direction of None means the input does
         not say, as in a pcap capture; the flow table decides the side.
+
+        Active mode never changes the flow table, so there a TCP or UDP
+        frame's flow key and metadata cause depend only on whether it
+        is sent and on its packet.header_signature. The engine keeps
+        them per signature, filled only in active mode (after the
+        learning tick or import_model), and parses a frame only when
+        its signature is new. Past SIGNATURE_CAPACITY signatures, new
+        ones are judged in full but not kept. The timing check runs
+        on every frame.
         """
         self._note_time(now_us)
-        try:
-            meta = parse_frame(frame)
-        except ParseError as exc:
-            if self.mode is Mode.LEARNING:
-                return Verdict.PASS, []
-            return Verdict.ALERT, [
-                IntrusionEvent(now_us, Cause.NEW_FLOW, None, "unparseable: %s" % exc)
-            ]
-
-        key = self.table.key_for(meta, direction)
-        # learning mode finds no cause and raises no timing events
-        cause = self.table.observe(meta, self.mode, key)
+        signature = header_signature(frame) if self.mode is Mode.ACTIVE else None
+        if signature is not None:
+            # a bool, not the Direction: the probe then hashes in C; RX
+            # and None key a TCP/UDP frame alike (flows._endpoints)
+            probe = (direction is Direction.TX, signature)
+            judged = self._judged.get(probe)
+            if judged is None:
+                judged = self._judge(parse_frame(frame), direction)
+                if len(self._judged) < SIGNATURE_CAPACITY:
+                    self._judged[probe] = judged
+            tcp_flags = frame[47] if signature[1] == PROTO_TCP else None
+        else:
+            try:
+                meta = parse_frame(frame)
+            except ParseError as exc:
+                if self.mode is Mode.LEARNING:
+                    return Verdict.PASS, []
+                return Verdict.ALERT, [
+                    IntrusionEvent(now_us, Cause.NEW_FLOW, None, "unparseable: %s" % exc)
+                ]
+            judged = self._judge(meta, direction)
+            l4 = meta.l3.l4 if meta.l3 is not None else None
+            tcp_flags = l4.tcp_flags if l4 is not None else None
+        key, cause, detail = judged
         if cause is not None:
-            # the detail names the cause in lower case: new-flow, l2l3-mismatch
-            detail = cause.name.lower().replace("_", "-")
             return Verdict.ALERT, [IntrusionEvent(now_us, cause, key, detail)]
-        events = self._track_timing(meta, key, now_us)
+        events = self._track_timing(tcp_flags, key, now_us)
         return (Verdict.ALERT if events else Verdict.PASS), events
 
+    def _judge(
+        self, meta: PacketMeta, direction: Direction | None
+    ) -> tuple[FlowKey, Cause | None, str]:
+        """A frame's flow key, metadata cause and event detail, which
+        names the cause in lower case: new-flow, l2l3-mismatch."""
+        key = self.table.key_for(meta, direction)
+        # learning mode finds no cause
+        cause = self.table.observe(meta, self.mode, key)
+        detail = "" if cause is None else cause.name.lower().replace("_", "-")
+        return key, cause, detail
+
     def _track_timing(
-        self, meta: PacketMeta, key: FlowKey, now_us: int
+        self, tcp_flags: int | None, key: FlowKey, now_us: int
     ) -> list[IntrusionEvent]:
         baseline = self.states.get(key)
         if baseline is None:
@@ -145,8 +182,7 @@ class Engine:
             baseline.last_arrival_us = now_us
             baseline.silent = False
 
-        l4 = meta.l3.l4 if meta.l3 is not None else None
-        if l4 is not None and l4.tcp_flags is not None and l4.tcp_flags & _NO_SAMPLE_FLAGS:
+        if tcp_flags is not None and tcp_flags & _NO_SAMPLE_FLAGS:
             return []
 
         previous = baseline.last_sample_us
@@ -326,8 +362,10 @@ def format_event(event: IntrusionEvent, node_id: int) -> str:
     """One event-log line: ISO8601 time, node, cause, flow, detail."""
     seconds, micros = divmod(event.at_us, 1_000_000)
     flow = _render_flow(event.flow) if event.flow is not None else "-"
+    # _value_, enum's documented member attribute, is a plain instance
+    # read; .value goes through a Python-level descriptor on every line
     return "%s.%06dZ\t%d\t%s\t%s\t%s" % (
-        _stamp_second(seconds), micros, node_id, event.cause.value, flow, event.detail
+        _stamp_second(seconds), micros, node_id, event.cause._value_, flow, event.detail
     )
 
 

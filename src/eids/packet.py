@@ -188,6 +188,28 @@ def _parse_ipv4(data: bytes, offset: int) -> Ipv4Meta | None:
     return Ipv4Meta(src_ip, dst_ip, protocol, l4)
 
 
+def header_signature(data: bytes) -> tuple | None:
+    """The header bytes that parse_frame decodes into a TCP or UDP
+    frame's MACs, protocol, addresses, ports and TCP SYN/ACK bits, as
+    plain values; None unless parse_frame would give the frame l3.l4.
+    Only the common layout qualifies, untagged IPv4 with a 20-byte
+    header (version/IHL octet 0x45), so the length checks below are
+    those of _parse_ipv4 and _parse_udp at fixed offsets."""
+    if len(data) < 42 or data[12:15] != b"\x08\x00\x45":
+        return None
+    protocol = data[23]
+    if protocol == PROTO_TCP:
+        if len(data) < 48:
+            return None
+        doff = (data[46] >> 4) * 4
+        if doff < 20 or len(data) < 34 + doff or ((data[16] << 8) | data[17]) - 20 - doff < 0:
+            return None
+        return data[0:12], protocol, data[26:38], data[47] & (TCP_SYN | TCP_ACK)
+    if protocol == PROTO_UDP and ((data[38] << 8) | data[39]) >= 8:
+        return data[0:12], protocol, data[26:38], None
+    return None
+
+
 def _parse_udp(data: bytes, offset: int) -> TransportMeta:
     if len(data) < offset + _UDP_HDR.size:
         raise TruncatedFrame("UDP header promised but frame ends")

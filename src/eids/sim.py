@@ -185,9 +185,13 @@ class FrameTrace:
             elif fr.dst == device_name or (fr.dst is None and fr.src != device_name):
                 yield fr.time_us, Direction.RX, fr.data
 
+    def records(self) -> Iterator[tuple[int, bytes]]:
+        """(time_us, frame) of every frame on the wire, in time order."""
+        return ((fr.time_us, fr.data) for fr in self.frames)
+
     def write_pcap(self, stream: BinaryIO, viewpoint: str | None = None) -> int:
         if viewpoint is None:
-            records = ((fr.time_us, fr.data) for fr in self.frames)
+            records = self.records()
         else:
             records = ((t, data) for t, _d, data in self.frames_for(viewpoint))
         return write_pcap(stream, records)
@@ -598,8 +602,11 @@ def _match_filter(parsed, meta) -> str | None:
     return "arp-req/%s->%s" % (arp.sender_ip, arp.target_ip)
 
 
-def interarrivals(trace: FrameTrace, flow: str) -> dict[str, list[tuple[int, int]]]:
-    """Per-group (timestamp_us, interarrival_us) pairs for a filter."""
+def interarrivals(
+    records: Iterable[tuple[int, bytes]], flow: str
+) -> dict[str, list[tuple[int, int]]]:
+    """Per-group (timestamp_us, interarrival_us) pairs for a filter,
+    from (timestamp_us, frame) records read once, in order."""
     parsed = parse_flow_filter(flow)
     last_seen: dict[str, int] = {}
     out: dict[str, list[tuple[int, int]]] = {}
@@ -609,32 +616,32 @@ def interarrivals(trace: FrameTrace, flow: str) -> dict[str, list[tuple[int, int
         # unparsed
         host = socket.inet_aton(parsed[1])
     except OSError:
-        return out  # not an address: matches nothing
-    for fr in trace.frames:
-        if host not in fr.data:
+        host = None  # not an address: matches nothing, but the input is still read
+    for time_us, data in records:
+        if host is None or host not in data:
             continue
         try:
-            meta = parse_frame(fr.data)
+            meta = parse_frame(data)
         except ParseError:
             continue
         label = _match_filter(parsed, meta)
         if label is None:
             continue
         previous = last_seen.get(label)
-        last_seen[label] = fr.time_us
+        last_seen[label] = time_us
         if previous is not None:
-            out.setdefault(label, []).append((fr.time_us, fr.time_us - previous))
+            out.setdefault(label, []).append((time_us, time_us - previous))
     return out
 
 
-def stats_csv(trace: FrameTrace, flow: str) -> str:
+def stats_csv(records: Iterable[tuple[int, bytes]], flow: str) -> str:
     """Interarrival CSV with columns flow,timestamp_us,interarrival_us.
 
     Rows start with each group's second packet; a filter matching
     nothing yields just the header.
     """
     lines = ["flow,timestamp_us,interarrival_us"]
-    groups = interarrivals(trace, flow)
+    groups = interarrivals(records, flow)
     for label in sorted(groups):
         for ts, gap in groups[label]:
             lines.append("%s,%d,%d" % (label, ts, gap))

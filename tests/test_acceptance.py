@@ -76,17 +76,17 @@ def test_criterion_2_benign_false_positives(benign_trace_30m):
 
 
 def test_criterion_3_timing_statistics(trace_2h):
-    poll_groups = sim.interarrivals(trace_2h, "tcp:%s:502:to" % S1_IP)
+    poll_groups = sim.interarrivals(trace_2h.records(), "tcp:%s:502:to" % S1_IP)
     poll_gaps = [gap for _t, gap in next(iter(poll_groups.values()))]
     poll_mean_ms = statistics.mean(poll_gaps) / 1000
     poll_ok = 95.0 <= poll_mean_ms <= 105.0
 
-    arp_groups = sim.interarrivals(trace_2h, "arp-req:%s" % S1_IP)
+    arp_groups = sim.interarrivals(trace_2h.records(), "arp-req:%s" % S1_IP)
     arp_gaps = [gap for _t, gap in next(iter(arp_groups.values()))]
     arp_mean_s = statistics.mean(arp_gaps) / 1e6
     arp_ok = 270.0 * 0.85 <= arp_mean_s <= 270.0 * 1.15
 
-    csv = sim.stats_csv(trace_2h, "tcp:%s:502" % S1_IP)
+    csv = sim.stats_csv(trace_2h.records(), "tcp:%s:502" % S1_IP)
     pooled = [int(line.rsplit(",", 1)[1]) for line in csv.strip().split("\n")[1:]]
     below_10ms = sum(1 for gap in pooled if gap < 10_000) / len(pooled)
     near_period = sum(1 for gap in pooled if 50_000 <= gap <= 150_000) / len(pooled)

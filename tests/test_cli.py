@@ -19,7 +19,7 @@ from eids.announce import StatusMessage, encode
 from eids.central import CentralLogger
 from eids.cli import ArpRequestGaps, build_parser, load_config, main
 from eids.engine import EngineConfig
-from eids.packet import ArpOp, parse_frame
+from eids.packet import ArpOp, header_signature, parse_frame
 from eids.pcap import read_pcap, write_pcap
 
 S = 1_000_000
@@ -96,6 +96,23 @@ def test_learn_memory_does_not_grow_with_capture_length(tmp_path, capsys):
 
     peak_bytes(short)  # warm-up: first-call allocations are not per frame
     assert peak_bytes(long) <= 1.5 * peak_bytes(short)
+
+
+def test_stats_memory_does_not_grow_with_capture_length(tmp_path, capsys):
+    short, _ = _write_viewpoint_pcap(tmp_path, "short.pcap", duration_s=60, seed=4)
+    long, _ = _write_viewpoint_pcap(tmp_path, "long.pcap", duration_s=240, seed=4)
+
+    def peak_bytes(pcap):
+        tracemalloc.start()
+        try:
+            # ARP requests are rare, so the CSV stays a few lines long
+            assert main(["stats", "--pcap", str(pcap), "--flow", "arp-req:192.168.1.101"]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak_bytes(short)  # warm-up: first-call allocations are not per frame
+    assert peak_bytes(long) <= peak_bytes(short) + 64 * 1024
 
 
 def test_detect_memory_does_not_grow_with_event_count(tmp_path, capsys):
@@ -240,11 +257,13 @@ def test_detect_bad_input_exits_two(tmp_path, capsys, case):
     "sim-unknown-local-ip", "learn-bad-config", "detect-bad-config", "stats-bad-config",
     "learn-unwritable-out", "simulate-unwritable-out", "simulate-unknown-scenario",
     "detect-learn-first-zero", "simulate-duration-inf", "simulate-scenario-start-inf",
-    "detect-learn-first-inf", "stats-duration-inf",
+    "detect-learn-first-inf", "stats-duration-inf", "stats-garbage-pcap-any-filter",
 ])
 def test_input_error_exits_two(tmp_path, capsys, case):
     config = tmp_path / "plant.ini"
     config.write_text("[profile]\npoll_period_ms = abc\n")
+    garbage = tmp_path / "garbage.pcap"
+    garbage.write_bytes(b"this is not a capture")
     sim_input = ["--duration", "5"]
     absent_dir = tmp_path / "absent"
     argv = {
@@ -267,6 +286,8 @@ def test_input_error_exits_two(tmp_path, capsys, case):
                                         "5:start=inf", "--pcap-out", str(tmp_path / "x.pcap")],
         "detect-learn-first-inf": ["detect", "--learn-first", "inf", "--duration", "1"],
         "stats-duration-inf": ["stats", "--duration", "inf", "--flow", "tcp:1.2.3.4:5"],
+        # a filter host that is no address matches nothing, but the capture is still read
+        "stats-garbage-pcap-any-filter": ["stats", "--pcap", str(garbage), "--flow", "tcp:S1:502"],
     }[case]
     assert main(argv) == 2
     captured = capsys.readouterr()
@@ -364,15 +385,32 @@ def test_broken_pipe_exits_zero(tmp_path, monkeypatch):
     assert code == 0
 
 
-@pytest.mark.parametrize("command, parses_per_frame", [
-    (["detect", "--learn-first", "30"], lambda data: 1),
-    # learn's ARP watch skips untagged IPv4 (ethertype 08 00) unparsed
-    (["learn", "-o", "m.model"], lambda data: 1 + (data[12:14] != b"\x08\x00")),
-], ids=["detect", "learn"])
-def test_parses_per_frame(tmp_path, monkeypatch, command, parses_per_frame):
+def _active_parses(frames):
+    """Parses an active engine makes on pcap frames: one per frame that
+    header_signature rejects, one per distinct signature it admits. A
+    pcap says no direction, so every frame probes as not sent."""
+    signatures = [header_signature(data) for data in frames]
+    return signatures.count(None) + len(set(signatures) - {None})
+
+
+@pytest.mark.parametrize("command", ["detect", "learn", "detect-model"])
+def test_parses_per_frame(tmp_path, monkeypatch, command):
     pcap, _ = _write_viewpoint_pcap(tmp_path, "small.pcap", duration_s=60)
     with open(pcap, "rb") as handle:
-        frames = [data for _ts, data in read_pcap(handle)]
+        records = list(read_pcap(handle))
+    frames = [data for _ts, data in records]
+    model = tmp_path / "m.model"
+    assert main(["learn", "--pcap", str(pcap), "-o", str(model)]) == 0
+    # learning ends on the tick 30 s after the first frame
+    learning = [data for ts, data in records if ts - records[0][0] < 30 * S]
+    active = frames[len(learning):]
+    argv, expected = {
+        "detect": (["detect", "--learn-first", "30"], len(learning) + _active_parses(active)),
+        # learn's ARP watch skips untagged IPv4 (ethertype 08 00) unparsed
+        "learn": (["learn", "-o", str(model)],
+                  sum(1 + (data[12:14] != b"\x08\x00") for data in frames)),
+        "detect-model": (["detect", "--model", str(model)], _active_parses(frames)),
+    }[command]
     calls = []
 
     def counted(data):
@@ -381,10 +419,13 @@ def test_parses_per_frame(tmp_path, monkeypatch, command, parses_per_frame):
 
     monkeypatch.setattr("eids.engine.parse_frame", counted)
     monkeypatch.setattr("eids.cli.parse_frame", counted)
-    monkeypatch.chdir(tmp_path)
-    assert main(command + ["--pcap", str(pcap)]) in (0, 1)
+    assert main(argv + ["--pcap", str(pcap)]) in (0, 1)
     assert {data[12:14] for data in frames} >= {b"\x08\x00", b"\x08\x06"}
-    assert len(calls) == sum(parses_per_frame(data) for data in frames)
+    assert len(calls) == expected
+    # the capture has frames the guard rejects; the active part repeats signatures
+    assert None in map(header_signature, frames)
+    admitted = [sig for sig in map(header_signature, active) if sig is not None]
+    assert len(set(admitted)) < len(admitted)
 
 
 def test_simulate_writes_pcap(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Frame decoding: examples, error paths, round trips, fuzz totality."""
 
 import random
+import socket
 import struct
 
 import pytest
@@ -8,12 +9,16 @@ import pytest
 from eids import frames
 from eids.announce import StatusMessage, encode
 from eids.packet import (
+    PROTO_TCP,
+    TCP_ACK,
     TCP_SYN,
     ArpOp,
     MalformedArp,
     PacketMeta,
     ParseError,
     TruncatedFrame,
+    format_mac,
+    header_signature,
     parse_frame,
 )
 
@@ -337,3 +342,55 @@ def test_tcp_data_offset_below_20_keeps_only_l3():
     meta = parse_frame(bytes(frame))
     assert meta.l3.protocol == 6 and meta.l3.src_ip == "192.168.1.50"
     assert meta.l3.l4 is None
+
+
+def _signature_corpus():
+    """Every truncation and single-bit flip of TCP and UDP frames, with
+    and without a VLAN tag, IPv4 options or TCP options, plus the fuzz
+    corpus of random and mutated frames."""
+    tcp = frames.tcp_frame(PLC_MAC, S1_MAC, "192.168.1.50", "192.168.1.101",
+                           49152, 502, 0x12, b"data")
+    udp = frames.udp_frame(S1_MAC, frames.BROADCAST_MAC, "192.168.1.101",
+                           "255.255.255.255", 47808, 47808, b"y" * 12)
+    tcp_options = bytearray(tcp + b"\x00" * 8)
+    tcp_options[14 + 20 + 12] = 7 << 4
+    ip_options = _with_ip_bytes(tcp[:34] + b"\x00" * 8 + tcp[34:], ihl=7)
+    templates = [tcp, udp, bytes(tcp_options), ip_options,
+                 tcp[:12] + b"\x81\x00\x00\x05" + tcp[12:]]
+    corpus = []
+    for template in templates:
+        corpus += [template[:n] for n in range(len(template) + 1)]
+        for bit in range(8 * len(template)):
+            flipped = bytearray(template)
+            flipped[bit // 8] ^= 1 << (bit % 8)
+            corpus.append(bytes(flipped))
+    rng = random.Random(99)
+    for _ in range(5000):
+        mutated = bytearray(rng.choice(templates))
+        for _ in range(rng.randrange(1, 4)):
+            mutated[rng.randrange(12, 50)] = rng.randrange(256)
+        corpus.append(bytes(mutated[: rng.randrange(30, len(mutated) + 1)]))
+    return corpus
+
+
+def test_header_signature_admits_only_frames_it_spells():
+    admitted = {PROTO_TCP: 0, 17: 0}
+    for data in _signature_corpus():
+        signature = header_signature(data)
+        if signature is None:
+            continue
+        macs, protocol, addresses, synack = signature
+        meta = parse_frame(data)
+        l3 = meta.l3
+        assert l3 is not None and l3.l4 is not None, data.hex()
+        assert (meta.dst_mac, meta.src_mac) == (format_mac(macs[:6]), format_mac(macs[6:]))
+        assert protocol == l3.protocol
+        assert (l3.src_ip, l3.dst_ip) == (socket.inet_ntoa(addresses[:4]),
+                                          socket.inet_ntoa(addresses[4:8]))
+        assert (l3.l4.src_port, l3.l4.dst_port) == struct.unpack(">HH", addresses[8:])
+        if protocol == PROTO_TCP:
+            assert synack == l3.l4.tcp_flags & (TCP_SYN | TCP_ACK)
+        else:
+            assert synack is None and l3.l4.tcp_flags is None
+        admitted[protocol] += 1
+    assert min(admitted.values()) > 100

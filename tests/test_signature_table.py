@@ -1,0 +1,120 @@
+"""The active-mode header-signature table against the full path.
+
+An active engine judges a known TCP or UDP frame's metadata by one probe
+of a table keyed on packet.header_signature. These tests switch the
+table off by making every signature None, so every frame is parsed,
+keyed and observed, and require the same events either way.
+"""
+
+import pytest
+
+from eids import bench, frames, sim
+from eids.engine import SIGNATURE_CAPACITY, Engine, EngineConfig, replay
+from eids.flows import Cause
+from eids.packet import Direction, header_signature
+
+S = 1_000_000
+MS = 1000
+S1_IP = "192.168.1.101"
+
+
+def _table_off(monkeypatch):
+    monkeypatch.setattr("eids.engine.header_signature", lambda data: None)
+
+
+@pytest.fixture
+def short_plant(monkeypatch):
+    """The 100 s matrix of the golden test: learning to 60 s, attacks
+    from 65 s."""
+    monkeypatch.setattr(bench, "LEARNING_US", 60 * S)
+    monkeypatch.setattr(bench, "ATTACK_START_US", 65 * S)
+    monkeypatch.setattr(bench, "DURATION_US", 100 * S)
+    return lambda seed: sim.Plant(sim.Topology.default(), sim.TrafficProfile(),
+                                  bench.DURATION_US, seed)
+
+
+def _row_events(plant):
+    return [bench._observe(plant.trace([scenario]), sim.TrafficProfile()).events
+            for scenario, _variant, _expected in bench._scenario_matrix()]
+
+
+@pytest.mark.parametrize("seed", [3, 8])
+def test_matrix_rows_raise_the_same_events_with_the_table_off(short_plant, monkeypatch,
+                                                              seed):
+    plant = short_plant(seed)
+    with_table = _row_events(plant)
+    _table_off(monkeypatch)
+    assert _row_events(plant) == with_table
+    assert any(with_table)
+
+
+@pytest.fixture(scope="module")
+def model_and_view():
+    """A model learned on S1's first 60 s of a benign plant, and S1's
+    view from then on."""
+    trace = sim.run(duration_us=100 * S, seed=3,
+                    profile=sim.TrafficProfile(arp_expiry_us=(20 * S, 40 * S)))
+    view = list(trace.frames_for("S1"))
+    learner = Engine(EngineConfig(local_ip=S1_IP, learning_duration_us=60 * S))
+    for _event in replay(learner, (record for record in view if record[0] < 60 * S)):
+        pass
+    return learner.export_model(), [record for record in view if record[0] >= 60 * S]
+
+
+def _mutants(data):
+    yield from (data[:n] for n in range(61))
+    for bit in range(12 * 8, 49 * 8):
+        flipped = bytearray(data)
+        if bit // 8 < len(flipped):
+            flipped[bit // 8] ^= 1 << (bit % 8)
+            yield bytes(flipped)
+
+
+def _hostile_stream(view):
+    """The view, then every mutant of one frame per signature and
+    direction, each sent, received and of unknown direction, then the
+    view again with each pair of neighbouring records swapped."""
+    stream = list(view)
+    bases = {}
+    for _at, direction, data in view:
+        bases.setdefault((direction, header_signature(data)), data)
+    at = view[-1][0]
+    for data in bases.values():
+        for mutant in _mutants(data):
+            for direction in (Direction.TX, Direction.RX, None):
+                at += MS
+                stream.append((at, direction, mutant))
+    shift = at + S - view[0][0]
+    for k in range(0, len(view) - 1, 2):
+        stream += [(view[k + 1][0] + shift,) + view[k + 1][1:],
+                   (view[k][0] + shift,) + view[k][1:]]
+    return stream
+
+
+def _imported_events(model, stream):
+    engine = Engine(EngineConfig(local_ip=S1_IP))
+    engine.import_model(model)
+    return list(replay(engine, stream))
+
+
+def test_mutated_frames_raise_the_same_events_with_the_table_off(model_and_view,
+                                                                 monkeypatch):
+    model, view = model_and_view
+    stream = _hostile_stream(view)
+    with_table = _imported_events(model, stream)
+    _table_off(monkeypatch)
+    assert _imported_events(model, stream) == with_table
+    causes = {event.cause for event in with_table}
+    assert {Cause.NEW_FLOW, Cause.L2L3_MISMATCH, Cause.TOO_FAST} <= causes
+
+
+def test_table_stops_growing_at_its_capacity_and_still_judges_every_frame():
+    engine = Engine(EngineConfig(local_ip=S1_IP, learning_duration_us=S))
+    engine.tick(0)
+    engine.tick(S)
+    for k in range(5000):
+        frame = frames.tcp_frame("02:00:ac:10:01:c8", "02:00:ac:10:01:65",
+                                 "192.168.1.200", S1_IP, 10_000 + k, 9999, 0x18)
+        _verdict, events = engine.ingest(Direction.RX, frame, 2 * S + k)
+        assert [event.cause for event in events] == [Cause.NEW_FLOW]
+        assert len(engine._judged) == min(k + 1, SIGNATURE_CAPACITY)

@@ -30,7 +30,7 @@ def test_same_seed_same_bytes():
 
 def test_benign_modbus_poll_mean():
     trace = sim.run(duration_us=60 * S, seed=1)
-    groups = sim.interarrivals(trace, "tcp:%s:502:to" % S1_IP)
+    groups = sim.interarrivals(trace.records(), "tcp:%s:502:to" % S1_IP)
     assert len(groups) == 1
     gaps = [gap for _ts, gap in next(iter(groups.values()))]
     assert len(gaps) >= 300  # over 300 poll cycles in 60 s
@@ -38,7 +38,7 @@ def test_benign_modbus_poll_mean():
     assert 95 <= mean_ms <= 105
     # steady-state minimum (past the handshake) respects the response
     # delay floor: pooled gaps are either responses or period remainders
-    pooled = sim.interarrivals(trace, "tcp:%s:502" % S1_IP)
+    pooled = sim.interarrivals(trace.records(), "tcp:%s:502" % S1_IP)
     steady = [gap for _ts, gap in next(iter(pooled.values())) if _ts > 1 * S]
     assert min(steady) >= sim.TrafficProfile().response_delay_us[0]
 
@@ -196,41 +196,42 @@ def test_pcap_round_trip_counts():
 
 def test_stats_csv_shape_and_empty_filter():
     trace = sim.run(duration_us=20 * S, seed=3)
-    csv = sim.stats_csv(trace, "tcp:%s:502" % S1_IP)
+    csv = sim.stats_csv(trace.records(), "tcp:%s:502" % S1_IP)
     lines = csv.strip().split("\n")
     assert lines[0] == "flow,timestamp_us,interarrival_us"
     assert len(lines) > 100
     assert all(line.count(",") == 2 for line in lines[1:])
 
-    empty = sim.stats_csv(trace, "tcp:10.9.9.9:1234")
+    empty = sim.stats_csv(trace.records(), "tcp:10.9.9.9:1234")
     assert empty == "flow,timestamp_us,interarrival_us\n"
 
 
-def _interarrivals_by_full_parse(trace, flow):
+def _interarrivals_by_full_parse(records, flow):
     """The filter applied to every parsed frame, with no pre-filter."""
     parsed = sim.parse_flow_filter(flow)
     last_seen = {}
     out = {}
-    for fr in trace.frames:
+    for time_us, data in records:
         try:
-            meta = parse_frame(fr.data)
+            meta = parse_frame(data)
         except ParseError:
             continue
         label = sim._match_filter(parsed, meta)
         if label is None:
             continue
         previous = last_seen.get(label)
-        last_seen[label] = fr.time_us
+        last_seen[label] = time_us
         if previous is not None:
-            out.setdefault(label, []).append((fr.time_us, fr.time_us - previous))
+            out.setdefault(label, []).append((time_us, time_us - previous))
     return out
 
 
 @pytest.fixture(scope="module")
 def attacked_traces():
     """A 60 s run with ARP caches expiring every 4-8 s, injection on S1,
-    S2 captured and contacting S1, and ARP poisoning of the PLC; once in
-    full and once as S1's view read back from a pcap."""
+    S2 captured and contacting S1, and ARP poisoning of the PLC, as
+    (time_us, frame) records: once in full and once as S1's view read
+    back from a pcap."""
     scenarios = [
         sim.AttackScenario(sim.ScenarioKind.INJECT, start_us=20 * S, target="S1"),
         sim.AttackScenario(sim.ScenarioKind.CAPTURE_NODE, start_us=30 * S, target="S2",
@@ -242,10 +243,7 @@ def attacked_traces():
     buffer = io.BytesIO()
     trace.write_pcap(buffer, viewpoint="S1")
     buffer.seek(0)
-    captured = sim.FrameTrace(trace.topology, [
-        sim.TraceFrame(ts, "capture", None, data) for ts, data in read_pcap(buffer)
-    ])
-    return {"full": trace, "pcap": captured}
+    return {"full": list(trace.records()), "pcap": list(read_pcap(buffer))}
 
 
 @pytest.mark.parametrize("source", ["full", "pcap"])
@@ -271,15 +269,15 @@ def attacked_traces():
     "arp-req:not-an-address",
 ])
 def test_interarrivals_match_full_parse(attacked_traces, source, flow):
-    trace = attacked_traces[source]
-    assert sim.interarrivals(trace, flow) == _interarrivals_by_full_parse(trace, flow)
+    records = attacked_traces[source]
+    assert sim.interarrivals(records, flow) == _interarrivals_by_full_parse(records, flow)
 
 
 def test_bad_filters_rejected():
     trace = sim.run(duration_us=1 * S, seed=0)
     for bad in ("bogus:1", "tcp:only-host", "tcp:h:1:sideways", "arp-req"):
         with pytest.raises(ValueError):
-            sim.stats_csv(trace, bad)
+            sim.stats_csv(trace.records(), bad)
 
 
 def test_scenario_conflict_same_target_overlap():
