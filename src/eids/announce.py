@@ -15,12 +15,16 @@ The message time is the replay-protection variable: a receiver accepts
 a node's message only if its time is strictly greater than the last
 accepted one. There is no encryption; the status bits are not secret,
 only their authenticity matters.
+
+A message is a StatusMessage, a named tuple of the header's fields with
+the flags octet split into its two bits; its flags property joins them
+again for the wire.
 """
 
 import hmac
 import struct
-from dataclasses import dataclass
 from hashlib import sha256
+from typing import NamedTuple
 
 MAGIC = b"EIDS"
 VERSION = 1
@@ -64,8 +68,9 @@ class SkewRejected(AnnounceError):
     """Message time implausibly far in the receiver's future."""
 
 
-@dataclass(frozen=True)
-class StatusMessage:
+class StatusMessage(NamedTuple):
+    """One node's status, as encode signs it and decode_verify returns it."""
+
     node_id: int
     msg_time_ms: int
     intrusion: bool
@@ -145,10 +150,7 @@ def decode_verify(
         raise SkewRejected("message time %d vs clock %d" % (msg_time_ms, now_ms))
     replay.accept(node_id, msg_time_ms)
     return StatusMessage(
-        node_id=node_id,
-        msg_time_ms=msg_time_ms,
-        intrusion=bool(flags & FLAG_INTRUSION),
-        active=bool(flags & FLAG_ACTIVE),
-        event_count=event_count,
+        node_id, msg_time_ms, bool(flags & FLAG_INTRUSION), bool(flags & FLAG_ACTIVE),
+        event_count,
     )
 

@@ -1,40 +1,29 @@
 """Central logger: receives status broadcasts and tracks node liveness.
 
 Nodes are discovered from their first valid message; a node that has
-never sent one is not listed. Each node's intrusion state is the
-intrusion bit of its last accepted message, as the node set it. A node
-that stays silent past the contamination timeout (default 20 s) is
-marked down and its intrusion state becomes unknown, rendered as
-"???". Invalid datagrams are counted but never touch node records, so
-a flood of garbage cannot evict good state.
+never sent one is not listed. A node's record holds its last accepted
+message, so its intrusion view is by construction that message's
+intrusion bit, as the node set it, and its mode and event count are
+that message's too. A node that stays silent past the contamination
+timeout (default 20 s) is marked down, and its intrusion state is then
+unknown, rendered as "???". Invalid datagrams are counted but never
+touch node records, so a flood of garbage cannot evict good state.
 """
 
 from collections import Counter
 from dataclasses import dataclass
-from enum import Enum
 
 from .announce import AnnounceError, ReplayState, StatusMessage, decode_verify
 
 DEFAULT_TIMEOUT_US = 20_000_000
 
 
-class Liveness(Enum):
-    UP = "up"
-    DOWN = "down"
-
-
-class IntrusionView(Enum):
-    NO = "no"
-    YES = "yes"
-    UNKNOWN = "???"
-
-
 @dataclass
 class NodeRecord:
     node_id: int
-    liveness: Liveness
-    intrusion_view: IntrusionView
-    last_msg_us: int
+    last: StatusMessage  # the last accepted message
+    last_msg_us: int  # when it arrived
+    up: bool
 
 
 class CentralLogger:
@@ -53,16 +42,13 @@ class CentralLogger:
         except AnnounceError as exc:
             self.rejected[type(exc).__name__] += 1
             return None
-        return self._apply(msg, now_us)
-
-    def _apply(self, msg: StatusMessage, now_us: int) -> NodeRecord:
         record = self.records.get(msg.node_id)
         if record is None:
-            record = NodeRecord(msg.node_id, Liveness.UP, IntrusionView.NO, now_us)
-            self.records[msg.node_id] = record
-        record.liveness = Liveness.UP
-        record.intrusion_view = IntrusionView.YES if msg.intrusion else IntrusionView.NO
-        record.last_msg_us = now_us
+            record = self.records[msg.node_id] = NodeRecord(msg.node_id, msg, now_us, True)
+        else:
+            record.last = msg
+            record.last_msg_us = now_us
+            record.up = True
         return record
 
     def sweep(self, now_us: int) -> list[NodeRecord]:
@@ -70,11 +56,8 @@ class CentralLogger:
         up -> down on this sweep."""
         flipped = []
         for record in self.records.values():
-            if record.liveness is not Liveness.UP:
-                continue
-            if now_us - record.last_msg_us >= self.timeout_us:
-                record.liveness = Liveness.DOWN
-                record.intrusion_view = IntrusionView.UNKNOWN
+            if record.up and now_us - record.last_msg_us >= self.timeout_us:
+                record.up = False
                 flipped.append(record)
         return flipped
 
@@ -82,8 +65,9 @@ class CentralLogger:
         """Operator view, one line per known node sorted by id:
         ``ID: <n> is <up|down> Intrusion: <no|yes|???>``"""
         lines = [
-            "ID: %d is %s Intrusion: %s"
-            % (r.node_id, r.liveness.value, r.intrusion_view.value)
+            "ID: %d is up Intrusion: %s" % (r.node_id, "yes" if r.last.intrusion else "no")
+            if r.up
+            else "ID: %d is down Intrusion: ???" % r.node_id
             for r in sorted(self.records.values(), key=lambda r: r.node_id)
         ]
         return "\n".join(lines) + ("\n" if lines else "")

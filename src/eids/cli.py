@@ -325,7 +325,7 @@ def cmd_logger(args) -> int:
 
         def note_transitions():
             for record in logger.records.values():
-                state = record.liveness.value
+                state = "up" if record.up else "down"
                 if liveness_seen.get(record.node_id) != state:
                     liveness_seen[record.node_id] = state
                     if log_handle is not None:

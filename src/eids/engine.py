@@ -21,10 +21,12 @@ findings to the central logger.
 Callers serialize ingest and tick by timestamp.
 """
 
+from collections import deque
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from enum import Enum
 from functools import lru_cache
+from socket import inet_aton
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .flows import IP_KINDS, Cause, FlowKey, FlowKind, FlowTable, Mode
@@ -36,15 +38,18 @@ from .packet import (
     Direction,
     PacketMeta,
     ParseError,
+    format_ip,
+    format_mac,
     header_signature,
     parse_frame,
 )
-from .timing import ActiveWindow, FlowBaseline
+from .timing import FlowBaseline
 
 MODEL_HEADER = "EIDS-MODEL 1"
 TICK_PERIOD_US = 100_000
 # header signatures an active engine keeps the verdict of: a plant has
-# tens of flows, a flood of fresh ports fills it and then parses in full
+# tens of flows; a flood of fresh ports fills the table, which is then
+# emptied and refills, so the flows that come back are kept again
 SIGNATURE_CAPACITY = 4096
 
 _NO_SAMPLE_FLAGS = TCP_SYN | TCP_FIN | TCP_RST
@@ -123,9 +128,9 @@ class Engine:
         is sent and on its packet.header_signature. The engine keeps
         them per signature, filled only in active mode (after the
         learning tick or import_model), and parses a frame only when
-        its signature is new. Past SIGNATURE_CAPACITY signatures, new
-        ones are judged in full but not kept. The timing check runs
-        on every frame.
+        its signature is new. A table holding SIGNATURE_CAPACITY
+        signatures is emptied before it stores the next one. The timing
+        check runs on every frame.
         """
         self._note_time(now_us)
         signature = header_signature(frame) if self.mode is Mode.ACTIVE else None
@@ -136,8 +141,9 @@ class Engine:
             judged = self._judged.get(probe)
             if judged is None:
                 judged = self._judge(parse_frame(frame), direction)
-                if len(self._judged) < SIGNATURE_CAPACITY:
-                    self._judged[probe] = judged
+                if len(self._judged) >= SIGNATURE_CAPACITY:
+                    self._judged.clear()
+                self._judged[probe] = judged
             tcp_flags = frame[47] if signature[1] == PROTO_TCP else None
         else:
             try:
@@ -210,7 +216,7 @@ class Engine:
         if key.kind in IP_KINDS:
             return FlowBaseline(
                 self.config.delta if delta is None else delta,
-                ActiveWindow(self.config.window),
+                deque(maxlen=self.config.window),
             )
         # ARP and MAC-level flows: cache-expiry superposition makes a
         # short-window mean meaningless, so only the min/max band and
@@ -307,7 +313,7 @@ class Engine:
                 raise MalformedModelLine(line)
             try:
                 self._import_line(fields)
-            except (ValueError, OverflowError) as exc:
+            except (ValueError, OverflowError, OSError) as exc:
                 raise MalformedModelLine(line) from exc
         # checked once all lines are read: FLOW lines may come after TIMING
         unadmitted = sorted(key.render() for key in self.states.keys() - self.table.flows)
@@ -319,7 +325,7 @@ class Engine:
         """Apply one model line whose field count import_model checked."""
         tag = fields[0]
         if tag == "ARP":
-            self.table.bindings[fields[1]] = fields[2]
+            self.table.bindings[_model_ip(fields[1])] = _model_mac(fields[2])
             return
         key = _parse_flow_key(*fields[1:5])
         if tag == "FLOW":
@@ -347,7 +353,34 @@ def _key_columns(key: FlowKey) -> str:
 
 
 def _parse_flow_key(kind: str, peer: str, local: str, port: str) -> FlowKey:
-    return FlowKey(FlowKind(kind), peer, "" if local == "-" else local, int(port))
+    """The flow key of four model columns, read only as _key_columns
+    writes them: an IP kind's peer and local address are dotted quads,
+    a MAC kind's peer is a MAC beside local "-" and port 0."""
+    flow_kind = FlowKind(kind)
+    if flow_kind in IP_KINDS:
+        key = FlowKey(flow_kind, _model_ip(peer), _model_ip(local), int(port))
+    else:
+        key = FlowKey(flow_kind, _model_mac(peer))
+    if not 0 <= key.service_port <= 0xFFFF or _key_columns(key) != "\t".join(
+        (kind, peer, local, port)
+    ):
+        raise ValueError("flow columns learn never writes")
+    return key
+
+
+def _model_ip(text: str) -> str:
+    """text if it is a dotted quad as parse_frame writes one."""
+    if format_ip(inet_aton(text)) != text:
+        raise ValueError("not a dotted quad: %r" % text)
+    return text
+
+
+def _model_mac(text: str) -> str:
+    """text if it is a lower-case colon MAC as parse_frame writes one."""
+    raw = bytes.fromhex(text.replace(":", ""))
+    if len(raw) != 6 or format_mac(raw) != text:
+        raise ValueError("not a colon MAC: %r" % text)
+    return text
 
 
 @lru_cache(maxsize=256)

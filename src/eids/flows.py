@@ -71,23 +71,15 @@ class FlowKey(NamedTuple):
 
 
 def _ip_sort_key(ip: str) -> tuple:
-    try:
-        return tuple(int(p) for p in ip.split("."))
-    except ValueError:
-        return (999, ip)
+    # a dotted quad: parse_frame and model import admit no other address
+    return tuple(int(p) for p in ip.split("."))
 
 
 def flow_sort_key(key: FlowKey) -> tuple:
     if key.kind in IP_KINDS:
-        peer = _ip_sort_key(key.peer) if key.peer else ()
-    else:
-        peer = key.peer
-    return (
-        key.kind.value,
-        peer,
-        _ip_sort_key(key.local_ip) if key.local_ip else (),
-        key.service_port,
-    )
+        return (key.kind.value, _ip_sort_key(key.peer), _ip_sort_key(key.local_ip),
+                key.service_port)
+    return (key.kind.value, key.peer)  # a MAC kind's other two fields are fixed
 
 
 def _is_group_mac(mac: str) -> bool:

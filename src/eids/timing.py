@@ -3,15 +3,16 @@
 During learning a flow accumulates the minimum, maximum and cumulative
 mean of its interarrival times. In active mode each new interarrival is
 first held against the widened min/max band; values inside it enter a
-sliding window whose mean is held against the widened learned mean.
-Band boundaries are exclusive: a value equal to a bound is flagged. The
+sliding window, a deque bounded by the window size beside its running
+sum, whose mean is held against the widened learned mean. Band
+boundaries are exclusive: a value equal to a bound is flagged. The
 check names the band an interarrival broke as a Cause (TOO_FAST,
 TOO_SLOW or MEAN_DRIFT), or returns None for a clean one. All
 durations are integer microseconds, which keeps window sums exact.
 """
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .flows import Cause
 
@@ -25,42 +26,20 @@ class BaselineNotReady(RuntimeError):
 
 
 @dataclass
-class ActiveWindow:
-    """Bounded FIFO of recent interarrivals with an exact running sum."""
-
-    capacity: int
-    samples: deque = field(default_factory=deque)
-    running_sum: int = 0
-
-    def push(self, t_us: int) -> None:
-        if len(self.samples) == self.capacity:
-            self.running_sum -= self.samples.popleft()
-        self.samples.append(t_us)
-        self.running_sum += t_us
-
-    @property
-    def full(self) -> bool:
-        return len(self.samples) == self.capacity
-
-    @property
-    def mean(self) -> float:
-        return self.running_sum / len(self.samples)
-
-
-@dataclass
 class FlowBaseline:
     """Learned timing envelope of one flow, and the flow's runtime
-    timing state: its mean window, the time of its last sample and its
-    silence latch.
+    timing state: its mean window with the window's exact sum, the time
+    of its last sample and its silence latch.
 
     delta is the multiplicative tolerance widening both bands; it may
     exceed 1, in which case the lower bounds clamp at zero and only the
-    upper bounds keep widening. A flow without a window skips the mean
-    check.
+    upper bounds keep widening. The window is a deque bounded by its
+    maxlen, the window size; a flow without one skips the mean check.
     """
 
     delta: float
-    window: ActiveWindow | None = None
+    window: deque | None = None
+    window_sum: int = 0
     n_l: int = 0
     learned_min_us: int = 0
     learned_max_us: int = 0
@@ -127,9 +106,13 @@ class FlowBaseline:
             return Cause.TOO_SLOW
         window = self.window
         if window is not None:
-            window.push(t_us)
-            if window.full:
-                mean = window.mean
+            size = window.maxlen
+            if len(window) == size:
+                self.window_sum -= window[0]  # the append below evicts it
+            window.append(t_us)
+            self.window_sum += t_us
+            if len(window) == size:
+                mean = self.window_sum / size
                 if mean <= max(0.0, self.mean_us * (1.0 - self.delta)):
                     return Cause.MEAN_DRIFT
                 if mean >= self.mean_us * (1.0 + self.delta):

@@ -7,6 +7,7 @@ import contextlib
 import io
 import random
 import statistics
+from collections import deque
 
 from eids import cli, sim
 from eids.announce import (
@@ -17,10 +18,10 @@ from eids.announce import (
     encode,
 )
 from eids.bench import ATTACK_START_US, run_benchmark, run_scenario
-from eids.central import CentralLogger, Liveness
+from eids.central import CentralLogger
 from eids.engine import Cause, Engine, EngineConfig, replay
 from eids.packet import PROTO_UDP, parse_frame
-from eids.timing import ActiveWindow, FlowBaseline
+from eids.timing import FlowBaseline
 
 S = 1_000_000
 S1_IP = "192.168.1.101"
@@ -139,7 +140,7 @@ def test_criterion_4_band_conformance():
     for _ in range(1000):
         learning = [rng.randrange(1, 1_000_000) for _ in range(rng.randrange(2, 17))]
         delta = rng.choice([0.0, 0.05, 0.3, 1.0, 1.5, rng.random()])
-        baseline = FlowBaseline(delta=delta, window=ActiveWindow(16))
+        baseline = FlowBaseline(delta=delta, window=deque(maxlen=16))
         for sample in learning:
             baseline.record_learning_sample(sample)
         assert baseline.activate()
@@ -186,7 +187,7 @@ def test_criterion_5_announce_protocol():
             encode(StatusMessage(2, at // 1000 + 1, False, True, 0), PSK), at
         )
         logger.sweep(at + 9 * S)
-    cadence_ok = logger.records[2].liveness is Liveness.UP
+    cadence_ok = logger.records[2].up
 
     last = 11 * 10 * S
     assert logger.sweep(last + 19 * S) == []

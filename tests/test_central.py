@@ -5,25 +5,31 @@ import struct
 from eids import frames, sim
 from eids.announce import StatusMessage, encode
 from eids.bench import _feed_logger
-from eids.central import CentralLogger, IntrusionView, Liveness
+from eids.central import CentralLogger
 
 PSK = b"logger-test-psk"
 S = 1_000_000
 
 
-def _wire(node_id, time_ms, intrusion=False):
-    return encode(StatusMessage(node_id, time_ms, intrusion, True, 0), PSK)
+def _wire(node_id, time_ms, intrusion=False, active=True, events=0):
+    return encode(StatusMessage(node_id, time_ms, intrusion, active, events), PSK)
+
+
+def _view(record):
+    """A record's liveness and intrusion state as render_status spells them."""
+    if not record.up:
+        return "down", "???"
+    return "up", "yes" if record.last.intrusion else "no"
 
 
 def test_valid_message_updates_record():
     logger = CentralLogger(PSK)
     record = logger.on_datagram(_wire(2, 1_000), now_us=1 * S)
     assert record is not None
-    assert record.liveness is Liveness.UP
-    assert record.intrusion_view is IntrusionView.NO
+    assert _view(record) == ("up", "no")
 
     record = logger.on_datagram(_wire(3, 1_000, intrusion=True), now_us=1 * S)
-    assert record.intrusion_view is IntrusionView.YES
+    assert _view(record) == ("up", "yes")
 
 
 def test_invalid_messages_counted_not_recorded():
@@ -46,14 +52,34 @@ def test_replayed_message_changes_nothing():
     assert logger.rejected["ReplayRejected"] == 1
 
 
+def test_record_keeps_the_last_accepted_message():
+    logger = CentralLogger(PSK)
+    first = _wire(5, 1_000, active=False)
+    record = logger.on_datagram(first, now_us=1 * S)
+    assert (record.last.active, record.last.event_count) == (False, 0)
+    record = logger.on_datagram(_wire(5, 2_000, intrusion=True, events=7), now_us=2 * S)
+    assert (record.last.active, record.last.event_count) == (True, 7)
+    assert record.last == StatusMessage(5, 2_000, True, True, 7)
+    assert record.last_msg_us == 2 * S
+
+    forged = bytearray(_wire(5, 3_000, events=9))
+    forged[15] ^= 0x01  # a bit of the signed event count
+    wrong_key = encode(StatusMessage(5, 3_000, False, False, 9), b"not-the-psk")
+    same_time = _wire(5, 2_000, active=False, events=8)
+    for hostile in (first, same_time, bytes(forged), wrong_key):
+        assert logger.on_datagram(hostile, now_us=3 * S) is None
+        assert logger.records[5].last == StatusMessage(5, 2_000, True, True, 7)
+        assert logger.records[5].last_msg_us == 2 * S
+    assert logger.rejected == {"ReplayRejected": 2, "BadHmac": 2}
+
+
 def test_sweep_timeout_boundaries():
     logger = CentralLogger(PSK)
     logger.on_datagram(_wire(1, 1_000), now_us=0)
     assert logger.sweep(19 * S) == []
     flipped = logger.sweep(20 * S)
     assert [r.node_id for r in flipped] == [1]
-    assert logger.records[1].liveness is Liveness.DOWN
-    assert logger.records[1].intrusion_view is IntrusionView.UNKNOWN
+    assert _view(logger.records[1]) == ("down", "???")
     assert logger.sweep(21 * S) == []  # already down, no second transition
 
 
@@ -62,8 +88,7 @@ def test_recovery_after_down():
     logger.on_datagram(_wire(1, 1_000), now_us=0)
     logger.sweep(25 * S)
     record = logger.on_datagram(_wire(1, 30_000), now_us=30 * S)
-    assert record.liveness is Liveness.UP
-    assert record.intrusion_view is IntrusionView.NO
+    assert _view(record) == ("up", "no")
 
 
 def test_ten_second_cadence_never_goes_down():
@@ -72,7 +97,7 @@ def test_ten_second_cadence_never_goes_down():
         at = k * 10 * S
         logger.on_datagram(_wire(4, at // 1000 + 1), now_us=at)
         assert logger.sweep(at + 9 * S) == []
-    assert logger.records[4].liveness is Liveness.UP
+    assert logger.records[4].up
 
 
 def test_per_node_independence():
@@ -81,7 +106,7 @@ def test_per_node_independence():
     logger.on_datagram(_wire(2, 1_000), now_us=18 * S)
     flipped = logger.sweep(20 * S)
     assert [r.node_id for r in flipped] == [1]
-    assert logger.records[2].liveness is Liveness.UP
+    assert logger.records[2].up
 
 
 def test_render_reference_output():

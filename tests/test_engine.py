@@ -517,20 +517,58 @@ def test_model_import_accepts_timing_values_at_their_bounds(values):
     assert engine.export_model() == model.encode()
 
 
+@pytest.mark.parametrize("line", [
+    "FLOW\tTcp\t%s\t%s\t-5" % (PLC, LOCAL),
+    "FLOW\tTcp\t%s\t%s\t99999999" % (PLC, LOCAL),
+    "FLOW\tTcp\t%s\t%s\t65536" % (PLC, LOCAL),
+    "FLOW\tTcp\t%s\t%s\t+502" % (PLC, LOCAL),
+    "FLOW\tTcp\tnot-an-ip\t%s\t502" % LOCAL,
+    "FLOW\tUdp\t1.2\t%s\t502" % LOCAL,
+    "FLOW\tTcp\t%s\t192.168.001.101\t502" % PLC,
+    "FLOW\tTcp\t%s\t-\t502" % PLC,
+    "FLOW\tArp\t%s\t-\t0" % PLC,
+    "FLOW\tArp\t02:00:00:00:00:AA\t-\t0",
+    "FLOW\tArp\t02:00:00:00:aa\t-\t0",
+    "FLOW\tOtherEth\t02:00:00:00:00:aa\t%s\t0" % LOCAL,
+    "FLOW\tOtherEth\t02:00:00:00:00:aa\t-\t502",
+    "ARP\tnot-an-ip\tnot-a-mac",
+    "ARP\t%s\tnot-a-mac" % PLC,
+    "ARP\t%s\t0200000000aa" % PLC,
+    "TIMING\tTcp\t%s\t-\t502\t100000\t100000\t100000\t50\t300" % PLC,
+], ids=["port-negative", "port-huge", "port-65536", "port-signed", "peer-not-ip",
+        "peer-short-quad", "local-leading-zero", "tcp-local-dash", "arp-peer-ip",
+        "mac-upper-case", "mac-five-octets", "mac-kind-local-ip", "mac-kind-port",
+        "binding-not-ip", "binding-not-mac", "binding-mac-no-colons", "timing-local-dash"])
+def test_model_import_reads_addresses_and_ports_only_as_learn_writes_them(line):
+    with pytest.raises(MalformedModelLine) as info:
+        Engine(_config()).import_model(("EIDS-MODEL 1\n%s\n" % line).encode())
+    assert str(info.value) == line
+
+
+def test_model_import_accepts_the_extreme_ports():
+    model = "EIDS-MODEL 1\nFLOW\tTcp\t%s\t%s\t0\nFLOW\tUdp\t%s\t%s\t65535\n" % (
+        PLC, LOCAL, PLC, LOCAL)
+    engine = Engine(_config())
+    engine.import_model(model.encode())
+    assert engine.export_model() == model.encode()
+
+
 def test_model_import_rejects_timing_for_a_flow_it_never_admits():
-    with pytest.raises(MalformedModelLine, match="arp/zz"):
+    with pytest.raises(MalformedModelLine, match="arp/02:00:00:00:00:aa"):
         Engine(_config()).import_model(
-            b"EIDS-MODEL 1\nTIMING\tArp\tzz\t-\t0\t100000\t100000\t100000\t50\t1000\n"
+            b"EIDS-MODEL 1\nTIMING\tArp\t02:00:00:00:00:aa\t-\t0"
+            b"\t100000\t100000\t100000\t50\t1000\n"
         )
 
 
 def test_model_timing_line_may_precede_its_flow_line():
     engine = Engine(_config())
     engine.import_model(
-        b"EIDS-MODEL 1\nTIMING\tArp\tzz\t-\t0\t100000\t100000\t100000\t50\t1000\n"
-        b"FLOW\tArp\tzz\t-\t0\n"
+        b"EIDS-MODEL 1\nTIMING\tArp\t02:00:00:00:00:aa\t-\t0"
+        b"\t100000\t100000\t100000\t50\t1000\n"
+        b"FLOW\tArp\t02:00:00:00:00:aa\t-\t0\n"
     )
-    assert list(engine.states) == [FlowKey(FlowKind.ARP, "zz")]
+    assert list(engine.states) == [FlowKey(FlowKind.ARP, "02:00:00:00:00:aa")]
 
 
 def test_import_refused_after_traffic():

@@ -11,7 +11,7 @@ import pytest
 from eids import bench, frames, sim
 from eids.engine import SIGNATURE_CAPACITY, Engine, EngineConfig, replay
 from eids.flows import Cause
-from eids.packet import Direction, header_signature
+from eids.packet import Direction, header_signature, parse_frame
 
 S = 1_000_000
 MS = 1000
@@ -117,4 +117,27 @@ def test_table_stops_growing_at_its_capacity_and_still_judges_every_frame():
                                  "192.168.1.200", S1_IP, 10_000 + k, 9999, 0x18)
         _verdict, events = engine.ingest(Direction.RX, frame, 2 * S + k)
         assert [event.cause for event in events] == [Cause.NEW_FLOW]
-        assert len(engine._judged) == min(k + 1, SIGNATURE_CAPACITY)
+        assert len(engine._judged) <= SIGNATURE_CAPACITY
+
+
+def test_a_full_table_refills_so_a_learned_flow_is_probed_again(monkeypatch):
+    """After fresh client ports fill the table, a learned poll flow's
+    frames are parsed once and then judged by the probe."""
+    def poll(client_port, k):
+        return frames.tcp_frame("02:00:ac:10:01:32", "02:00:ac:10:01:65", "192.168.1.50",
+                                S1_IP, client_port, 502, 0x18,
+                                frames.modbus_read_request(k, 1))
+
+    engine = Engine(EngineConfig(local_ip=S1_IP, learning_duration_us=10 * S))
+    engine.tick(0)
+    for k in range(100):
+        engine.ingest(Direction.RX, poll(49152, k), (k + 1) * 100 * MS)
+    engine.tick(10_100 * MS)
+    for k in range(5000):
+        engine.ingest(Direction.RX, poll(10_000 + k, k), 11 * S + k * 100)
+    parses = []
+    monkeypatch.setattr("eids.engine.parse_frame",
+                        lambda data: parses.append(data) or parse_frame(data))
+    for k in range(100):
+        engine.ingest(Direction.RX, poll(49152, k), 20 * S + k * 100 * MS)
+    assert len(parses) <= 1

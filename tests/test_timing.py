@@ -1,12 +1,12 @@
 """Interarrival envelopes: band arithmetic, window exactness, properties."""
 
 import random
+from collections import deque
 
 import pytest
 
 from eids.flows import Cause
 from eids.timing import (
-    ActiveWindow,
     BaselineNotReady,
     FlowBaseline,
     NonPositiveInterarrival,
@@ -46,7 +46,7 @@ def test_non_positive_sample_rejected():
 
 
 def test_not_ready_with_single_sample():
-    baseline = FlowBaseline(delta=0.1, window=ActiveWindow(4))
+    baseline = FlowBaseline(delta=0.1, window=deque(maxlen=4))
     baseline.record_learning_sample(100)
     assert baseline.activate() is False
     with pytest.raises(BaselineNotReady):
@@ -55,12 +55,12 @@ def test_not_ready_with_single_sample():
 
 def test_too_fast_example():
     # 90 <= 95 * 0.95 = 90.25
-    baseline = _baseline([95 * MS, 105 * MS], delta=0.05, window=ActiveWindow(16))
+    baseline = _baseline([95 * MS, 105 * MS], delta=0.05, window=deque(maxlen=16))
     assert baseline.check(90 * MS) is Cause.TOO_FAST
 
 
 def test_in_band_is_ok():
-    baseline = _baseline([95 * MS, 105 * MS, 100 * MS], delta=0.05, window=ActiveWindow(16))
+    baseline = _baseline([95 * MS, 105 * MS, 100 * MS], delta=0.05, window=deque(maxlen=16))
     assert baseline.check(100 * MS) is None
 
 
@@ -84,7 +84,7 @@ def test_mean_drift_derived_example():
     # learned mean 100ms, max 105ms, delta 0.1: each 115ms sample passes
     # the max band (bound 115.5ms) but a full window of them means 115ms,
     # outside the mean band of 110ms
-    baseline = FlowBaseline(delta=0.1, window=ActiveWindow(16))
+    baseline = FlowBaseline(delta=0.1, window=deque(maxlen=16))
     for sample in [95 * MS, 105 * MS] * 8:
         baseline.record_learning_sample(sample)
     baseline.activate()
@@ -100,10 +100,11 @@ def test_mean_drift_derived_example():
 
 
 def test_flagged_samples_stay_out_of_window():
-    window = ActiveWindow(4)
+    window = deque(maxlen=4)
     baseline = _baseline([100 * MS, 100 * MS], delta=0.1, window=window)
     assert baseline.check(1) is Cause.TOO_FAST
-    assert len(window.samples) == 0
+    assert len(window) == 0
+    assert baseline.window_sum == 0
 
 
 def test_runtime_adjust_fixed_point_and_arithmetic():
@@ -133,16 +134,24 @@ def test_alpha_zero_never_moves_the_mean():
 
 def test_window_running_sum_matches_brute_force():
     rng = random.Random(17)
-    window = ActiveWindow(capacity=7)
+    # min/max band (0.5us, 15s): every sample below enters the window
+    baseline = _baseline([1, 10**7], delta=0.5, window=deque(maxlen=7))
     shadow = []
+    drifts = 0
     for _ in range(3000):
         value = rng.randrange(1, 10**7)
-        window.push(value)
+        verdict = baseline.check(value)
         shadow.append(value)
         shadow = shadow[-7:]
-        assert window.running_sum == sum(shadow)
-        assert list(window.samples) == shadow
-        assert window.mean == sum(shadow) / len(shadow)
+        assert baseline.window_sum == sum(shadow)
+        assert list(baseline.window) == shadow
+        mean = sum(shadow) / len(shadow)
+        drift = len(shadow) == 7 and (
+            mean <= baseline.mean_us * 0.5 or mean >= baseline.mean_us * 1.5
+        )
+        assert verdict is (Cause.MEAN_DRIFT if drift else None)
+        drifts += drift
+    assert drifts > 0
 
 
 def test_monotonicity_of_band_verdicts():
@@ -171,7 +180,7 @@ def test_learning_trace_replay_stays_in_band():
 
 def test_constant_trace_replay_no_verdicts_any_positive_delta():
     for delta in (0.001, 0.1, 0.5, 1.2):
-        baseline = _baseline([100 * MS] * 20, delta=delta, window=ActiveWindow(8))
+        baseline = _baseline([100 * MS] * 20, delta=delta, window=deque(maxlen=8))
         for _ in range(100):
             assert baseline.check(100 * MS) is None
 
