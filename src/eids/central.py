@@ -34,9 +34,11 @@ class CentralLogger:
         self.replay = ReplayState()
         self.rejected = Counter()
 
-    def on_datagram(self, data: bytes, now_us: int) -> NodeRecord | None:
-        """Apply one received datagram; returns the updated record, or
-        None when the datagram was rejected."""
+    def on_datagram(self, data: bytes, now_us: int) -> tuple[NodeRecord, bool, bool] | None:
+        """Apply one received datagram; returns None when it was rejected,
+        else the updated record and how the node's status line changed:
+        whether the node came up (it was new or down) and whether its
+        intrusion bit flipped."""
         try:
             msg = decode_verify(data, self.psk, self.replay, now_ms=now_us // 1000)
         except AnnounceError as exc:
@@ -45,11 +47,12 @@ class CentralLogger:
         record = self.records.get(msg.node_id)
         if record is None:
             record = self.records[msg.node_id] = NodeRecord(msg.node_id, msg, now_us, True)
-        else:
-            record.last = msg
-            record.last_msg_us = now_us
-            record.up = True
-        return record
+            return record, True, False
+        change = record, not record.up, record.last.intrusion != msg.intrusion
+        record.last = msg
+        record.last_msg_us = now_us
+        record.up = True
+        return change
 
     def sweep(self, now_us: int) -> list[NodeRecord]:
         """Time out silent nodes; returns the records that transitioned

@@ -51,28 +51,27 @@ def _psk_from_env(args) -> bytes:
     return sim.DEFAULT_PSK
 
 
-def _scaled(unit):
-    """Parse a number of units into an integer count of microseconds."""
-    return lambda text: int(float(text) * unit)
+def _us(value, unit: float = 1e6) -> int:
+    """A time in units, seconds by default, given as text or a number, in
+    whole microseconds, rounded: int() would truncate 2.01 s to 2,009,999."""
+    return round(float(value) * unit)
 
 
-def _scaled_range(unit):
-    """Parse 'LO,HI' in units into a pair of integer microseconds."""
-    def convert(text):
-        parts = text.split(",")
-        if len(parts) != 2:
-            raise ValueError("expected LO,HI, got %r" % text)
-        return tuple(int(float(part) * unit) for part in parts)
-    return convert
+def _us_range(text: str, unit: float) -> tuple[int, ...]:
+    """'LO,HI' in units as a pair of whole microseconds."""
+    parts = text.split(",")
+    if len(parts) != 2:
+        raise ValueError("expected LO,HI, got %r" % text)
+    return tuple(_us(part, unit) for part in parts)
 
 
 # config or scenario spec key -> (attribute or field name, converter)
 _PROFILE_KEYS = {
-    "poll_period_ms": ("poll_period_us", _scaled(1000)),
-    "response_delay_ms": ("response_delay_us", _scaled_range(1000)),
+    "poll_period_ms": ("poll_period_us", functools.partial(_us, unit=1000)),
+    "response_delay_ms": ("response_delay_us", functools.partial(_us_range, unit=1000)),
     "jitter_pct": ("jitter_frac", lambda text: float(text) / 100.0),
-    "status_period_s": ("status_period_us", _scaled(1e6)),
-    "arp_expiry_s": ("arp_expiry_us", _scaled_range(1e6)),
+    "status_period_s": ("status_period_us", _us),
+    "arp_expiry_s": ("arp_expiry_us", functools.partial(_us_range, unit=1e6)),
     "status_port": ("status_port", int),
     "psk": ("psk", str.encode),
 }
@@ -86,8 +85,8 @@ _ENGINE_KEYS = {
     "alpha": (float, "runtime mean adjustment weight"),
 }
 _SCENARIO_KEYS = {
-    "start": ("start_us", _scaled(1e6)),
-    "stop": ("stop_us", _scaled(1e6)),
+    "start": ("start_us", _us),
+    "stop": ("stop_us", _us),
     "target": ("target", str),
     "peer": ("peer", str),
     "rate": ("rate_pps", int),
@@ -160,7 +159,7 @@ def _engine_config(args, overrides: dict, learning_s: float | None) -> EngineCon
         if getattr(args, name) is not None:
             merged[name] = getattr(args, name)
     if learning_s is not None:
-        merged["learning_duration_us"] = int(learning_s * 1e6)
+        merged["learning_duration_us"] = _us(learning_s)
     return EngineConfig(local_ip=args.local_ip, node_id=args.node_id, **merged)
 
 
@@ -181,9 +180,11 @@ def _input_frames(args, topology, profile, scenarios=()):
     name = next((dev.name for dev in topology.devices if dev.ip == args.local_ip), None)
     if name is None:
         raise sim.ConfigInvalid("no simulated device has address %s" % args.local_ip)
-    trace = sim.run(topology, profile, scenarios, duration_us=int(args.duration * 1e6),
-                    seed=args.seed)
-    return trace.frames_for(name)
+    return _simulate(args, topology, profile, scenarios).frames_for(name)
+
+
+def _simulate(args, topology, profile, scenarios) -> sim.FrameTrace:
+    return sim.run(topology, profile, scenarios, duration_us=_us(args.duration), seed=args.seed)
 
 
 class ArpRequestGaps:
@@ -284,13 +285,7 @@ def cmd_detect(args) -> int:
 def cmd_simulate(args) -> int:
     topology, profile, _, scenarios = load_config(args.config)
     scenarios = scenarios + [_parse_scenario(spec) for spec in args.scenario]
-    trace = sim.run(
-        topology,
-        profile,
-        scenarios,
-        duration_us=int(args.duration * 1e6),
-        seed=args.seed,
-    )
+    trace = _simulate(args, topology, profile, scenarios)
     with open(args.pcap_out, "wb") as handle:
         count = trace.write_pcap(handle, viewpoint=args.viewpoint)
     print("wrote %d frames to %s" % (count, args.pcap_out), file=sys.stderr)
@@ -313,7 +308,7 @@ def _parse_scenario(spec: str) -> sim.AttackScenario:
 
 def cmd_logger(args) -> int:
     psk = _psk_from_env(args)
-    logger = CentralLogger(psk, timeout_us=int(args.timeout * 1e6))
+    logger = CentralLogger(psk, timeout_us=_us(args.timeout))
     # the log file opens first, and the socket closes on every way out
     log_file = open(args.log_file, "a") if args.log_file else contextlib.nullcontext()
     with log_file as log_handle, socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
@@ -321,20 +316,6 @@ def cmd_logger(args) -> int:
         sock.bind((args.bind, args.port))
         sock.settimeout(0.2)
         print("listening on %s:%d" % (args.bind, args.port), file=sys.stderr)
-        liveness_seen: dict[int, str] = {}
-
-        def note_transitions():
-            for record in logger.records.values():
-                state = "up" if record.up else "down"
-                if liveness_seen.get(record.node_id) != state:
-                    liveness_seen[record.node_id] = state
-                    if log_handle is not None:
-                        log_handle.write(
-                            "%s\t%d\t%s\n" % (time.strftime("%Y-%m-%dT%H:%M:%SZ",
-                                                            time.gmtime()),
-                                              record.node_id, state)
-                        )
-                        log_handle.flush()
 
         # sweeps and --duration run on the monotonic clock, immune to clock
         # steps; the logger gets wall-clock stamps read on arrival
@@ -343,16 +324,30 @@ def cmd_logger(args) -> int:
         last_render = ""
         try:
             while args.duration is None or time.monotonic() - started < args.duration:
+                # (record, up|down) for each liveness change, and whether a line changed
+                transitions, changed = [], False
                 try:
                     data, _addr = sock.recvfrom(4096)
                 except socket.timeout:
                     pass
                 else:
-                    logger.on_datagram(data, int(time.time() * 1e6))
+                    accepted = logger.on_datagram(data, int(time.time() * 1e6))
+                    if accepted is not None:
+                        record, came_up, changed = accepted
+                        if came_up:
+                            transitions.append((record, "up"))
                 if sweeps.due(int(time.monotonic() * 1e6)):
-                    logger.sweep(int(time.time() * 1e6))
-                note_transitions()
-                rendered = logger.render_status()
+                    downs = logger.sweep(int(time.time() * 1e6))
+                    transitions += [(record, "down") for record in downs]
+                if len(transitions) > 1:  # logged in the order nodes were first seen
+                    first_seen = {node_id: k for k, node_id in enumerate(logger.records)}
+                    transitions.sort(key=lambda change: first_seen[change[0].node_id])
+                for record, state in transitions:
+                    if log_handle is not None:
+                        stamp = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
+                        log_handle.write("%s\t%d\t%s\n" % (stamp, record.node_id, state))
+                        log_handle.flush()
+                rendered = logger.render_status() if transitions or changed else last_render
                 if rendered != last_render:
                     sys.stdout.write(rendered)
                     sys.stdout.flush()
@@ -376,11 +371,8 @@ def cmd_stats(args) -> int:
         with open(args.pcap, "rb") as handle:
             csv = sim.stats_csv(read_pcap(handle), args.flow)
     else:
-        trace = sim.run(
-            topology, profile, scenarios,
-            duration_us=int(args.duration * 1e6), seed=args.seed,
-        )
-        csv = sim.stats_csv(trace.records(), args.flow)
+        csv = sim.stats_csv(_simulate(args, topology, profile, scenarios).records(),
+                            args.flow)
     if args.out is None or args.out == "-":
         sys.stdout.write(csv)
     else:

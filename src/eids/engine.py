@@ -22,7 +22,7 @@ Callers serialize ingest and tick by timestamp.
 """
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from enum import Enum
 from functools import lru_cache
@@ -76,6 +76,13 @@ class IntrusionEvent(NamedTuple):
     detail: str = ""
 
 
+def checked_delta_milli(delta_milli: int) -> int:
+    """delta_milli if it is a tolerance in thousandths that eids runs with."""
+    if not 0 <= delta_milli <= 2000:
+        raise ValueError("delta out of [0, 2]")
+    return delta_milli
+
+
 @dataclass
 class EngineConfig:
     local_ip: str
@@ -85,13 +92,15 @@ class EngineConfig:
     delta_arp: float = 1.0
     window: int = 16
     alpha: float = 1.0 / 256.0
+    # delta and delta_arp rounded once to thousandths, as a model stores them
+    delta_milli: int = field(init=False)
+    delta_arp_milli: int = field(init=False)
 
     def __post_init__(self):
         if self.learning_duration_us <= 0:
             raise ValueError("learning duration must be positive")
-        for value in (self.delta, self.delta_arp):
-            if not 0.0 <= value < 2.0:
-                raise ValueError("delta out of [0, 2)")
+        self.delta_milli = checked_delta_milli(round(self.delta * 1000))
+        self.delta_arp_milli = checked_delta_milli(round(self.delta_arp * 1000))
         if self.window < 1:
             raise ValueError("window must hold at least one sample")
         if not 0.0 <= self.alpha <= 1.0:
@@ -210,18 +219,16 @@ class Engine:
             return []
         return [IntrusionEvent(now_us, cause, key, "dt=%dus" % t_us)]
 
-    def _new_baseline(self, key: FlowKey, delta: float | None = None) -> FlowBaseline:
-        """A flow's empty timing record; delta, when given, overrides
+    def _new_baseline(self, key: FlowKey, delta_milli: int | None = None) -> FlowBaseline:
+        """A flow's empty timing record; delta_milli, when given, overrides
         the configured tolerance, as a model's TIMING line does."""
-        if key.kind in IP_KINDS:
-            return FlowBaseline(
-                self.config.delta if delta is None else delta,
-                deque(maxlen=self.config.window),
-            )
+        ip = key.kind in IP_KINDS
+        if delta_milli is None:
+            delta_milli = self.config.delta_milli if ip else self.config.delta_arp_milli
         # ARP and MAC-level flows: cache-expiry superposition makes a
         # short-window mean meaningless, so only the min/max band and
         # the silence check apply to them.
-        return FlowBaseline(self.config.delta_arp if delta is None else delta)
+        return FlowBaseline(delta_milli, deque(maxlen=self.config.window) if ip else None)
 
     # -- clock path ----------------------------------------------------
 
@@ -284,17 +291,9 @@ class Engine:
             baseline = self.states.get(key)
             if baseline is None or baseline.n_l < 2:
                 continue
-            lines.append(
-                "TIMING\t%s\t%d\t%d\t%d\t%d\t%d"
-                % (
-                    _key_columns(key),
-                    round(baseline.learning_mean),
-                    baseline.learned_min_us,
-                    baseline.learned_max_us,
-                    baseline.n_l,
-                    round(baseline.delta * 1000),
-                )
-            )
+            lines.append("TIMING\t%s\t%d\t%d\t%d\t%d\t%d" % (
+                _key_columns(key), round(baseline.learning_mean), baseline.learned_min_us,
+                baseline.learned_max_us, baseline.n_l, baseline.delta_milli))
         return ("\n".join(lines) + "\n").encode("ascii")
 
     def import_model(self, data: bytes) -> None:
@@ -332,11 +331,11 @@ class Engine:
             self.table.flows.add(key)
         else:
             mean_us, min_us, max_us, n_l, delta_milli = map(int, fields[5:])
-            # learn writes at least two samples, positive times with the
-            # mean inside the extrema, and a delta in [0, 2) in thousandths
-            if n_l < 2 or not 1 <= min_us <= mean_us <= max_us or not 0 <= delta_milli <= 2000:
+            # learn writes at least two samples and positive times with
+            # the mean inside the extrema
+            if n_l < 2 or not 1 <= min_us <= mean_us <= max_us:
                 raise ValueError("TIMING value out of range")
-            baseline = self._new_baseline(key, delta_milli / 1000.0)
+            baseline = self._new_baseline(key, checked_delta_milli(delta_milli))
             baseline.restore(mean_us=mean_us, min_us=min_us, max_us=max_us, n_l=n_l)
             self.states[key] = baseline
 

@@ -7,8 +7,9 @@ sliding window, a deque bounded by the window size beside its running
 sum, whose mean is held against the widened learned mean. Band
 boundaries are exclusive: a value equal to a bound is flagged. The
 check names the band an interarrival broke as a Cause (TOO_FAST,
-TOO_SLOW or MEAN_DRIFT), or returns None for a clean one. All
-durations are integer microseconds, which keeps window sums exact.
+TOO_SLOW or MEAN_DRIFT), or returns None for a clean one. Durations
+are integer microseconds and the tolerance integer thousandths, so the
+min/max edges are exact and the mean band rounds only the float mean.
 """
 
 from collections import deque
@@ -31,13 +32,13 @@ class FlowBaseline:
     timing state: its mean window with the window's exact sum, the time
     of its last sample and its silence latch.
 
-    delta is the multiplicative tolerance widening both bands; it may
-    exceed 1, in which case the lower bounds clamp at zero and only the
-    upper bounds keep widening. The window is a deque bounded by its
-    maxlen, the window size; a flow without one skips the mean check.
+    delta_milli is the multiplicative tolerance widening both bands, in
+    thousandths; from 1000 on a lower edge is at or below zero and
+    flags nothing. The window is a deque bounded by its maxlen, the
+    window size; a flow without one skips the mean check.
     """
 
-    delta: float
+    delta_milli: int
     window: deque | None = None
     window_sum: int = 0
     n_l: int = 0
@@ -48,9 +49,11 @@ class FlowBaseline:
     last_sample_us: int | None = None
     silent: bool = False
     ready: bool = False
-    # the min/max band's exclusive edges, set by activate()
-    low_us: float = 0.0
-    high_us: float = 0.0
+    # set by activate(): the min/max edges, and window size * (1000 -/+ delta_milli)
+    low_us: int = 0
+    high_us: int = 0
+    _mean_low: int = 0
+    _mean_high: int = 0
     _sum_us: int = 0
 
     @property
@@ -60,14 +63,10 @@ class FlowBaseline:
     def record_learning_sample(self, t_us: int) -> None:
         if t_us <= 0:
             raise NonPositiveInterarrival("interarrival of %d us" % t_us)
-        if self.n_l == 0:
+        if self.n_l == 0 or t_us < self.learned_min_us:
             self.learned_min_us = t_us
+        if self.n_l == 0 or t_us > self.learned_max_us:
             self.learned_max_us = t_us
-        else:
-            if t_us < self.learned_min_us:
-                self.learned_min_us = t_us
-            if t_us > self.learned_max_us:
-                self.learned_max_us = t_us
         self.n_l += 1
         self._sum_us += t_us
 
@@ -76,9 +75,14 @@ class FlowBaseline:
         the baseline is usable."""
         self.ready = self.n_l >= 2
         if self.ready:
+            delta = self.delta_milli
             self.mean_us = self._sum_us / self.n_l
-            self.low_us = max(0.0, self.learned_min_us * (1.0 - self.delta))
-            self.high_us = self.learned_max_us * (1.0 + self.delta)
+            # floor and ceiling of the exact edges, exact for integer times
+            self.low_us = self.learned_min_us * (1000 - delta) // 1000
+            self.high_us = -(-self.learned_max_us * (1000 + delta) // 1000)
+            if self.window is not None:
+                self._mean_low = self.window.maxlen * (1000 - delta)
+                self._mean_high = self.window.maxlen * (1000 + delta)
         return self.ready
 
     def restore(self, mean_us: int, min_us: int, max_us: int, n_l: int) -> None:
@@ -111,12 +115,12 @@ class FlowBaseline:
                 self.window_sum -= window[0]  # the append below evicts it
             window.append(t_us)
             self.window_sum += t_us
-            if len(window) == size:
-                mean = self.window_sum / size
-                if mean <= max(0.0, self.mean_us * (1.0 - self.delta)):
-                    return Cause.MEAN_DRIFT
-                if mean >= self.mean_us * (1.0 + self.delta):
-                    return Cause.MEAN_DRIFT
+            # window_sum / size against mean_us * (1000 -/+ delta) / 1000
+            if len(window) == size and not (
+                self._mean_low * self.mean_us < 1000 * self.window_sum
+                < self._mean_high * self.mean_us
+            ):
+                return Cause.MEAN_DRIFT
         return None
 
     def adjust(self, t_us: int, alpha: float) -> None:

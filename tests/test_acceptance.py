@@ -5,9 +5,11 @@ the lines; tolerances are fixed here, not tuned elsewhere.
 
 import contextlib
 import io
+import math
 import random
 import statistics
 from collections import deque
+from fractions import Fraction
 
 from eids import cli, sim
 from eids.announce import (
@@ -105,30 +107,31 @@ def test_criterion_3_timing_statistics(trace_2h):
 # 4 -- band arithmetic conformance -------------------------------------
 
 
-class _BruteForceReference:
-    """Recomputes min/max/mean from the raw sample lists on every packet."""
+class _ExactReference:
+    """Recomputes the window sum from the raw samples on every packet and
+    holds it against bands taken from the raw learning list, all in
+    exact rational arithmetic."""
 
-    def __init__(self, learning, delta, capacity):
-        self.learning = list(learning)
-        self.delta = delta
+    def __init__(self, learning, delta_milli, capacity):
+        delta = Fraction(delta_milli, 1000)
+        learned_mean = Fraction(sum(learning), len(learning))
+        self.lo = min(learning) * (1 - delta)
+        self.hi = max(learning) * (1 + delta)
+        self.sum_lo = capacity * learned_mean * (1 - delta)
+        self.sum_hi = capacity * learned_mean * (1 + delta)
         self.capacity = capacity
         self.window = []
 
     def check(self, t):
-        lo = max(0.0, min(self.learning) * (1.0 - self.delta))
-        hi = max(self.learning) * (1.0 + self.delta)
-        if t <= lo:
+        if t <= self.lo:
             return Cause.TOO_FAST
-        if t >= hi:
+        if t >= self.hi:
             return Cause.TOO_SLOW
         self.window.append(t)
         self.window = self.window[-self.capacity :]
         if len(self.window) == self.capacity:
-            mean = sum(self.window) / self.capacity
-            learned_mean = sum(self.learning) / len(self.learning)
-            if mean <= max(0.0, learned_mean * (1.0 - self.delta)):
-                return Cause.MEAN_DRIFT
-            if mean >= learned_mean * (1.0 + self.delta):
+            window_sum = sum(self.window)
+            if window_sum <= self.sum_lo or window_sum >= self.sum_hi:
                 return Cause.MEAN_DRIFT
         return None
 
@@ -139,14 +142,19 @@ def test_criterion_4_band_conformance():
     checked = 0
     for _ in range(1000):
         learning = [rng.randrange(1, 1_000_000) for _ in range(rng.randrange(2, 17))]
-        delta = rng.choice([0.0, 0.05, 0.3, 1.0, 1.5, rng.random()])
-        baseline = FlowBaseline(delta=delta, window=deque(maxlen=16))
+        delta_milli = rng.choice([0, 50, 300, 1000, 1500, rng.randrange(1000)])
+        baseline = FlowBaseline(delta_milli=delta_milli, window=deque(maxlen=16))
         for sample in learning:
             baseline.record_learning_sample(sample)
         assert baseline.activate()
-        reference = _BruteForceReference(learning, delta, 16)
+        reference = _ExactReference(learning, delta_milli, 16)
         for _ in range(1000):
-            t = rng.randrange(1, 2_000_000)
+            # a third of the values fall on or beside an exact min/max edge
+            t = max(1, rng.choice((
+                rng.randrange(1, 2_000_000),
+                math.floor(reference.lo) + rng.randrange(-1, 2),
+                math.ceil(reference.hi) + rng.randrange(-1, 2),
+            )))
             checked += 1
             if baseline.check(t) is not reference.check(t):
                 disagreements += 1

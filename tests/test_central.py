@@ -24,11 +24,10 @@ def _view(record):
 
 def test_valid_message_updates_record():
     logger = CentralLogger(PSK)
-    record = logger.on_datagram(_wire(2, 1_000), now_us=1 * S)
-    assert record is not None
+    record = logger.on_datagram(_wire(2, 1_000), now_us=1 * S)[0]
     assert _view(record) == ("up", "no")
 
-    record = logger.on_datagram(_wire(3, 1_000, intrusion=True), now_us=1 * S)
+    record = logger.on_datagram(_wire(3, 1_000, intrusion=True), now_us=1 * S)[0]
     assert _view(record) == ("up", "yes")
 
 
@@ -55,9 +54,9 @@ def test_replayed_message_changes_nothing():
 def test_record_keeps_the_last_accepted_message():
     logger = CentralLogger(PSK)
     first = _wire(5, 1_000, active=False)
-    record = logger.on_datagram(first, now_us=1 * S)
+    record = logger.on_datagram(first, now_us=1 * S)[0]
     assert (record.last.active, record.last.event_count) == (False, 0)
-    record = logger.on_datagram(_wire(5, 2_000, intrusion=True, events=7), now_us=2 * S)
+    record = logger.on_datagram(_wire(5, 2_000, intrusion=True, events=7), now_us=2 * S)[0]
     assert (record.last.active, record.last.event_count) == (True, 7)
     assert record.last == StatusMessage(5, 2_000, True, True, 7)
     assert record.last_msg_us == 2 * S
@@ -87,8 +86,22 @@ def test_recovery_after_down():
     logger = CentralLogger(PSK)
     logger.on_datagram(_wire(1, 1_000), now_us=0)
     logger.sweep(25 * S)
-    record = logger.on_datagram(_wire(1, 30_000), now_us=30 * S)
+    record = logger.on_datagram(_wire(1, 30_000), now_us=30 * S)[0]
     assert _view(record) == ("up", "no")
+
+
+def test_accepted_datagram_says_how_the_status_line_changed():
+    logger = CentralLogger(PSK)
+    changes = []
+    for time_ms, intrusion in [(1_000, False), (2_000, False), (3_000, True), (4_000, True)]:
+        _record, came_up, flipped = logger.on_datagram(_wire(1, time_ms, intrusion),
+                                                       now_us=time_ms * 1000)
+        changes.append((came_up, flipped))
+    logger.sweep(30 * S)
+    changes.append(logger.on_datagram(_wire(1, 31_000, intrusion=True), now_us=31 * S)[1:])
+    # new; unchanged; intrusion set; unchanged; back up after the timeout
+    assert changes == [(True, False), (False, False), (False, True), (False, False),
+                       (True, False)]
 
 
 def test_ten_second_cadence_never_goes_down():

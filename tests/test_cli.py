@@ -207,6 +207,31 @@ def test_learned_model_holds_the_learning_mean_not_the_runtime_one(tmp_path, cap
     assert "flows learned: 1\narp bindings: 0\n" in capsys.readouterr().err
 
 
+def test_learn_first_and_model_round_trip_use_one_delta(tmp_path, capsys):
+    # --delta 0.0004 is 0 in whole thousandths, for learn-first and for a
+    # model alike: after learning ends at 4.5 s, polls exactly at the
+    # learned 100 ms minimum and 200 ms maximum are on the band's edges
+    gaps = [150_000, 100_000, 200_000] * 10 + [100_000, 200_000, 150_000] * 10
+    times = [sum(gaps[:k]) for k in range(len(gaps) + 1)]
+    poll = frames.tcp_frame("02:00:ac:10:01:32", "02:00:ac:10:01:65", "192.168.1.50",
+                            "192.168.1.101", 49152, 502, 0x18,
+                            frames.modbus_read_request(1, 1))
+    pcap = tmp_path / "polls.pcap"
+    with open(pcap, "wb") as handle:
+        write_pcap(handle, [(at, poll) for at in times])
+    # a window no run fills: only the min/max band and silence apply
+    engine = ["--delta", "0.0004", "--window", "1000", "--pcap", str(pcap)]
+    model = tmp_path / "m.model"
+    assert main(["learn", "--learning-duration", "4.5", "-o", str(model)] + engine) == 0
+    assert main(["detect", "--learn-first", "4.5"] + engine) == 1
+    learn_first = capsys.readouterr().out.splitlines()
+    assert main(["detect", "--model", str(model)] + engine) == 1
+    from_model = capsys.readouterr().out.splitlines()
+    assert "\t0\n" in model.read_text()
+    assert [line for line in from_model if line >= "1970-01-01T00:00:04.5"] == learn_first
+    assert {line.split("\t")[2] for line in learn_first} == {"TooFast", "TooSlow", "HostSilent"}
+
+
 _TAIL_SILENT = {
     "arp": "1970-01-01T00:00:30.003037Z\t1\tHostSilent\tarp/02:00:ac:10:01:32"
            "\tsilent since 68885us\n",
@@ -559,6 +584,36 @@ def test_logger_stamps_datagrams_when_they_arrive(capsys, monkeypatch):
     assert sorted(data for data, _ in stamps) == sorted(sent)
     for data, now_us in stamps:
         assert now_us >= sent[data], "stamp %d us before the send" % (sent[data] - now_us)
+
+
+def test_logger_renders_only_when_a_line_changes(capsys, monkeypatch):
+    renders = []
+
+    class CountingLogger(CentralLogger):
+        def render_status(self):
+            renders.append(1)
+            return super().render_status()
+
+    monkeypatch.setattr("eids.cli.CentralLogger", CountingLogger)
+    probe = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    probe.bind(("127.0.0.1", 0))
+    port = probe.getsockname()[1]
+    probe.close()
+    assert main(["logger", "--bind", "127.0.0.1", "--port", str(port),
+                 "--duration", "1"]) == 0
+    assert renders == []
+    assert capsys.readouterr().out == ""
+
+
+def test_times_in_text_round_to_the_nearest_microsecond(tmp_path):
+    # 2.01 * 1e6 is 2009999.9999999998 in floats
+    assert cli._parse_scenario("5:start=2.01").start_us == 2_010_000
+    assert cli._us("1.005") == 1_005_000
+    config = tmp_path / "plant.ini"
+    config.write_text("[profile]\npoll_period_ms = 2.01\n")
+    assert load_config(str(config))[1].poll_period_us == 2_010
+    args = build_parser().parse_args(["detect", "--learn-first", "2.01"])
+    assert cli._engine_config(args, {}, args.learn_first).learning_duration_us == 2_010_000
 
 
 def test_config_file_drives_simulation(tmp_path, capsys):

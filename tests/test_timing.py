@@ -15,8 +15,8 @@ from eids.timing import (
 MS = 1000
 
 
-def _baseline(samples, delta, window=None):
-    baseline = FlowBaseline(delta=delta, window=window)
+def _baseline(samples, delta_milli, window=None):
+    baseline = FlowBaseline(delta_milli=delta_milli, window=window)
     for sample in samples:
         baseline.record_learning_sample(sample)
     baseline.activate()
@@ -24,21 +24,21 @@ def _baseline(samples, delta, window=None):
 
 
 def test_constant_learning_series():
-    baseline = _baseline([100 * MS] * 3, delta=0.1)
+    baseline = _baseline([100 * MS] * 3, delta_milli=100)
     assert baseline.learned_min_us == 100 * MS
     assert baseline.learned_max_us == 100 * MS
     assert baseline.mean_us == 100 * MS
 
 
 def test_two_point_learning_series():
-    baseline = _baseline([95 * MS, 105 * MS], delta=0.1)
+    baseline = _baseline([95 * MS, 105 * MS], delta_milli=100)
     assert baseline.mean_us == 100 * MS
     assert baseline.learned_min_us == 95 * MS
     assert baseline.learned_max_us == 105 * MS
 
 
 def test_non_positive_sample_rejected():
-    baseline = FlowBaseline(delta=0.1)
+    baseline = FlowBaseline(delta_milli=100)
     with pytest.raises(NonPositiveInterarrival):
         baseline.record_learning_sample(0)
     with pytest.raises(NonPositiveInterarrival):
@@ -46,7 +46,7 @@ def test_non_positive_sample_rejected():
 
 
 def test_not_ready_with_single_sample():
-    baseline = FlowBaseline(delta=0.1, window=deque(maxlen=4))
+    baseline = FlowBaseline(delta_milli=100, window=deque(maxlen=4))
     baseline.record_learning_sample(100)
     assert baseline.activate() is False
     with pytest.raises(BaselineNotReady):
@@ -55,17 +55,17 @@ def test_not_ready_with_single_sample():
 
 def test_too_fast_example():
     # 90 <= 95 * 0.95 = 90.25
-    baseline = _baseline([95 * MS, 105 * MS], delta=0.05, window=deque(maxlen=16))
+    baseline = _baseline([95 * MS, 105 * MS], delta_milli=50, window=deque(maxlen=16))
     assert baseline.check(90 * MS) is Cause.TOO_FAST
 
 
 def test_in_band_is_ok():
-    baseline = _baseline([95 * MS, 105 * MS, 100 * MS], delta=0.05, window=deque(maxlen=16))
+    baseline = _baseline([95 * MS, 105 * MS, 100 * MS], delta_milli=50, window=deque(maxlen=16))
     assert baseline.check(100 * MS) is None
 
 
 def test_boundary_equal_values_are_flagged():
-    baseline = _baseline([100 * MS, 200 * MS], delta=0.5)
+    baseline = _baseline([100 * MS, 200 * MS], delta_milli=500)
     # bounds: 100ms * 0.5 = 50ms, 200ms * 1.5 = 300ms, both exclusive
     assert baseline.check(50 * MS) is Cause.TOO_FAST
     assert baseline.check(300 * MS) is Cause.TOO_SLOW
@@ -73,9 +73,39 @@ def test_boundary_equal_values_are_flagged():
     assert baseline.check(300 * MS - 1) is None
 
 
+def test_a_low_edge_that_is_a_whole_us_is_flagged():
+    # 90us * 0.7 is 62.99999999999999 in floats; the edge is 63us
+    baseline = _baseline([90, 100], delta_milli=300)
+    assert (baseline.low_us, baseline.high_us) == (63, 130)
+    assert baseline.check(63) is Cause.TOO_FAST
+    assert baseline.check(64) is None
+
+
+@pytest.mark.parametrize("delta_milli", [1, 7, 300, 333, 999, 1001, 1999])
+def test_every_whole_us_edge_is_flagged(delta_milli):
+    # learned minima and maxima of 1..200,000us whose exact edge,
+    # extreme * (1000 -/+ delta_milli) / 1000, is a whole number of us
+    flagged = 0
+    for extreme in range(1, 200_001):
+        low, low_rest = divmod(extreme * (1000 - delta_milli), 1000)
+        high, high_rest = divmod(extreme * (1000 + delta_milli), 1000)
+        if low_rest and high_rest:
+            continue
+        baseline = _baseline([extreme, extreme], delta_milli)
+        if not low_rest and low > 0:
+            assert baseline.check(low) is Cause.TOO_FAST, extreme
+            assert baseline.check(low + 1) is None, extreme
+            flagged += 1
+        if not high_rest:
+            assert baseline.check(high) is Cause.TOO_SLOW, extreme
+            assert baseline.check(high - 1) is None, extreme
+            flagged += 1
+    assert flagged >= 200
+
+
 def test_delta_above_one_clamps_lower_band():
-    baseline = _baseline([100 * MS, 200 * MS], delta=1.5)
-    # lower bound clamps at 0: nothing positive is ever too fast
+    baseline = _baseline([100 * MS, 200 * MS], delta_milli=1500)
+    # the lower edge is below 0: nothing positive is ever too fast
     assert baseline.check(1) is None
     assert baseline.check(600 * MS) is Cause.TOO_SLOW
 
@@ -84,7 +114,7 @@ def test_mean_drift_derived_example():
     # learned mean 100ms, max 105ms, delta 0.1: each 115ms sample passes
     # the max band (bound 115.5ms) but a full window of them means 115ms,
     # outside the mean band of 110ms
-    baseline = FlowBaseline(delta=0.1, window=deque(maxlen=16))
+    baseline = FlowBaseline(delta_milli=100, window=deque(maxlen=16))
     for sample in [95 * MS, 105 * MS] * 8:
         baseline.record_learning_sample(sample)
     baseline.activate()
@@ -101,14 +131,14 @@ def test_mean_drift_derived_example():
 
 def test_flagged_samples_stay_out_of_window():
     window = deque(maxlen=4)
-    baseline = _baseline([100 * MS, 100 * MS], delta=0.1, window=window)
+    baseline = _baseline([100 * MS, 100 * MS], delta_milli=100, window=window)
     assert baseline.check(1) is Cause.TOO_FAST
     assert len(window) == 0
     assert baseline.window_sum == 0
 
 
 def test_runtime_adjust_fixed_point_and_arithmetic():
-    baseline = _baseline([100 * MS] * 3, delta=0.1)
+    baseline = _baseline([100 * MS] * 3, delta_milli=100)
     baseline.adjust(100 * MS, alpha=1 / 256)
     assert baseline.mean_us == 100 * MS
     baseline.adjust(102 * MS, alpha=0.5)
@@ -116,7 +146,7 @@ def test_runtime_adjust_fixed_point_and_arithmetic():
 
 
 def test_runtime_adjust_never_widens_extrema():
-    baseline = _baseline([95 * MS, 105 * MS], delta=0.3)
+    baseline = _baseline([95 * MS, 105 * MS], delta_milli=300)
     for value in (97 * MS, 103 * MS, 99 * MS):
         baseline.adjust(value, alpha=0.25)
     assert baseline.learned_min_us == 95 * MS
@@ -124,7 +154,7 @@ def test_runtime_adjust_never_widens_extrema():
 
 
 def test_alpha_zero_never_moves_the_mean():
-    baseline = _baseline([95 * MS, 105 * MS], delta=0.3)
+    baseline = _baseline([95 * MS, 105 * MS], delta_milli=300)
     before = baseline.mean_us
     rng = random.Random(3)
     for _ in range(500):
@@ -135,7 +165,7 @@ def test_alpha_zero_never_moves_the_mean():
 def test_window_running_sum_matches_brute_force():
     rng = random.Random(17)
     # min/max band (0.5us, 15s): every sample below enters the window
-    baseline = _baseline([1, 10**7], delta=0.5, window=deque(maxlen=7))
+    baseline = _baseline([1, 10**7], delta_milli=500, window=deque(maxlen=7))
     shadow = []
     drifts = 0
     for _ in range(3000):
@@ -158,7 +188,7 @@ def test_monotonicity_of_band_verdicts():
     rng = random.Random(23)
     for _ in range(200):
         samples = [rng.randrange(1, 10**6) for _ in range(rng.randrange(2, 10))]
-        baseline = _baseline(samples, delta=rng.random())
+        baseline = _baseline(samples, delta_milli=rng.randrange(1000))
         t = rng.randrange(1, 2 * 10**6)
         verdict = baseline.check(t)
         if verdict is Cause.TOO_SLOW:
@@ -173,21 +203,21 @@ def test_learning_trace_replay_stays_in_band():
     rng = random.Random(31)
     for _ in range(100):
         samples = [rng.randrange(1, 10**6) for _ in range(rng.randrange(2, 50))]
-        baseline = _baseline(samples, delta=0.01 + rng.random())
+        baseline = _baseline(samples, delta_milli=rng.randrange(10, 1010))
         for sample in samples:
             assert baseline.check(sample) in (None,)
 
 
 def test_constant_trace_replay_no_verdicts_any_positive_delta():
-    for delta in (0.001, 0.1, 0.5, 1.2):
-        baseline = _baseline([100 * MS] * 20, delta=delta, window=deque(maxlen=8))
+    for delta_milli in (1, 100, 500, 1200):
+        baseline = _baseline([100 * MS] * 20, delta_milli=delta_milli, window=deque(maxlen=8))
         for _ in range(100):
             assert baseline.check(100 * MS) is None
 
 
 def test_persistence_round_trip():
-    baseline = _baseline([95 * MS, 105 * MS, 99 * MS], delta=0.3)
-    stored = FlowBaseline(delta=baseline.delta)
+    baseline = _baseline([95 * MS, 105 * MS, 99 * MS], delta_milli=300)
+    stored = FlowBaseline(delta_milli=baseline.delta_milli)
     stored.restore(
         mean_us=round(baseline.mean_us),
         min_us=baseline.learned_min_us,
