@@ -19,8 +19,14 @@ only their authenticity matters.
 A message is a StatusMessage, a named tuple of the header's fields with
 the flags octet split into its two bits; its flags property joins them
 again for the wire.
+
+The HMAC key schedule (RFC 2104) is computed once per PSK: the SHA-256
+states after the inner and the outer padded key are cached for a
+bounded number of keys, and each tag copies them in place of hashing
+the padded key again.
 """
 
+import functools
 import hmac
 import struct
 from hashlib import sha256
@@ -38,6 +44,29 @@ FLAG_ACTIVE = 0x02
 
 _HEAD = struct.Struct(">4sBH6sBH")
 _TIME_MAX = (1 << 48) - 1
+
+_BLOCK = 64  # SHA-256 block size, octets
+_IPAD = bytes(x ^ 0x36 for x in range(256))
+_OPAD = bytes(x ^ 0x5C for x in range(256))
+
+
+@functools.lru_cache(maxsize=16)
+def _pads(psk: bytes):
+    """SHA-256 after the inner and after the outer padded key: the key,
+    hashed first when it is longer than a block, zero-filled to one
+    block and XORed with each pad."""
+    key = (sha256(psk).digest() if len(psk) > _BLOCK else psk).ljust(_BLOCK, b"\0")
+    return sha256(key.translate(_IPAD)), sha256(key.translate(_OPAD))
+
+
+def _tag(psk: bytes, header: bytes) -> bytes:
+    """HMAC-SHA-256 of header under psk, from the cached pads."""
+    inner, outer = _pads(psk)
+    inner = inner.copy()
+    inner.update(header)
+    outer = outer.copy()
+    outer.update(inner.digest())
+    return outer.digest()
 
 
 class AnnounceError(ValueError):
@@ -117,7 +146,7 @@ def encode(msg: StatusMessage, psk: bytes) -> bytes:
         msg.flags,
         msg.event_count,
     )
-    return header + hmac.new(psk, header, sha256).digest()
+    return header + _tag(psk, header)
 
 
 def decode_verify(
@@ -135,15 +164,13 @@ def decode_verify(
     """
     if len(data) != WIRE_LEN:
         raise BadLength("%d octets, want %d" % (len(data), WIRE_LEN))
-    magic, version, node_id, time_raw, flags, event_count = _HEAD.unpack(
-        data[:HEADER_LEN]
-    )
+    header = data[:HEADER_LEN]
+    magic, version, node_id, time_raw, flags, event_count = _HEAD.unpack(header)
     if magic != MAGIC:
         raise BadMagic(repr(magic))
     if version != VERSION:
         raise BadVersion("version %d" % version)
-    tag = hmac.new(psk, data[:HEADER_LEN], sha256).digest()
-    if not hmac.compare_digest(tag, data[HEADER_LEN:]):
+    if not hmac.compare_digest(_tag(psk, header), data[HEADER_LEN:]):
         raise BadHmac("signature mismatch")
     msg_time_ms = int.from_bytes(time_raw, "big")
     if now_ms is not None and msg_time_ms > now_ms + MAX_FUTURE_SKEW_MS:

@@ -28,6 +28,12 @@ class NodeRecord:
 
 class CentralLogger:
     def __init__(self, psk: bytes, timeout_us: int = DEFAULT_TIMEOUT_US):
+        # anyone can sign under the empty key, and a timeout of 0 or less
+        # takes every node down at the next sweep
+        if not psk:
+            raise ValueError("empty PSK")
+        if timeout_us <= 0:
+            raise ValueError("timeout of %d us is not above 0" % timeout_us)
         self.psk = psk
         self.timeout_us = timeout_us
         self.records: dict[int, NodeRecord] = {}
@@ -74,3 +80,9 @@ class CentralLogger:
             for r in sorted(self.records.values(), key=lambda r: r.node_id)
         ]
         return "\n".join(lines) + ("\n" if lines else "")
+
+    def render_rejected(self) -> str:
+        """Rejected datagrams per cause, sorted by name:
+        ``rejected: BadHmac=2 BadLength=1`` or ``rejected: none``"""
+        counts = " ".join("%s=%d" % item for item in sorted(self.rejected.items()))
+        return "rejected: " + (counts or "none")

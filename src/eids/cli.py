@@ -354,6 +354,8 @@ def cmd_logger(args) -> int:
                     last_render = rendered
         except KeyboardInterrupt:
             pass
+        finally:
+            print(logger.render_rejected(), file=sys.stderr)
     return 0
 
 

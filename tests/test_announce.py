@@ -1,7 +1,16 @@
 """Status datagram wire format, authentication, replay protection."""
 
+import hmac
+import os
+import subprocess
+import sys
+from hashlib import sha256
+from pathlib import Path
+
 import pytest
 
+import eids
+from eids import announce
 from eids.announce import (
     FLAG_ACTIVE,
     FLAG_INTRUSION,
@@ -140,3 +149,36 @@ def test_encode_validation():
         encode(_msg(node_id=70_000), PSK)
     with pytest.raises(ValueError):
         encode(_msg(time_ms=1 << 48), PSK)
+
+
+@pytest.mark.parametrize("psk_len", [1, 32, 63, 64, 65, 200])
+def test_tag_equals_hmac_new_on_both_sides_of_the_block(psk_len):
+    psk = bytes((7 * k + psk_len) % 256 for k in range(psk_len))
+    wire = encode(_msg(node_id=psk_len, time_ms=123_456_789, intrusion=True, events=3), psk)
+    assert wire[HEADER_LEN:] == hmac.new(psk, wire[:HEADER_LEN], sha256).digest()
+    assert decode_verify(wire, psk, ReplayState()).node_id == psk_len
+    with pytest.raises(BadHmac):
+        decode_verify(wire, psk[:-1] + bytes([psk[-1] ^ 1]), ReplayState())
+
+
+def test_more_keys_than_the_pad_cache_sign_as_a_fresh_process():
+    n_keys = 2 * announce._pads.cache_info().maxsize + 1
+    psks = [b"key-%d-" % k * (k % 9 + 1) for k in range(n_keys)]
+    replay = ReplayState()
+    wires = {}
+    for time_ms in (1_000, 2_000):  # the second round finds each key evicted
+        for node_id, psk in enumerate(psks):
+            wire = encode(_msg(node_id=node_id, time_ms=time_ms), psk)
+            assert decode_verify(wire, psk, replay) == _msg(node_id=node_id, time_ms=time_ms)
+            wires[node_id, time_ms] = wire
+    script = (
+        "from eids.announce import StatusMessage, encode\n"
+        "for node_id, psk in enumerate(%r):\n"
+        "    for time_ms in (1_000, 2_000):\n"
+        "        print(encode(StatusMessage(node_id, time_ms, False, True, 0), psk).hex())\n"
+        % psks
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(eids.__file__).resolve().parents[1]))
+    fresh = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                           capture_output=True, text=True).stdout.split()
+    assert fresh == [wires[node_id, t].hex() for node_id in range(n_keys) for t in (1_000, 2_000)]

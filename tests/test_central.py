@@ -2,6 +2,8 @@
 
 import struct
 
+import pytest
+
 from eids import frames, sim
 from eids.announce import StatusMessage, encode
 from eids.bench import _feed_logger
@@ -139,6 +141,21 @@ def test_render_reference_output():
 
 def test_render_empty():
     assert CentralLogger(PSK).render_status() == ""
+
+
+@pytest.mark.parametrize("psk, timeout_us", [(b"", 20 * S), (PSK, 0), (PSK, -1)])
+def test_an_empty_psk_or_a_timeout_not_above_zero_is_refused(psk, timeout_us):
+    with pytest.raises(ValueError):
+        CentralLogger(psk, timeout_us)
+
+
+def test_rejects_render_per_cause_sorted_by_name():
+    logger = CentralLogger(PSK)
+    assert logger.render_rejected() == "rejected: none"
+    wire = _wire(1, 1_000)
+    for data in (b"junk", wire[:-1] + bytes([wire[-1] ^ 1]), b"short"):
+        assert logger.on_datagram(data, now_us=1 * S) is None
+    assert logger.render_rejected() == "rejected: BadHmac=1 BadLength=2"
 
 
 def test_logger_feed_skips_udp_length_past_frame_end():

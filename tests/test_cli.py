@@ -521,24 +521,34 @@ def test_logger_over_loopback(tmp_path, capsys, monkeypatch):
     sender.close()
 
     assert result.get("code") == 0
-    out = capsys.readouterr().out
+    out, err = capsys.readouterr()
+    assert err.splitlines()[-1] == "rejected: BadLength=1"
     assert "ID: 2 is up Intrusion: no" in out
     assert "ID: 3 is up Intrusion: yes" in out
     transitions = log_file.read_text().splitlines()
     assert any(line.endswith("\t2\tup") for line in transitions)
 
 
-@pytest.mark.parametrize("case", ["unwritable-log-file", "port-in-use"])
+@pytest.mark.parametrize(
+    "case", ["unwritable-log-file", "port-in-use", "empty-psk-file", "zero-timeout"]
+)
 def test_logger_input_error_exits_two_and_closes_its_socket(case, tmp_path, capsys,
                                                             monkeypatch):
     monkeypatch.setenv("EIDS_PSK", "loopback-psk")
+    (tmp_path / "empty.psk").write_bytes(b"")
+    # every case but the held port leaves the port free
+    extra = {
+        "unwritable-log-file": ["--log-file", str(tmp_path / "missing" / "transitions.log")],
+        "port-in-use": [],
+        "empty-psk-file": ["--psk-file", str(tmp_path / "empty.psk")],
+        "zero-timeout": ["--timeout", "0"],
+    }[case]
     with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as holder:
         holder.bind(("127.0.0.1", 0))
         argv = ["logger", "--bind", "127.0.0.1", "--port", str(holder.getsockname()[1]),
-                "--duration", "1"]
-        if case == "unwritable-log-file":
+                "--duration", "1"] + extra
+        if case != "port-in-use":
             holder.close()
-            argv += ["--log-file", str(tmp_path / "missing" / "transitions.log")]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code = main(argv)
