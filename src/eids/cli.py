@@ -8,7 +8,7 @@ diagnostics to standard error, so pipelines compose.
 
 The announce PSK is taken from the EIDS_PSK environment variable or a
 file named with --psk-file, never from an argument: command lines leak
-through process listings.
+through process listings. With neither, logger exits 2.
 """
 
 import argparse
@@ -46,9 +46,10 @@ def _psk_from_env(args) -> bytes:
         with open(args.psk_file, "rb") as handle:
             return handle.read().strip()
     value = os.environ.get("EIDS_PSK")
-    if value:
-        return value.encode()
-    return sim.DEFAULT_PSK
+    if not value:
+        # no fallback key: one in the public source is a key anyone can sign under
+        raise ValueError("no PSK: set EIDS_PSK or give --psk-file")
+    return value.encode()
 
 
 def _us(value, unit: float = 1e6) -> int:
@@ -315,7 +316,7 @@ def cmd_logger(args) -> int:
         sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         sock.bind((args.bind, args.port))
         sock.settimeout(0.2)
-        print("listening on %s:%d" % (args.bind, args.port), file=sys.stderr)
+        print("listening on %s:%d" % sock.getsockname(), file=sys.stderr)
 
         # sweeps and --duration run on the monotonic clock, immune to clock
         # steps; the logger gets wall-clock stamps read on arrival

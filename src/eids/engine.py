@@ -2,10 +2,10 @@
 
 The engine owns one flow table and one timing baseline per flow. It
 starts in learning mode, where every packet is admitted and only
-recorded; a clock tick past the configured learning duration switches
-it to active mode, where the Cause that the flow table or a timing
-baseline reports goes into an intrusion event as it is, and the frame
-that raised it is answered ALERT.
+recorded; a clock tick past the configured learning duration, or a
+model import, switches it to active mode, where the Cause that the flow
+table or a timing baseline reports goes into an intrusion event as it
+is, and the frame that raised it is answered ALERT.
 
 Frames carrying a TCP SYN, FIN or RST are connection setup/teardown
 and excluded from interarrival sampling in both modes; their timing is
@@ -190,10 +190,10 @@ class Engine:
         if baseline is None:
             if self.mode is not Mode.LEARNING:
                 return []
-            baseline = self.states[key] = self._new_baseline(key)
+            baseline = self.states[key] = self._new_baseline(key, last_arrival_us=now_us)
         # a record earlier than the flow's last one moves no flow time back
         # and is no sign of life now
-        if baseline.last_arrival_us is None or now_us >= baseline.last_arrival_us:
+        if now_us >= baseline.last_arrival_us:
             baseline.last_arrival_us = now_us
             baseline.silent = False
 
@@ -210,8 +210,6 @@ class Engine:
             if now_us > previous:
                 baseline.record_learning_sample(now_us - previous)
             return []
-        if not baseline.ready:
-            return []
         t_us = max(1, now_us - previous)  # a reordered or tied record is 1 us
         cause = baseline.check(t_us)
         if cause is None:
@@ -219,16 +217,20 @@ class Engine:
             return []
         return [IntrusionEvent(now_us, cause, key, "dt=%dus" % t_us)]
 
-    def _new_baseline(self, key: FlowKey, delta_milli: int | None = None) -> FlowBaseline:
-        """A flow's empty timing record; delta_milli, when given, overrides
-        the configured tolerance, as a model's TIMING line does."""
+    def _new_baseline(
+        self, key: FlowKey, delta_milli: int | None = None, **fields
+    ) -> FlowBaseline:
+        """A flow's timing record holding fields; delta_milli, when given,
+        overrides the configured tolerance, as a model's TIMING line does."""
         ip = key.kind in IP_KINDS
         if delta_milli is None:
             delta_milli = self.config.delta_milli if ip else self.config.delta_arp_milli
         # ARP and MAC-level flows: cache-expiry superposition makes a
         # short-window mean meaningless, so only the min/max band and
         # the silence check apply to them.
-        return FlowBaseline(delta_milli, deque(maxlen=self.config.window) if ip else None)
+        return FlowBaseline(
+            delta_milli, deque(maxlen=self.config.window) if ip else None, **fields
+        )
 
     # -- clock path ----------------------------------------------------
 
@@ -250,11 +252,7 @@ class Engine:
             return []
         events = []
         for key, baseline in self.states.items():
-            if not baseline.ready or baseline.silent:
-                continue
-            if baseline.last_arrival_us is None:
-                # imported baseline: measure silence from detection start
-                baseline.last_arrival_us = now_us
+            if baseline.silent:
                 continue
             if now_us - baseline.last_arrival_us >= baseline.high_us:
                 baseline.silent = True
@@ -271,9 +269,16 @@ class Engine:
     def _note_time(self, now_us: int) -> None:
         if self.started_us is None:
             self.started_us = now_us
+            # only an imported model has baselines yet: their flows' silence
+            # is measured from the first time the engine is shown
+            for baseline in self.states.values():
+                baseline.last_arrival_us = now_us
 
     def _activate(self) -> None:
+        """Enter active mode, which never adds a baseline and judges timing
+        only from a learned interval: flows below two samples lose theirs."""
         self.mode = Mode.ACTIVE
+        self.states = {key: b for key, b in self.states.items() if b.n_l >= 2}
         for baseline in self.states.values():
             baseline.activate()
 
@@ -283,22 +288,19 @@ class Engine:
         """Serialize the flows, bindings and timing envelopes learning found."""
         flow_list, bindings = self.table.export_records()
         lines = [MODEL_HEADER]
-        for key in flow_list:
-            lines.append("FLOW\t" + _key_columns(key))
-        for ip, mac in bindings:
-            lines.append("ARP\t%s\t%s" % (ip, mac))
+        lines.extend(_flow_line("FLOW", key) for key in flow_list)
+        lines.extend(_ARP_LINE % binding for binding in bindings)
         for key in flow_list:
             baseline = self.states.get(key)
-            if baseline is None or baseline.n_l < 2:
-                continue
-            lines.append("TIMING\t%s\t%d\t%d\t%d\t%d\t%d" % (
-                _key_columns(key), round(baseline.learning_mean), baseline.learned_min_us,
-                baseline.learned_max_us, baseline.n_l, baseline.delta_milli))
+            if baseline is not None and baseline.n_l >= 2:
+                lines.append(_timing_line(key, baseline))
         return ("\n".join(lines) + "\n").encode("ascii")
 
     def import_model(self, data: bytes) -> None:
-        """Load a previously exported model and go straight to active
-        mode. Only valid on an engine that has not processed traffic."""
+        """Load a previously exported model and enter active mode as the
+        learning tick does; only valid on an engine that has seen no
+        traffic. A line loads only if export_model writes it back byte for
+        byte; any other raises MalformedModelLine naming it."""
         if self.started_us is not None or self.states:
             raise RuntimeError("model import after traffic was processed")
         lines = data.decode("ascii", errors="replace").splitlines()
@@ -307,79 +309,74 @@ class Engine:
         for line in lines[1:]:
             if not line:
                 continue
-            fields = line.split("\t")
-            if _MODEL_FIELDS.get(fields[0]) != len(fields):
-                raise MalformedModelLine(line)
             try:
-                self._import_line(fields)
+                self._import_line(line)
             except (ValueError, OverflowError, OSError) as exc:
                 raise MalformedModelLine(line) from exc
         # checked once all lines are read: FLOW lines may come after TIMING
         unadmitted = sorted(key.render() for key in self.states.keys() - self.table.flows)
         if unadmitted:
             raise MalformedModelLine("TIMING without FLOW: %s" % ", ".join(unadmitted))
-        self.mode = Mode.ACTIVE
+        self._activate()
 
-    def _import_line(self, fields: list[str]) -> None:
-        """Apply one model line whose field count import_model checked."""
-        tag = fields[0]
+    def _import_line(self, line: str) -> None:
+        """Apply one model line; ValueError (a wrong column count too),
+        OverflowError or OSError unless export_model writes it back."""
+        tag, *columns = line.split("\t")
         if tag == "ARP":
-            self.table.bindings[_model_ip(fields[1])] = _model_mac(fields[2])
-            return
-        key = _parse_flow_key(*fields[1:5])
-        if tag == "FLOW":
-            self.table.flows.add(key)
+            ip, mac = columns
+            ip, mac = format_ip(inet_aton(ip)), _model_mac(mac)
+            self.table.bindings[ip] = mac
+            written = _ARP_LINE % (ip, mac)
         else:
-            mean_us, min_us, max_us, n_l, delta_milli = map(int, fields[5:])
-            # learn writes at least two samples and positive times with
-            # the mean inside the extrema
-            if n_l < 2 or not 1 <= min_us <= mean_us <= max_us:
-                raise ValueError("TIMING value out of range")
-            baseline = self._new_baseline(key, checked_delta_milli(delta_milli))
-            baseline.restore(mean_us=mean_us, min_us=min_us, max_us=max_us, n_l=n_l)
-            self.states[key] = baseline
+            kind, peer, local, port, *values = columns
+            flow_kind = FlowKind(kind)
+            if flow_kind in IP_KINDS:
+                key = FlowKey(flow_kind, format_ip(inet_aton(peer)),
+                              format_ip(inet_aton(local)), int(port))
+            else:
+                key = FlowKey(flow_kind, _model_mac(peer))
+            if not 0 <= key.service_port <= 0xFFFF:
+                raise ValueError("port out of range")
+            if tag == "FLOW":
+                self.table.flows.add(key)
+                written = _flow_line(tag, key)
+            elif tag == "TIMING":
+                mean_us, min_us, max_us, n_l, delta_milli = map(int, values)
+                # learn writes at least two samples and positive times with
+                # the mean inside the extrema
+                if n_l < 2 or not 1 <= min_us <= mean_us <= max_us:
+                    raise ValueError("TIMING value out of range")
+                baseline = self.states[key] = self._new_baseline(
+                    key, checked_delta_milli(delta_milli), n_l=n_l, _sum_us=mean_us * n_l,
+                    learned_min_us=min_us, learned_max_us=max_us)
+                written = _timing_line(key, baseline)
+            else:
+                raise ValueError("unknown tag")
+        if written != line:
+            raise ValueError("not as learn writes it")
 
 
-# fields per model line, the tag included
-_MODEL_FIELDS = {"FLOW": 5, "ARP": 3, "TIMING": 10}
+_ARP_LINE = "ARP\t%s\t%s"  # an IP address and the MAC bound to it
 
 
-def _key_columns(key: FlowKey) -> str:
-    """A flow key's four model columns: kind, peer, local address, port."""
-    return "%s\t%s\t%s\t%d" % (
-        key.kind.value, key.peer, key.local_ip or "-", key.service_port
-    )
+def _flow_line(tag: str, key: FlowKey, *values: int) -> str:
+    """A FLOW or TIMING model line; a MAC kind's local address is "-"."""
+    columns = (tag, key.kind.value, key.peer, key.local_ip or "-", key.service_port, *values)
+    return "\t".join(map(str, columns))
 
 
-def _parse_flow_key(kind: str, peer: str, local: str, port: str) -> FlowKey:
-    """The flow key of four model columns, read only as _key_columns
-    writes them: an IP kind's peer and local address are dotted quads,
-    a MAC kind's peer is a MAC beside local "-" and port 0."""
-    flow_kind = FlowKind(kind)
-    if flow_kind in IP_KINDS:
-        key = FlowKey(flow_kind, _model_ip(peer), _model_ip(local), int(port))
-    else:
-        key = FlowKey(flow_kind, _model_mac(peer))
-    if not 0 <= key.service_port <= 0xFFFF or _key_columns(key) != "\t".join(
-        (kind, peer, local, port)
-    ):
-        raise ValueError("flow columns learn never writes")
-    return key
-
-
-def _model_ip(text: str) -> str:
-    """text if it is a dotted quad as parse_frame writes one."""
-    if format_ip(inet_aton(text)) != text:
-        raise ValueError("not a dotted quad: %r" % text)
-    return text
+def _timing_line(key: FlowKey, baseline: FlowBaseline) -> str:
+    return _flow_line("TIMING", key, round(baseline.learning_mean), baseline.learned_min_us,
+                      baseline.learned_max_us, baseline.n_l, baseline.delta_milli)
 
 
 def _model_mac(text: str) -> str:
-    """text if it is a lower-case colon MAC as parse_frame writes one."""
+    """The MAC of six colon-separated octets as parse_frame writes one."""
     raw = bytes.fromhex(text.replace(":", ""))
-    if len(raw) != 6 or format_mac(raw) != text:
-        raise ValueError("not a colon MAC: %r" % text)
-    return text
+    if len(raw) != 6:
+        raise ValueError("not six octets")
+    return format_mac(raw)
 
 
 @lru_cache(maxsize=256)

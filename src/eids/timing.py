@@ -10,6 +10,9 @@ check names the band an interarrival broke as a Cause (TOO_FAST,
 TOO_SLOW or MEAN_DRIFT), or returns None for a clean one. Durations
 are integer microseconds and the tolerance integer thousandths, so the
 min/max edges are exact and the mean band rounds only the float mean.
+
+activate() alone turns learning totals, learned or imported, into the
+bands check uses, and refuses a flow below two learning samples.
 """
 
 from collections import deque
@@ -23,7 +26,7 @@ class NonPositiveInterarrival(ValueError):
 
 
 class BaselineNotReady(RuntimeError):
-    """A baseline needs at least two learning packets (one interval)."""
+    """A baseline needs at least two learning samples (interarrivals)."""
 
 
 @dataclass
@@ -45,10 +48,9 @@ class FlowBaseline:
     learned_min_us: int = 0
     learned_max_us: int = 0
     mean_us: float = 0.0
-    last_arrival_us: int | None = None
+    last_arrival_us: int = 0  # the engine sets it before any check
     last_sample_us: int | None = None
     silent: bool = False
-    ready: bool = False
     # set by activate(): the min/max edges, and window size * (1000 -/+ delta_milli)
     low_us: int = 0
     high_us: int = 0
@@ -70,28 +72,18 @@ class FlowBaseline:
         self.n_l += 1
         self._sum_us += t_us
 
-    def activate(self) -> bool:
-        """Freeze the learned mean and the min/max band; returns whether
-        the baseline is usable."""
-        self.ready = self.n_l >= 2
-        if self.ready:
-            delta = self.delta_milli
-            self.mean_us = self._sum_us / self.n_l
-            # floor and ceiling of the exact edges, exact for integer times
-            self.low_us = self.learned_min_us * (1000 - delta) // 1000
-            self.high_us = -(-self.learned_max_us * (1000 + delta) // 1000)
-            if self.window is not None:
-                self._mean_low = self.window.maxlen * (1000 - delta)
-                self._mean_high = self.window.maxlen * (1000 + delta)
-        return self.ready
-
-    def restore(self, mean_us: int, min_us: int, max_us: int, n_l: int) -> None:
-        """Load a persisted envelope as learning totals and activate it."""
-        self.n_l = n_l
-        self.learned_min_us = min_us
-        self.learned_max_us = max_us
-        self._sum_us = mean_us * n_l
-        self.activate()
+    def activate(self) -> None:
+        """Freeze the learned mean and the min/max band."""
+        if self.n_l < 2:
+            raise BaselineNotReady("flow has %d learning samples" % self.n_l)
+        delta = self.delta_milli
+        self.mean_us = self._sum_us / self.n_l
+        # floor and ceiling of the exact edges, exact for integer times
+        self.low_us = self.learned_min_us * (1000 - delta) // 1000
+        self.high_us = -(-self.learned_max_us * (1000 + delta) // 1000)
+        if self.window is not None:
+            self._mean_low = self.window.maxlen * (1000 - delta)
+            self._mean_high = self.window.maxlen * (1000 + delta)
 
     def check(self, t_us: int) -> Cause | None:
         """The cause one active-mode interarrival raises, or None for a
@@ -102,8 +94,6 @@ class FlowBaseline:
         full complement of samples, since the mean of a handful of
         samples right after activation says nothing about drift.
         """
-        if not self.ready:
-            raise BaselineNotReady("flow has %d learning samples" % self.n_l)
         if t_us <= self.low_us:
             return Cause.TOO_FAST
         if t_us >= self.high_us:

@@ -530,11 +530,13 @@ def test_logger_over_loopback(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "case", ["unwritable-log-file", "port-in-use", "empty-psk-file", "zero-timeout"]
+    "case", ["unwritable-log-file", "port-in-use", "empty-psk-file", "zero-timeout", "no-psk"]
 )
 def test_logger_input_error_exits_two_and_closes_its_socket(case, tmp_path, capsys,
                                                             monkeypatch):
     monkeypatch.setenv("EIDS_PSK", "loopback-psk")
+    if case == "no-psk":
+        monkeypatch.delenv("EIDS_PSK")
     (tmp_path / "empty.psk").write_bytes(b"")
     # every case but the held port leaves the port free
     extra = {
@@ -542,6 +544,7 @@ def test_logger_input_error_exits_two_and_closes_its_socket(case, tmp_path, caps
         "port-in-use": [],
         "empty-psk-file": ["--psk-file", str(tmp_path / "empty.psk")],
         "zero-timeout": ["--timeout", "0"],
+        "no-psk": [],
     }[case]
     with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as holder:
         holder.bind(("127.0.0.1", 0))
@@ -558,7 +561,16 @@ def test_logger_input_error_exits_two_and_closes_its_socket(case, tmp_path, caps
     assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
+def test_logger_prints_the_port_it_bound(capsys, monkeypatch):
+    monkeypatch.setenv("EIDS_PSK", "loopback-psk")
+    assert main(["logger", "--bind", "127.0.0.1", "--port", "0", "--duration", "0.3"]) == 0
+    first = capsys.readouterr().err.splitlines()[0]
+    host, _, port = first.removeprefix("listening on ").partition(":")
+    assert host == "127.0.0.1" and int(port) > 0
+
+
 def test_logger_stamps_datagrams_when_they_arrive(capsys, monkeypatch):
+    monkeypatch.setenv("EIDS_PSK", "loopback-psk")
     stamps = []
 
     class RecordingLogger(CentralLogger):
@@ -597,6 +609,7 @@ def test_logger_stamps_datagrams_when_they_arrive(capsys, monkeypatch):
 
 
 def test_logger_renders_only_when_a_line_changes(capsys, monkeypatch):
+    monkeypatch.setenv("EIDS_PSK", "loopback-psk")
     renders = []
 
     class CountingLogger(CentralLogger):

@@ -249,6 +249,20 @@ def test_a_stale_learning_record_does_not_date_the_flow_silent():
     assert list(replay(Engine(_config()), frames_in)) == []
 
 
+def test_learning_tick_drops_flows_without_a_learned_interval():
+    engine = Engine(_config())
+    engine.tick(0)
+    once = frames.udp_frame(PLC_MAC, LOCAL_MAC, PLC, LOCAL, 40000, 161, b"x")
+    engine.ingest(Direction.RX, once, 50)
+    for k in range(100):
+        engine.ingest(Direction.RX, _poll_frame(k), (k + 1) * 100 * MS)
+    assert len(engine.states) == 2
+    engine.tick(10 * S)
+    assert list(engine.states) == [FlowKey(FlowKind.TCP, PLC, LOCAL, 502)]
+    # the flow stays admitted; only its timing is not judged
+    assert FlowKey(FlowKind.UDP, PLC, LOCAL, 161) in engine.table.flows
+
+
 def test_host_silent_fires_once_and_rearms():
     engine = _learned_engine()
     last = 101 * 100 * MS  # keep the flow alive a moment into active mode
@@ -496,8 +510,16 @@ def test_model_import_names_an_overflowing_line():
     "100000\t100000\t100000\t50\t2001",
     "99999\t100000\t100000\t50\t300",
     "100001\t100000\t100000\t50\t300",
+    "+100000\t100000\t100000\t50\t300",
+    "0100000\t100000\t100000\t50\t300",
+    "100_000\t100000\t100000\t50\t300",
+    " 100000\t100000\t100000\t50\t300",
+    "100000\t100000\t100000\t50\t0300",
+    "9007199254740993\t1\t9007199254740993\t2\t300",
 ], ids=["one-sample", "min-zero", "min-above-max", "mean-zero", "negative-delta",
-        "delta-above-2000", "mean-below-min", "mean-above-max"])
+        "delta-above-2000", "mean-below-min", "mean-above-max", "mean-signed",
+        "mean-leading-zero", "mean-underscore", "mean-leading-space", "delta-leading-zero",
+        "mean-past-float-precision"])
 def test_model_import_rejects_timing_values_learn_never_writes(values):
     line = "TIMING\tTcp\t%s\t%s\t502\t%s" % (PLC, LOCAL, values)
     model = "EIDS-MODEL 1\nFLOW\tTcp\t%s\t%s\t502\n%s\n" % (PLC, LOCAL, line)
@@ -535,10 +557,18 @@ def test_model_import_accepts_timing_values_at_their_bounds(values):
     "ARP\t%s\tnot-a-mac" % PLC,
     "ARP\t%s\t0200000000aa" % PLC,
     "TIMING\tTcp\t%s\t-\t502\t100000\t100000\t100000\t50\t300" % PLC,
+    # nor does it write a column more or less, or another tag
+    "FLOW\tTcp\t%s\t%s\t502\t100000" % (PLC, LOCAL),
+    "ARP\t%s\t%s\t-" % (PLC, PLC_MAC),
+    "TIMING\tTcp\t%s\t%s\t502\t100000\t100000\t100000\t50" % (PLC, LOCAL),
+    "NOISE\tTcp\t%s\t%s\t502" % (PLC, LOCAL),
+    "FLOW",
 ], ids=["port-negative", "port-huge", "port-65536", "port-signed", "peer-not-ip",
         "peer-short-quad", "local-leading-zero", "tcp-local-dash", "arp-peer-ip",
         "mac-upper-case", "mac-five-octets", "mac-kind-local-ip", "mac-kind-port",
-        "binding-not-ip", "binding-not-mac", "binding-mac-no-colons", "timing-local-dash"])
+        "binding-not-ip", "binding-not-mac", "binding-mac-no-colons", "timing-local-dash",
+        "flow-extra-column", "arp-extra-column", "timing-short-a-column",
+        "unknown-tag-with-flow-columns", "tag-alone"])
 def test_model_import_reads_addresses_and_ports_only_as_learn_writes_them(line):
     with pytest.raises(MalformedModelLine) as info:
         Engine(_config()).import_model(("EIDS-MODEL 1\n%s\n" % line).encode())
