@@ -40,13 +40,20 @@ class CentralLogger:
         self.replay = ReplayState()
         self.rejected = Counter()
 
-    def on_datagram(self, data: bytes, now_us: int) -> tuple[NodeRecord, bool, bool] | None:
+    def on_datagram(
+        self, data: bytes, now_us: int, wall_ms: int | None = None
+    ) -> tuple[NodeRecord, bool, bool] | None:
         """Apply one received datagram; returns None when it was rejected,
         else the updated record and how the node's status line changed:
         whether the node came up (it was new or down) and whether its
-        intrusion bit flipped."""
+        intrusion bit flipped. now_us is the liveness clock that sweep
+        reads too; wall_ms, the wall time in epoch milliseconds that the
+        message-time skew check compares with, defaults to now_us // 1000
+        for a caller whose one clock is both."""
+        if wall_ms is None:
+            wall_ms = now_us // 1000
         try:
-            msg = decode_verify(data, self.psk, self.replay, now_ms=now_us // 1000)
+            msg = decode_verify(data, self.psk, self.replay, now_ms=wall_ms)
         except AnnounceError as exc:
             self.rejected[type(exc).__name__] += 1
             return None

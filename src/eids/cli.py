@@ -318,8 +318,9 @@ def cmd_logger(args) -> int:
         sock.settimeout(0.2)
         print("listening on %s:%d" % sock.getsockname(), file=sys.stderr)
 
-        # sweeps and --duration run on the monotonic clock, immune to clock
-        # steps; the logger gets wall-clock stamps read on arrival
+        # liveness, sweeps and --duration run on the monotonic clock, which a
+        # wall-clock step does not move; wall time only checks a message's
+        # time for future skew and stamps the transition log
         started = time.monotonic()
         sweeps = Clock(1_000_000)
         last_render = ""
@@ -332,13 +333,15 @@ def cmd_logger(args) -> int:
                 except socket.timeout:
                     pass
                 else:
-                    accepted = logger.on_datagram(data, int(time.time() * 1e6))
+                    accepted = logger.on_datagram(data, int(time.monotonic() * 1e6),
+                                                  wall_ms=int(time.time() * 1e3))
                     if accepted is not None:
                         record, came_up, changed = accepted
                         if came_up:
                             transitions.append((record, "up"))
-                if sweeps.due(int(time.monotonic() * 1e6)):
-                    downs = logger.sweep(int(time.time() * 1e6))
+                now_us = int(time.monotonic() * 1e6)
+                if sweeps.due(now_us):
+                    downs = logger.sweep(now_us)
                     transitions += [(record, "down") for record in downs]
                 if len(transitions) > 1:  # logged in the order nodes were first seen
                     first_seen = {node_id: k for k, node_id in enumerate(logger.records)}

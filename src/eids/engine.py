@@ -47,8 +47,8 @@ from .timing import FlowBaseline
 
 MODEL_HEADER = "EIDS-MODEL 1"
 TICK_PERIOD_US = 100_000
-# header signatures an active engine keeps the verdict of: a plant has
-# tens of flows; a flood of fresh ports fills the table, which is then
+# header signatures an engine keeps the judgment of: a plant has tens
+# of flows; a flood of fresh ports fills the table, which is then
 # emptied and refills, so the flows that come back are kept again
 SIGNATURE_CAPACITY = 4096
 
@@ -132,27 +132,29 @@ class Engine:
         rather than raising. A direction of None means the input does
         not say, as in a pcap capture; the flow table decides the side.
 
-        Active mode never changes the flow table, so there a TCP or UDP
-        frame's flow key and metadata cause depend only on whether it
-        is sent and on its packet.header_signature. The engine keeps
-        them per signature, filled only in active mode (after the
-        learning tick or import_model), and parses a frame only when
-        its signature is new. A table holding SIGNATURE_CAPACITY
+        While the flow table is unchanged, a TCP or UDP frame's flow
+        key and metadata cause depend only on whether it is sent and on
+        its packet.header_signature. The engine keeps them per
+        signature, in both modes, and parses a frame only when its
+        signature is not kept. Active mode never changes the flow
+        table. Learning mode grows it only when it admits a flow, which
+        may re-key any signature: such a judgment empties the table and
+        is not kept. A kept learning judgment is for an admitted flow,
+        which observe would leave as it is, so a hit skips observe.
+        Entering active mode empties the table, since learning
+        judgments carry no cause. A table holding SIGNATURE_CAPACITY
         signatures is emptied before it stores the next one. The timing
         check runs on every frame.
         """
         self._note_time(now_us)
-        signature = header_signature(frame) if self.mode is Mode.ACTIVE else None
+        signature = header_signature(frame)
         if signature is not None:
             # a bool, not the Direction: the probe then hashes in C; RX
             # and None key a TCP/UDP frame alike (flows._endpoints)
             probe = (direction is Direction.TX, signature)
             judged = self._judged.get(probe)
             if judged is None:
-                judged = self._judge(parse_frame(frame), direction)
-                if len(self._judged) >= SIGNATURE_CAPACITY:
-                    self._judged.clear()
-                self._judged[probe] = judged
+                judged = self._judge(parse_frame(frame), direction, probe)
             tcp_flags = frame[47] if signature[1] == PROTO_TCP else None
         else:
             try:
@@ -173,15 +175,26 @@ class Engine:
         return (Verdict.ALERT if events else Verdict.PASS), events
 
     def _judge(
-        self, meta: PacketMeta, direction: Direction | None
+        self, meta: PacketMeta, direction: Direction | None, probe: tuple | None = None
     ) -> tuple[FlowKey, Cause | None, str]:
         """A frame's flow key, metadata cause and event detail, which
-        names the cause in lower case: new-flow, l2l3-mismatch."""
+        names the cause in lower case: new-flow, l2l3-mismatch. The
+        judgment is kept under probe, when given, unless making it
+        admitted a flow; one that did empties the signature table."""
+        flows = len(self.table.flows)
         key = self.table.key_for(meta, direction)
         # learning mode finds no cause
         cause = self.table.observe(meta, self.mode, key)
         detail = "" if cause is None else cause.name.lower().replace("_", "-")
-        return key, cause, detail
+        judged = key, cause, detail
+        if len(self.table.flows) != flows:
+            # flows and services grew: key_for may key a kept signature anew
+            self._judged.clear()
+        elif probe is not None:
+            if len(self._judged) >= SIGNATURE_CAPACITY:
+                self._judged.clear()
+            self._judged[probe] = judged
+        return judged
 
     def _track_timing(
         self, tcp_flags: int | None, key: FlowKey, now_us: int
@@ -276,8 +289,10 @@ class Engine:
 
     def _activate(self) -> None:
         """Enter active mode, which never adds a baseline and judges timing
-        only from a learned interval: flows below two samples lose theirs."""
+        only from a learned interval: flows below two samples lose theirs.
+        The signature table is emptied: learning judgments carry no cause."""
         self.mode = Mode.ACTIVE
+        self._judged.clear()
         self.states = {key: b for key, b in self.states.items() if b.n_l >= 2}
         for baseline in self.states.values():
             baseline.activate()

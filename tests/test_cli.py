@@ -19,7 +19,8 @@ from eids.announce import StatusMessage, encode
 from eids.central import CentralLogger
 from eids.cli import ArpRequestGaps, build_parser, load_config, main
 from eids.engine import EngineConfig
-from eids.packet import ArpOp, header_signature, parse_frame
+from eids.flows import FlowTable, Mode
+from eids.packet import ArpOp, ParseError, header_signature, parse_frame
 from eids.pcap import read_pcap, write_pcap
 
 S = 1_000_000
@@ -418,6 +419,29 @@ def _active_parses(frames):
     return signatures.count(None) + len(set(signatures) - {None})
 
 
+def _learning_parses(frames):
+    """Parses a learning engine makes on pcap frames: one per frame that
+    header_signature rejects, one per signature missing from the table,
+    which empties after each parse that admitted a flow."""
+    table, kept, parses = FlowTable(cli.DEFAULT_LOCAL_IP), set(), 0
+    for data in frames:
+        signature = header_signature(data)
+        if signature is not None and signature in kept:
+            continue
+        parses += 1
+        try:
+            meta = parse_frame(data)
+        except ParseError:
+            continue
+        flows = len(table.flows)
+        table.observe(meta, Mode.LEARNING, table.key_for(meta, None))
+        if len(table.flows) != flows:
+            kept.clear()
+        elif signature is not None:
+            kept.add(signature)
+    return parses
+
+
 @pytest.mark.parametrize("command", ["detect", "learn", "detect-model"])
 def test_parses_per_frame(tmp_path, monkeypatch, command):
     pcap, _ = _write_viewpoint_pcap(tmp_path, "small.pcap", duration_s=60)
@@ -429,12 +453,16 @@ def test_parses_per_frame(tmp_path, monkeypatch, command):
     # learning ends on the tick 30 s after the first frame
     learning = [data for ts, data in records if ts - records[0][0] < 30 * S]
     active = frames[len(learning):]
-    argv, expected = {
-        "detect": (["detect", "--learn-first", "30"], len(learning) + _active_parses(active)),
-        # learn's ARP watch skips untagged IPv4 (ethertype 08 00) unparsed
-        "learn": (["learn", "-o", str(model)],
-                  sum(1 + (data[12:14] != b"\x08\x00") for data in frames)),
-        "detect-model": (["detect", "--model", str(model)], _active_parses(frames)),
+    # learn's ARP watch parses all but untagged IPv4 (ethertype 08 00)
+    watched = sum(data[12:14] != b"\x08\x00" for data in frames)
+    # the count if every learning frame were parsed
+    argv, expected, parsed_every_learning_frame = {
+        "detect": (["detect", "--learn-first", "30"],
+                   _learning_parses(learning) + _active_parses(active),
+                   len(learning) + _active_parses(active)),
+        "learn": (["learn", "-o", str(model)], watched + _learning_parses(frames),
+                  watched + len(frames)),
+        "detect-model": (["detect", "--model", str(model)], _active_parses(frames), None),
     }[command]
     calls = []
 
@@ -447,6 +475,8 @@ def test_parses_per_frame(tmp_path, monkeypatch, command):
     assert main(argv + ["--pcap", str(pcap)]) in (0, 1)
     assert {data[12:14] for data in frames} >= {b"\x08\x00", b"\x08\x06"}
     assert len(calls) == expected
+    if parsed_every_learning_frame is not None:
+        assert expected < parsed_every_learning_frame
     # the capture has frames the guard rejects; the active part repeats signatures
     assert None in map(header_signature, frames)
     admitted = [sig for sig in map(header_signature, active) if sig is not None]
@@ -574,9 +604,9 @@ def test_logger_stamps_datagrams_when_they_arrive(capsys, monkeypatch):
     stamps = []
 
     class RecordingLogger(CentralLogger):
-        def on_datagram(self, data, now_us):
-            stamps.append((data, now_us))
-            return super().on_datagram(data, now_us)
+        def on_datagram(self, data, now_us, wall_ms=None):
+            stamps.append((data, now_us, wall_ms))
+            return super().on_datagram(data, now_us, wall_ms)
 
     monkeypatch.setattr("eids.cli.CentralLogger", RecordingLogger)
     probe = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
@@ -597,15 +627,88 @@ def test_logger_stamps_datagrams_when_they_arrive(capsys, monkeypatch):
         # spaced so that each one arrives while the logger waits in recvfrom
         for k in range(5):
             payload = b"probe-%d" % k
-            sent[payload] = int(time.time() * 1e6)
+            sent[payload] = int(time.monotonic() * 1e6), int(time.time() * 1e3)
             sender.sendto(payload, ("127.0.0.1", port))
             time.sleep(0.13)
     thread.join(timeout=10)
 
     assert result.get("code") == 0
-    assert sorted(data for data, _ in stamps) == sorted(sent)
-    for data, now_us in stamps:
-        assert now_us >= sent[data], "stamp %d us before the send" % (sent[data] - now_us)
+    assert sorted(data for data, _, _ in stamps) == sorted(sent)
+    for data, now_us, wall_ms in stamps:
+        sent_us, sent_ms = sent[data]
+        assert now_us >= sent_us, "stamp %d us before the send" % (sent_us - now_us)
+        assert wall_ms >= sent_ms, "wall stamp %d ms before the send" % (sent_ms - wall_ms)
+
+
+def test_logger_liveness_ignores_wall_clock_steps(tmp_path, monkeypatch):
+    """The wall clock steps back an hour after node 7's last datagram,
+    then forward an hour after node 8's: each node is logged down at a
+    sweep at least the timeout after its last datagram, neither an hour
+    late nor at once."""
+    monkeypatch.setenv("EIDS_PSK", "loopback-psk")
+    step_s = 0.0
+
+    class SteppedTime:
+        def __getattr__(self, name):
+            return getattr(time, name)
+
+        def time(self):
+            return time.time() + step_s
+
+    monkeypatch.setattr("eids.cli.time", SteppedTime())
+    probe = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    probe.bind(("127.0.0.1", 0))
+    port = probe.getsockname()[1]
+    probe.close()
+    log_file = tmp_path / "transitions.log"
+    result = {}
+    timeout_s = 1.5
+
+    def serve():
+        result["code"] = main(["logger", "--bind", "127.0.0.1", "--port", str(port),
+                               "--timeout", str(timeout_s), "--duration", "8",
+                               "--log-file", str(log_file)])
+
+    def logged_by(line, deadline):
+        """When the test first saw line in the transition log, if by deadline."""
+        while time.monotonic() < deadline:
+            if log_file.exists() and line in log_file.read_text():
+                return time.monotonic()
+            time.sleep(0.01)
+        return None
+
+    def announce_until_up(sender, node_id):
+        """Send node_id's status, stamped on the logger's wall clock, until
+        the logger logs the node up; returns the monotonic time of the last
+        send."""
+        for k in range(100):
+            sent = time.monotonic()
+            msg_ms = int((time.time() + step_s) * 1e3) + k
+            sender.sendto(encode(StatusMessage(node_id, msg_ms, False, True, 0),
+                                 b"loopback-psk"), ("127.0.0.1", port))
+            if logged_by("\t%d\tup\n" % node_id, time.monotonic() + 0.1) is not None:
+                return sent
+        raise AssertionError("node %d never logged up" % node_id)
+
+    thread = threading.Thread(target=serve)
+    thread.start()
+    try:
+        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sender:
+            sent = announce_until_up(sender, 7)
+            step_s = -3600.0
+            down = logged_by("\t7\tdown\n", sent + timeout_s + 2)
+            assert down is not None, "node 7 not down within 2 s of its timeout"
+            assert down - sent >= timeout_s
+            sent = announce_until_up(sender, 8)
+            step_s = 0.0
+            down = logged_by("\t8\tdown\n", sent + timeout_s + 2)
+            assert down is not None, "node 8 not down within 2 s of its timeout"
+            assert down - sent >= timeout_s, "node 8 down %.2f s after its datagram" % (
+                down - sent)
+    finally:
+        thread.join(timeout=15)
+    assert not thread.is_alive()
+    assert result.get("code") == 0
 
 
 def test_logger_renders_only_when_a_line_changes(capsys, monkeypatch):

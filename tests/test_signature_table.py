@@ -1,9 +1,11 @@
-"""The active-mode header-signature table against the full path.
+"""The header-signature table against the full path.
 
-An active engine judges a known TCP or UDP frame's metadata by one probe
-of a table keyed on packet.header_signature. These tests switch the
-table off by making every signature None, so every frame is parsed,
-keyed and observed, and require the same events either way.
+An engine, learning or active, judges a known TCP or UDP frame's
+metadata by one probe of a table keyed on packet.header_signature; a
+learning judgment that admits a flow empties the table. These tests
+switch the table off by making every signature None, so every frame is
+parsed, keyed and observed, and require the same events and the same
+learned model either way.
 """
 
 import pytest
@@ -11,11 +13,14 @@ import pytest
 from eids import bench, frames, sim
 from eids.engine import SIGNATURE_CAPACITY, Engine, EngineConfig, replay
 from eids.flows import Cause
-from eids.packet import Direction, header_signature, parse_frame
+from eids.packet import TCP_ACK, TCP_SYN, ArpOp, Direction, header_signature, parse_frame
 
 S = 1_000_000
 MS = 1000
 S1_IP = "192.168.1.101"
+S1_MAC = "02:00:ac:10:01:65"
+PLC_IP = "192.168.1.50"
+PLC_MAC = "02:00:ac:10:01:32"
 
 
 def _table_off(monkeypatch):
@@ -33,19 +38,46 @@ def short_plant(monkeypatch):
                                   bench.DURATION_US, seed)
 
 
-def _row_events(plant):
-    return [bench._observe(plant.trace([scenario]), sim.TrafficProfile()).events
-            for scenario, _variant, _expected in bench._scenario_matrix()]
+def _row_results(plant):
+    """Each matrix row's events and the model its engine learned."""
+    results = [bench._observe(plant.trace([scenario]), sim.TrafficProfile())
+               for scenario, _variant, _expected in bench._scenario_matrix()]
+    return [(result.events, result.engine.export_model()) for result in results]
 
 
 @pytest.mark.parametrize("seed", [3, 8])
 def test_matrix_rows_raise_the_same_events_with_the_table_off(short_plant, monkeypatch,
                                                               seed):
     plant = short_plant(seed)
-    with_table = _row_events(plant)
+    with_table = _row_results(plant)
     _table_off(monkeypatch)
-    assert _row_events(plant) == with_table
-    assert any(with_table)
+    assert _row_results(plant) == with_table
+    assert any(events for events, _model in with_table)
+
+
+def _learned(stream):
+    """The model and the baseline keys an engine learns on stream."""
+    engine = Engine(EngineConfig(local_ip=S1_IP, learning_duration_us=1 << 62))
+    for _event in replay(engine, stream):
+        pass
+    return engine.export_model(), set(engine.states)
+
+
+def test_a_flow_admitted_while_learning_rekeys_a_kept_signature(monkeypatch):
+    """X, a SYN from P:9000 to H:6000, admits tcp/P->H:6000, so S,
+    P:5000 -> H:6000, keys to :6000. Z, a SYN from H:1234 to P:5000,
+    admits tcp/P->H:5000 and the service P:5000; from then on the full
+    path keys S to :5000, so the signature S was kept under must go."""
+    x = frames.tcp_frame(PLC_MAC, S1_MAC, PLC_IP, S1_IP, 9000, 6000, TCP_SYN)
+    s = frames.tcp_frame(PLC_MAC, S1_MAC, PLC_IP, S1_IP, 5000, 6000, 0x08 | TCP_ACK)
+    z = frames.tcp_frame(S1_MAC, PLC_MAC, S1_IP, PLC_IP, 1234, 5000, TCP_SYN)
+    # a pcap says no direction
+    stream = [(k * 100 * MS, None, data) for k, data in enumerate([x, s, s, s, z, s, s, s])]
+    with_table = _learned(stream)
+    _table_off(monkeypatch)
+    assert _learned(stream) == with_table
+    model = with_table[0].decode()
+    assert "TIMING\tTcp\t192.168.1.50\t192.168.1.101\t5000\t" in model
 
 
 @pytest.fixture(scope="module")
@@ -106,6 +138,32 @@ def test_mutated_frames_raise_the_same_events_with_the_table_off(model_and_view,
     assert _imported_events(model, stream) == with_table
     causes = {event.cause for event in with_table}
     assert {Cause.NEW_FLOW, Cause.L2L3_MISMATCH, Cause.TOO_FAST} <= causes
+
+
+def test_entering_active_mode_drops_the_learning_judgments(monkeypatch):
+    """Learning keeps a frame whose source MAC contradicts its source's
+    ARP binding with no cause; active mode must judge it anew."""
+    arp = frames.arp_frame(ArpOp.REPLY, PLC_MAC, PLC_IP, S1_MAC, S1_IP)
+    rogue = frames.tcp_frame("02:00:ac:10:01:99", S1_MAC, PLC_IP, S1_IP, 49152, 502, 0x18)
+    stream = [(0, None, arp)] + [(k * 100 * MS, None, rogue) for k in range(1, 15)]
+
+    def events():
+        engine = Engine(EngineConfig(local_ip=S1_IP, learning_duration_us=S))
+        return list(replay(engine, stream))
+
+    with_table = events()
+    _table_off(monkeypatch)
+    assert events() == with_table
+    assert Cause.L2L3_MISMATCH in {event.cause for event in with_table}
+
+
+def test_learning_on_mutated_frames_learns_the_same_model_with_the_table_off(
+        model_and_view, monkeypatch):
+    _model, view = model_and_view
+    stream = _hostile_stream(view)
+    with_table = _learned(stream)
+    _table_off(monkeypatch)
+    assert _learned(stream) == with_table
 
 
 def test_table_stops_growing_at_its_capacity_and_still_judges_every_frame():
