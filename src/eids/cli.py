@@ -83,7 +83,6 @@ _ENGINE_KEYS = {
     "delta_arp": (float, "timing tolerance for ARP flows learned in this run; "
                          "a --model flow keeps its own"),
     "window": (int, "active-mode mean window size"),
-    "alpha": (float, "runtime mean adjustment weight"),
 }
 _SCENARIO_KEYS = {
     "start": ("start_us", _us),
@@ -102,10 +101,11 @@ def load_config(
     """Read the INI config: [topology] sensors; [profile] poll_period_ms,
     response_delay_ms=LO,HI, jitter_pct, status_period_s,
     arp_expiry_s=LO,HI, status_port, psk; [engine] delta, delta_arp,
-    window, alpha; [scenarios] with one scenario spec per key, under
-    any name. Flags override these values. Values are taken literally:
-    no % interpolation, and a # after a value is part of it. A value
-    that does not parse, and a section or key not listed here, raise
+    window; [scenarios] with one scenario spec per key, under any name.
+    Flags override these values. Values are taken literally: no %
+    interpolation, and a # after a value is part of it. A value that
+    does not parse, and a section or key not listed here (alpha among
+    them: the runtime mean's weight is fixed at 1/256), raise
     ValueError naming the file, section and key."""
     topology = sim.Topology.default()
     profile = sim.TrafficProfile()
@@ -407,9 +407,16 @@ def _add_engine_options(p):
                        help="%s (default %s)" % (text, getattr(EngineConfig, key)))
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # a usage error, such as an unknown flag, is an input error: main
+        # prints it as one line and returns 2; subparsers inherit this
+        raise ValueError("%s (see %s --help)" % (message, self.prog))
+
+
 @functools.cache  # built once: a process that calls main repeatedly reuses it
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="eids")
+    parser = _Parser(prog="eids")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("learn", help="learn a model from trusted traffic")
@@ -473,16 +480,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except BrokenPipeError:
         # downstream pipe closed early (e.g. | head); not our error
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
     except (OSError, ValueError, OverflowError, configparser.Error) as exc:
-        # unreadable or invalid input: files, captures, config values,
-        # scenario specs and engine parameters all raise one of these;
+        # unreadable or invalid input: flags, files, captures, config
+        # values, scenario specs and engine parameters raise one of these;
         # an infinite time overflows when converted to microseconds
         _err(str(exc))
         return 2

@@ -27,7 +27,7 @@ from datetime import datetime, timedelta, timezone
 from enum import Enum
 from functools import lru_cache
 from socket import inet_aton
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple
 
 from .flows import IP_KINDS, Cause, FlowKey, FlowKind, FlowTable, Mode
 from .packet import (
@@ -91,7 +91,6 @@ class EngineConfig:
     delta: float = 0.3
     delta_arp: float = 1.0
     window: int = 16
-    alpha: float = 1.0 / 256.0
     # delta and delta_arp rounded once to thousandths, as a model stores them
     delta_milli: int = field(init=False)
     delta_arp_milli: int = field(init=False)
@@ -103,8 +102,6 @@ class EngineConfig:
         self.delta_arp_milli = checked_delta_milli(round(self.delta_arp * 1000))
         if self.window < 1:
             raise ValueError("window must hold at least one sample")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError("alpha out of [0, 1]")
         if not 0 <= self.node_id <= 0xFFFF:
             raise ValueError("node id out of range")
 
@@ -226,7 +223,7 @@ class Engine:
         t_us = max(1, now_us - previous)  # a reordered or tied record is 1 us
         cause = baseline.check(t_us)
         if cause is None:
-            baseline.adjust(t_us, self.config.alpha)
+            baseline.adjust(t_us)
             return []
         return [IntrusionEvent(now_us, cause, key, "dt=%dus" % t_us)]
 
@@ -278,6 +275,16 @@ class Engine:
                     )
                 )
         return events
+
+    def next_action_us(self) -> int | None:
+        """The earliest time a tick can act, on an engine shown a time:
+        the end of learning, or once active the first time a flow not
+        yet silent is silent for its baseline. None when every flow is
+        silent: no tick acts before the next frame."""
+        if self.mode is Mode.LEARNING:
+            return self.started_us + self.config.learning_duration_us
+        return min((b.last_arrival_us + b.high_us for b in self.states.values()
+                    if not b.silent), default=None)
 
     def _note_time(self, now_us: int) -> None:
         if self.started_us is None:
@@ -413,6 +420,9 @@ def format_event(event: IntrusionEvent, node_id: int) -> str:
     )
 
 
+_NONE_DUE = range(0)
+
+
 class Clock:
     """A grid of times period_us apart, anchored at the first time it is
     shown. Its state is plain attributes, so a copy carries on the grid."""
@@ -421,11 +431,11 @@ class Clock:
         self.period_us = period_us
         self.next_us: int | None = None
 
-    def due(self, now_us: int) -> Sequence[int]:
+    def due(self, now_us: int) -> range:
         """The grid times at or before now_us not returned before, oldest first."""
         first = now_us if self.next_us is None else self.next_us
         if now_us < first:
-            return ()
+            return _NONE_DUE
         self.next_us = now_us - (now_us - first) % self.period_us + self.period_us
         return range(first, self.next_us, self.period_us)
 
@@ -438,15 +448,33 @@ def replay(
     """Drive an engine from a time-ordered frame stream, interleaving
     clock ticks every TICK_PERIOD_US from the first frame, and yield
     each event as it is raised. tail_us extends ticking past the last
-    frame so silence at the end of a capture is still seen. Nothing
-    runs until the caller iterates."""
+    frame so silence at the end of a capture is still seen. Across a
+    gap of several grid times, such as a clock step, only the times
+    from which a tick can act are ticked. Nothing runs until the caller
+    iterates."""
     due = Clock(TICK_PERIOD_US).due
     last = None
     for at_us, direction, data in frames:
-        for tick_us in due(at_us):
-            yield from engine.tick(tick_us)
+        ticks = due(at_us)
+        if len(ticks) > 1:
+            yield from _acting_ticks(engine, ticks)
+        else:
+            for tick_us in ticks:
+                yield from engine.tick(tick_us)
         yield from engine.ingest(direction, data, at_us)[1]
         last = at_us
     if last is not None:
-        for tick_us in due(last + tail_us):
-            yield from engine.tick(tick_us)
+        yield from _acting_ticks(engine, due(last + tail_us))
+
+
+def _acting_ticks(engine: Engine, ticks: range) -> Iterator[IntrusionEvent]:
+    """The events of engine.tick at each of the grid times ticks from
+    which a tick can act; the others would raise nothing and change
+    nothing."""
+    while ticks:
+        acts_us = engine.next_action_us()
+        if acts_us is None or acts_us > ticks[-1]:
+            return
+        skip = max(0, -((ticks.start - acts_us) // ticks.step))
+        yield from engine.tick(ticks[skip])
+        ticks = ticks[skip + 1:]

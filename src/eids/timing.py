@@ -8,8 +8,10 @@ sum, whose mean is held against the widened learned mean. Band
 boundaries are exclusive: a value equal to a bound is flagged. The
 check names the band an interarrival broke as a Cause (TOO_FAST,
 TOO_SLOW or MEAN_DRIFT), or returns None for a clean one. Durations
-are integer microseconds and the tolerance integer thousandths, so the
-min/max edges are exact and the mean band rounds only the float mean.
+are integer microseconds, the tolerance integer thousandths and the
+runtime mean an integer in 1/256 us, moved by each clean interarrival
+with the weight 1/256, so check, adjust and activate do only integer
+arithmetic, as on an MCU without an FPU.
 
 activate() alone turns learning totals, learned or imported, into the
 bands check uses, and refuses a flow below two learning samples.
@@ -38,7 +40,8 @@ class FlowBaseline:
     delta_milli is the multiplicative tolerance widening both bands, in
     thousandths; from 1000 on a lower edge is at or below zero and
     flags nothing. The window is a deque bounded by its maxlen, the
-    window size; a flow without one skips the mean check.
+    window size; a flow without one skips the mean check. mean_q8 is
+    the runtime mean in 1/256 us.
     """
 
     delta_milli: int
@@ -47,7 +50,7 @@ class FlowBaseline:
     n_l: int = 0
     learned_min_us: int = 0
     learned_max_us: int = 0
-    mean_us: float = 0.0
+    mean_q8: int = 0
     last_arrival_us: int = 0  # the engine sets it before any check
     last_sample_us: int | None = None
     silent: bool = False
@@ -77,7 +80,7 @@ class FlowBaseline:
         if self.n_l < 2:
             raise BaselineNotReady("flow has %d learning samples" % self.n_l)
         delta = self.delta_milli
-        self.mean_us = self._sum_us / self.n_l
+        self.mean_q8 = (self._sum_us << 8) // self.n_l
         # floor and ceiling of the exact edges, exact for integer times
         self.low_us = self.learned_min_us * (1000 - delta) // 1000
         self.high_us = -(-self.learned_max_us * (1000 + delta) // 1000)
@@ -105,18 +108,20 @@ class FlowBaseline:
                 self.window_sum -= window[0]  # the append below evicts it
             window.append(t_us)
             self.window_sum += t_us
-            # window_sum / size against mean_us * (1000 -/+ delta) / 1000
+            # window_sum / size against mean_q8 / 256 * (1000 -/+ delta) / 1000
             if len(window) == size and not (
-                self._mean_low * self.mean_us < 1000 * self.window_sum
-                < self._mean_high * self.mean_us
+                self._mean_low * self.mean_q8 < 256_000 * self.window_sum
+                < self._mean_high * self.mean_q8
             ):
                 return Cause.MEAN_DRIFT
         return None
 
-    def adjust(self, t_us: int, alpha: float) -> None:
+    def adjust(self, t_us: int) -> None:
         """Runtime baseline adaptation from a sample judged OK.
 
-        Only the mean moves, exponentially weighted; the learned
-        extrema are never widened by runtime traffic.
+        Only the mean moves, exponentially weighted by 1/256: in 1/256 us
+        it gains t_us and loses its own 256th, floored, so it stays
+        within (-1/256, 1) us of the exact average. The learned extrema
+        are never widened by runtime traffic.
         """
-        self.mean_us = (1.0 - alpha) * self.mean_us + alpha * t_us
+        self.mean_q8 += t_us - (self.mean_q8 >> 8)

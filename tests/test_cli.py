@@ -18,7 +18,7 @@ from eids import cli, frames, sim
 from eids.announce import StatusMessage, encode
 from eids.central import CentralLogger
 from eids.cli import ArpRequestGaps, build_parser, load_config, main
-from eids.engine import EngineConfig
+from eids.engine import Engine, EngineConfig
 from eids.flows import FlowTable, Mode
 from eids.packet import ArpOp, ParseError, header_signature, parse_frame
 from eids.pcap import read_pcap, write_pcap
@@ -208,6 +208,44 @@ def test_learned_model_holds_the_learning_mean_not_the_runtime_one(tmp_path, cap
     assert "flows learned: 1\narp bindings: 0\n" in capsys.readouterr().err
 
 
+def test_learn_and_detect_across_a_clock_step_to_wall_time(tmp_path, capsys, monkeypatch):
+    # a node whose clock steps from 1970 to wall time at NTP sync: 100
+    # polls 100 ms apart from 0 s, then 100 more from 1.78e9 s; a tick at
+    # every 100 ms grid point of the step would be 1.78e10 calls
+    step_us = 1_780_000_000 * S
+    times = [k * 100_000 for k in range(100)] + [step_us + k * 100_000 for k in range(100)]
+    poll = frames.tcp_frame("02:00:ac:10:01:32", "02:00:ac:10:01:65", "192.168.1.50",
+                            "192.168.1.101", 49152, 502, 0x18,
+                            frames.modbus_read_request(1, 1))
+    pcap = tmp_path / "stepped.pcap"
+    with open(pcap, "wb") as handle:
+        write_pcap(handle, [(at, poll) for at in times])
+    ticks = []
+    tick = Engine.tick
+
+    def counted_tick(self, now_us):
+        ticks.append(now_us)
+        assert len(ticks) < 10_000, "ticking through the clock step"
+        return tick(self, now_us)
+
+    monkeypatch.setattr(Engine, "tick", counted_tick)
+    model = tmp_path / "m.model"
+    assert main(["learn", "--pcap", str(pcap), "--learning-duration", "5",
+                 "-o", str(model)]) == 0
+    assert model.read_text().splitlines()[-1] == (
+        "TIMING\tTcp\t192.168.1.50\t192.168.1.101\t502\t100000\t100000\t100000\t49\t300")
+    capsys.readouterr()
+    flow = "tcp/192.168.1.50->192.168.1.101:502"
+    expected = [
+        "1970-01-01T00:00:10.100000Z\t1\tHostSilent\t%s\tsilent since 9900000us" % flow,
+        "2026-05-28T20:26:40.000000Z\t1\tTooSlow\t%s\tdt=%dus" % (flow, step_us - 9_900_000),
+    ]
+    for mode in (["--model", str(model)], ["--learn-first", "5"]):
+        assert main(["detect", "--pcap", str(pcap)] + mode) == 1
+        assert capsys.readouterr().out.splitlines() == expected
+    assert len(ticks) < 1000
+
+
 def test_learn_first_and_model_round_trip_use_one_delta(tmp_path, capsys):
     # --delta 0.0004 is 0 in whole thousandths, for learn-first and for a
     # model alike: after learning ends at 4.5 s, polls exactly at the
@@ -284,6 +322,7 @@ def test_detect_bad_input_exits_two(tmp_path, capsys, case):
     "learn-unwritable-out", "simulate-unwritable-out", "simulate-unknown-scenario",
     "detect-learn-first-zero", "simulate-duration-inf", "simulate-scenario-start-inf",
     "detect-learn-first-inf", "stats-duration-inf", "stats-garbage-pcap-any-filter",
+    "detect-alpha-flag",
 ])
 def test_input_error_exits_two(tmp_path, capsys, case):
     config = tmp_path / "plant.ini"
@@ -314,6 +353,8 @@ def test_input_error_exits_two(tmp_path, capsys, case):
         "stats-duration-inf": ["stats", "--duration", "inf", "--flow", "tcp:1.2.3.4:5"],
         # a filter host that is no address matches nothing, but the capture is still read
         "stats-garbage-pcap-any-filter": ["stats", "--pcap", str(garbage), "--flow", "tcp:S1:502"],
+        # the runtime mean's weight is fixed at 1/256: no flag sets it
+        "detect-alpha-flag": ["detect", "--learn-first", "30", "--alpha", "0.5"] + sim_input,
     }[case]
     assert main(argv) == 2
     captured = capsys.readouterr()
@@ -340,11 +381,13 @@ def test_config_error_names_file_section_and_key(tmp_path, capsys, line, key):
 @pytest.mark.parametrize("text, where", [
     ("[engine]\ndelat = 0.9\n", "[engine] delat: unknown key"),
     ("[engine]\nlearning_duration_s = 10\n", "[engine] learning_duration_s: unknown key"),
+    ("[engine]\nalpha = 0.5\n", "[engine] alpha: unknown key"),  # the weight is fixed
     ("[profile]\npoll_period = 50\n", "[profile] poll_period: unknown key"),
     ("[topology]\nsensors = 3\nactors = 2\n", "[topology] actors: unknown key"),
     ("[typo]\nsensors = 3\n", "[typo]: unknown section"),
     ("[DEFAULT]\ndelta = 0.9\n[engine]\n", "[DEFAULT]: unknown section"),
-], ids=["engine-typo", "engine-removed", "profile-typo", "topology", "section", "default"])
+], ids=["engine-typo", "engine-removed", "engine-alpha", "profile-typo", "topology", "section",
+        "default"])
 def test_unknown_config_section_or_key_is_an_input_error(tmp_path, capsys, text, where):
     config = tmp_path / "plant.ini"
     config.write_text(text)
@@ -835,7 +878,7 @@ def test_help_exits_zero_and_shows_the_engine_defaults(capsys, command):
     text = " ".join(capsys.readouterr().out.split())
     if command in ("learn", "detect"):
         for flag, name in [("--delta", "delta"), ("--delta-arp", "delta_arp"),
-                           ("--window", "window"), ("--alpha", "alpha")]:
+                           ("--window", "window")]:
             assert re.search(r"%s \S+ [^(]*\(default %s\)" % (flag, getattr(EngineConfig, name)),
                              text), flag
     assert build_parser() is build_parser()
@@ -855,7 +898,7 @@ def test_readme_command_lines_parse():
         assert words[0] == "eids", line
         try:
             args = parser.parse_args(words[1:])
-        except SystemExit:
+        except ValueError:
             pytest.fail("README command line does not parse: %s" % line)
         commands.add(args.command)
     assert commands == {"learn", "detect", "simulate", "logger", "bench", "stats"}
@@ -873,7 +916,7 @@ def test_readme_example_config_loads(tmp_path):
         status_period_us=10 * S, arp_expiry_us=(180 * S, 360 * S), status_port=47808,
         psk=b"eids-testbed-psk",
     )
-    assert engine == {"delta": 0.3, "delta_arp": 1.0, "window": 16, "alpha": 1 / 256}
+    assert engine == {"delta": 0.3, "delta_arp": 1.0, "window": 16}
     assert scenarios == [
         sim.AttackScenario(sim.ScenarioKind.DOS_FLOOD, start_us=650 * S, target="S1")
     ]

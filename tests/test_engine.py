@@ -638,3 +638,87 @@ def test_clock_returns_each_grid_point_once_from_the_first_time():
     assert list(clock.due(450)) == [207, 307, 407]  # every point a gap skipped
     assert list(clock.due(300)) == []  # time going back fires nothing
     assert list(clock.due(507)) == [507]
+
+
+class _TickCountingEngine(Engine):
+    ticks = 0
+
+    def tick(self, now_us):
+        self.ticks += 1
+        return super().tick(now_us)
+
+
+def _tick_every_grid_point(engine, frames_in, tail_us):
+    """replay's events with a tick at every grid point, none skipped."""
+    due = Clock(engine_module.TICK_PERIOD_US).due
+    events = []
+    for at_us, direction, data in frames_in:
+        for tick_us in due(at_us):
+            events.extend(engine.tick(tick_us))
+        events.extend(engine.ingest(direction, data, at_us)[1])
+    for tick_us in due(frames_in[-1][0] + tail_us):
+        events.extend(engine.tick(tick_us))
+    return events
+
+
+def _stepped_frames(step_us):
+    """20 s of polls every 100 ms, UDP reads every second and ARP requests
+    every 2 s, then the same from step_us on, as after a clock step."""
+    udp = frames.udp_frame(PLC_MAC, LOCAL_MAC, PLC, LOCAL, 40000, 161, b"x")
+    arp = frames.arp_frame(ArpOp.REQUEST, PLC_MAC, PLC, frames.ZERO_MAC, LOCAL)
+    part = sorted([(k * 100 * MS + 37, _poll_frame(k)) for k in range(200)]
+                  + [(k * S + 500 * MS, udp) for k in range(20)]
+                  + [(k * 2 * S + 1_300 * MS, arp) for k in range(10)])
+    return [(base + at, Direction.RX, frame) for base in (0, step_us) for at, frame in part]
+
+
+@pytest.mark.parametrize("learning_s, step_s, tail_s", [
+    (15, 10**5, 0),  # learning ends before the step
+    (30, 10**4, 0),  # learning ends inside the step
+    (15, 10**4, 3600),  # and a tail of an hour past the last frame
+    (10**6, 10**4, 10**4),  # no learning end in the input or its tail
+])
+def test_replay_across_a_clock_step_raises_what_a_tick_at_every_grid_point_does(
+    learning_s, step_s, tail_s
+):
+    frames_in = _stepped_frames(step_s * S)
+    reference = _TickCountingEngine(_config(learning_duration_us=learning_s * S))
+    expected = _tick_every_grid_point(reference, frames_in, tail_s * S)
+    engine = _TickCountingEngine(_config(learning_duration_us=learning_s * S))
+    assert list(replay(engine, frames_in, tail_us=tail_s * S)) == expected
+    assert engine.export_model() == reference.export_model()
+    if learning_s < 10**6:
+        assert {e.cause for e in expected} >= {Cause.HOST_SILENT, Cause.TOO_SLOW}
+    assert reference.ticks > (step_s + tail_s) * 10 - 1000
+    # each step's grid points but those from which a tick can act are skipped
+    assert engine.ticks < 1000
+
+
+def test_an_imported_engine_skips_a_clock_step_as_a_learned_one_does():
+    frames_in = _stepped_frames(10**4 * S)
+    learned = Engine(_config(learning_duration_us=15 * S))
+    list(replay(learned, frames_in[:150]))
+    model = learned.export_model()
+    reference = _TickCountingEngine(_config())
+    reference.import_model(model)
+    expected = _tick_every_grid_point(reference, frames_in, 0)
+    engine = _TickCountingEngine(_config())
+    engine.import_model(model)
+    assert list(replay(engine, frames_in)) == expected
+    assert Cause.HOST_SILENT in {e.cause for e in expected}
+    assert engine.ticks < 1000 < reference.ticks
+
+
+def test_next_action_is_the_learning_end_then_the_first_silence():
+    engine = Engine(_config())
+    engine.tick(0)
+    assert engine.next_action_us() == 10 * S
+    for k in range(100):
+        engine.ingest(Direction.RX, _poll_frame(k), (k + 1) * 100 * MS)
+    engine.tick(10 * S)
+    # the last poll came at 10 s; the learned max 100 ms * 1.3 is 130 ms
+    assert engine.next_action_us() == 10 * S + 130 * MS
+    assert engine.tick(10 * S + 130 * MS - 1) == []
+    assert [e.cause for e in engine.tick(10 * S + 130 * MS)] == [Cause.HOST_SILENT]
+    # every flow silent: no tick acts before the next frame
+    assert engine.next_action_us() is None

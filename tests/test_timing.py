@@ -2,6 +2,7 @@
 
 import random
 from collections import deque
+from fractions import Fraction
 
 import pytest
 
@@ -27,12 +28,12 @@ def test_constant_learning_series():
     baseline = _baseline([100 * MS] * 3, delta_milli=100)
     assert baseline.learned_min_us == 100 * MS
     assert baseline.learned_max_us == 100 * MS
-    assert baseline.mean_us == 100 * MS
+    assert baseline.mean_q8 == 100 * MS << 8
 
 
 def test_two_point_learning_series():
     baseline = _baseline([95 * MS, 105 * MS], delta_milli=100)
-    assert baseline.mean_us == 100 * MS
+    assert baseline.mean_q8 == 100 * MS << 8
     assert baseline.learned_min_us == 95 * MS
     assert baseline.learned_max_us == 105 * MS
 
@@ -117,7 +118,7 @@ def test_mean_drift_derived_example():
     for sample in [95 * MS, 105 * MS] * 8:
         baseline.record_learning_sample(sample)
     baseline.activate()
-    assert baseline.mean_us == 100 * MS
+    assert baseline.mean_q8 == 100 * MS << 8
 
     verdicts = [baseline.check(115 * MS) for _ in range(16)]
     assert verdicts[:-1] == [None] * 15  # window not yet full
@@ -138,27 +139,19 @@ def test_flagged_samples_stay_out_of_window():
 
 def test_runtime_adjust_fixed_point_and_arithmetic():
     baseline = _baseline([100 * MS] * 3, delta_milli=100)
-    baseline.adjust(100 * MS, alpha=1 / 256)
-    assert baseline.mean_us == 100 * MS
-    baseline.adjust(102 * MS, alpha=0.5)
-    assert baseline.mean_us == 101 * MS
+    baseline.adjust(100 * MS)
+    assert baseline.mean_q8 == 100 * MS << 8
+    # 1/256 of the way from 100ms to 356ms: one ms
+    baseline.adjust(356 * MS)
+    assert baseline.mean_q8 == 101 * MS << 8
 
 
 def test_runtime_adjust_never_widens_extrema():
     baseline = _baseline([95 * MS, 105 * MS], delta_milli=300)
     for value in (97 * MS, 103 * MS, 99 * MS):
-        baseline.adjust(value, alpha=0.25)
+        baseline.adjust(value)
     assert baseline.learned_min_us == 95 * MS
     assert baseline.learned_max_us == 105 * MS
-
-
-def test_alpha_zero_never_moves_the_mean():
-    baseline = _baseline([95 * MS, 105 * MS], delta_milli=300)
-    before = baseline.mean_us
-    rng = random.Random(3)
-    for _ in range(500):
-        baseline.adjust(rng.randrange(1, 10**6), alpha=0.0)
-    assert baseline.mean_us == before
 
 
 def test_window_running_sum_matches_brute_force():
@@ -176,11 +169,49 @@ def test_window_running_sum_matches_brute_force():
         assert list(baseline.window) == shadow
         mean = sum(shadow) / len(shadow)
         drift = len(shadow) == 7 and (
-            mean <= baseline.mean_us * 0.5 or mean >= baseline.mean_us * 1.5
+            mean <= baseline.mean_q8 / 256 * 0.5 or mean >= baseline.mean_q8 / 256 * 1.5
         )
         assert verdict is (Cause.MEAN_DRIFT if drift else None)
         drifts += drift
     assert drifts > 0
+
+
+def test_integer_mean_tracks_the_exact_average_and_keeps_the_float_verdicts():
+    # long random flows whose level wanders across the mean band, the mean
+    # adjusted after every sample; held against the exact moving average
+    # with weight 1/256 and against the float mean the band used to read
+    rng = random.Random(47)
+    full_checks = drifts = 0
+    for _ in range(120):
+        period = rng.randrange(1_000, 5_000_000)
+        samples = [rng.randrange(period // 2, period * 3 // 2)
+                   for _ in range(rng.randrange(2, 60))]
+        size = rng.randrange(1, 17)
+        delta_milli = rng.randrange(1, 500)
+        baseline = _baseline(samples, delta_milli, window=deque(maxlen=size))
+        exact = Fraction(sum(samples), len(samples))
+        # activation floors the learned mean to 1/256 us
+        assert 0 <= exact - Fraction(baseline.mean_q8, 256) < Fraction(1, 256)
+        float_mean = sum(samples) / len(samples)
+        mean_low, mean_high = size * (1000 - delta_milli), size * (1000 + delta_milli)
+        level = period
+        for _ in range(400):
+            level = min(2 * period, max(period // 3, level + rng.randrange(-period, period) // 20))
+            t_us = rng.randrange(level * 9 // 10, level * 11 // 10 + 1)
+            verdict = baseline.check(t_us)
+            if verdict in (None, Cause.MEAN_DRIFT) and len(baseline.window) == size:
+                # the mean band as it read with mean_us, a float
+                float_drift = not (mean_low * float_mean < 1000 * baseline.window_sum
+                                   < mean_high * float_mean)
+                assert (verdict is Cause.MEAN_DRIFT) is float_drift
+                full_checks += 1
+                drifts += float_drift
+            baseline.adjust(t_us)
+            exact += (t_us - exact) / 256
+            float_mean = (1.0 - 1 / 256) * float_mean + t_us / 256
+            assert -Fraction(1, 256) < Fraction(baseline.mean_q8, 256) - exact < 1
+    assert full_checks > 30_000
+    assert drifts > 3_000
 
 
 def test_monotonicity_of_band_verdicts():
