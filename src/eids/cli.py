@@ -286,6 +286,8 @@ def cmd_detect(args) -> int:
 def cmd_simulate(args) -> int:
     topology, profile, _, scenarios = load_config(args.config)
     scenarios = scenarios + [_parse_scenario(spec) for spec in args.scenario]
+    if args.viewpoint is not None:
+        topology.device(args.viewpoint)  # an unknown name fails before the simulation
     trace = _simulate(args, topology, profile, scenarios)
     with open(args.pcap_out, "wb") as handle:
         count = trace.write_pcap(handle, viewpoint=args.viewpoint)

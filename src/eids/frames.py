@@ -9,9 +9,20 @@ A simulated plant reuses a handful of addresses on every frame, so the
 string-to-bytes address conversions and the IPv4 header (a pure
 function of its addresses, protocol and payload length, because the
 identification field is always 0) are computed once per distinct
-argument tuple. Each cache is a bounded LRU: a caller with more
-distinct addresses than it holds only recomputes evicted entries, and
-the cached values are immutable bytes.
+argument tuple.
+
+A TCP frame is built from a template per connection and segment shape:
+the key is (MACs, IPs, ports, flags, payload length), and the template
+holds the Ethernet+IPv4 prefix bytes plus the residue mod 0xFFFF of
+every checksummed word that the key fixes: the pseudo header, ports,
+data offset, flags and window. What varies per frame, sequence and
+acknowledgement numbers and the payload, is added to that residue as
+integers, so a frame costs one struct pack and one modulo.
+
+Each cache is a bounded LRU: a caller with more distinct keys than it
+holds only recomputes evicted entries. The cached values are bytes,
+ints and tuples of them, all immutable, so one entry is shared by every
+caller and no caller can alter another's frames through it.
 """
 
 import struct
@@ -26,7 +37,8 @@ BROADCAST_IP = "255.255.255.255"
 _ETH = struct.Struct(">6s6sH")
 _ARP = struct.Struct(">HHBBH6s4s6s4s")
 _IPV4 = struct.Struct(">BBHHHBBH4s4s")
-_TCP = struct.Struct(">HHIIBBHHH")
+# the Ethernet+IPv4 prefix of a TCP template, then the TCP header
+_TCP_FRAME = struct.Struct(">34sHHIIBBHHH")
 _UDP = struct.Struct(">HHHH")
 
 
@@ -91,6 +103,36 @@ def _ipv4_header(src_ip: str, dst_ip: str, protocol: int, payload_len: int) -> b
     return head[:10] + struct.pack(">H", csum) + head[12:]
 
 
+@lru_cache(maxsize=4096)
+def _tcp_template(
+    src_mac: str,
+    dst_mac: str,
+    src_ip: str,
+    dst_ip: str,
+    src_port: int,
+    dst_port: int,
+    flags: int,
+    payload_len: int,
+) -> tuple[bytes, int, int]:
+    """(Ethernet+IPv4 prefix, residue of the fixed checksummed words,
+    shift that pads an odd payload) for one TCP segment shape."""
+    segment_len = 20 + payload_len
+    prefix = ethernet(dst_mac, src_mac, ETHERTYPE_IPV4,
+                      _ipv4_header(src_ip, dst_ip, PROTO_TCP, segment_len))
+    # pseudo header (addresses, zero+protocol, length), ports, data
+    # offset+flags and window; the urgent pointer is 0
+    fixed = (
+        int.from_bytes(ip_bytes(src_ip) + ip_bytes(dst_ip), "big")
+        + PROTO_TCP
+        + segment_len
+        + src_port
+        + dst_port
+        + (5 << 12 | flags)
+        + 8192
+    )
+    return prefix, fixed % 0xFFFF, 8 * (payload_len % 2)
+
+
 def tcp_frame(
     src_mac: str,
     dst_mac: str,
@@ -103,16 +145,19 @@ def tcp_frame(
     seq: int = 0,
     ack: int = 0,
 ) -> bytes:
-    head = _TCP.pack(
-        src_port, dst_port, seq & 0xFFFFFFFF, ack & 0xFFFFFFFF, 5 << 4, flags, 8192, 0, 0
+    prefix, fixed, pad = _tcp_template(
+        src_mac, dst_mac, src_ip, dst_ip, src_port, dst_port, flags, len(payload)
     )
-    pseudo = ip_bytes(src_ip) + ip_bytes(dst_ip) + struct.pack(
-        ">BBH", 0, PROTO_TCP, len(head) + len(payload)
-    )
-    csum = _checksum(pseudo + head + payload)
-    segment = head[:16] + struct.pack(">H", csum) + head[18:] + payload
-    ip = _ipv4_header(src_ip, dst_ip, PROTO_TCP, len(segment)) + segment
-    return ethernet(dst_mac, src_mac, ETHERTYPE_IPV4, ip)
+    seq &= 0xFFFFFFFF
+    ack &= 0xFFFFFFFF
+    # as in _checksum: a 32-bit number and the payload's number leave the
+    # residue of their 16-bit word sums. The pseudo header's protocol
+    # word makes the sum nonzero, so a zero residue is a fold to 0xFFFF,
+    # whose complement is 0, and the complement of any other residue r
+    # is 0xFFFF - r: both are the negated sum mod 0xFFFF
+    csum = -(fixed + seq + ack + (int.from_bytes(payload, "big") << pad)) % 0xFFFF
+    head = _TCP_FRAME.pack(prefix, src_port, dst_port, seq, ack, 5 << 4, flags, 8192, csum, 0)
+    return head + payload
 
 
 def udp_frame(

@@ -9,6 +9,7 @@ are integer microseconds throughout.
 """
 
 import struct
+from itertools import islice
 from typing import BinaryIO, Iterable, Iterator
 
 MAGIC = 0xA1B2C3D4
@@ -16,6 +17,7 @@ MAGIC_SWAPPED = 0xD4C3B2A1
 LINKTYPE_ETHERNET = 1
 SNAPLEN = 65535
 MAX_RECORD_LEN = 262_144  # libpcap's largest snaplen
+WRITE_BLOCK = 2048  # records joined into one write
 
 _GLOBAL = "IHHiIII"
 _RECORD = "IIII"
@@ -82,14 +84,22 @@ def read_pcap(stream: BinaryIO) -> Iterator[tuple[int, bytes]]:
 
 
 def write_pcap(stream: BinaryIO, frames: Iterable[tuple[int, bytes]]) -> int:
-    """Write frames as a little-endian classic pcap; returns the count."""
+    """Write frames as a little-endian classic pcap; returns the count.
+
+    Records are joined in blocks of WRITE_BLOCK and written one block a
+    call, so a generator is consumed with at most one block held."""
     stream.write(
         struct.pack("<" + _GLOBAL, MAGIC, 2, 4, 0, 0, SNAPLEN, LINKTYPE_ETHERNET)
     )
-    record = struct.Struct("<" + _RECORD)
+    pack = struct.Struct("<" + _RECORD).pack
+    records = iter(frames)
     count = 0
-    for ts_us, data in frames:
-        stream.write(record.pack(ts_us // 1_000_000, ts_us % 1_000_000, len(data), len(data)))
-        stream.write(data)
-        count += 1
-    return count
+    while True:
+        block = [
+            pack(ts_us // 1_000_000, ts_us % 1_000_000, len(data), len(data)) + data
+            for ts_us, data in islice(records, WRITE_BLOCK)
+        ]
+        if not block:
+            return count
+        stream.write(b"".join(block))
+        count += len(block)

@@ -179,11 +179,12 @@ class FrameTrace:
         """One device's view of the wire: its own frames as TX, frames
         addressed to it plus all foreign broadcasts as RX. Unicast
         between other hosts is invisible, as on a switched network."""
-        for fr in self.frames:
-            if fr.src == device_name:
-                yield fr.time_us, Direction.TX, fr.data
-            elif fr.dst == device_name or (fr.dst is None and fr.src != device_name):
-                yield fr.time_us, Direction.RX, fr.data
+        tx, rx = Direction.TX, Direction.RX
+        for time_us, src, dst, data in self.frames:
+            if src == device_name:
+                yield time_us, tx, data
+            elif dst == device_name or dst is None:
+                yield time_us, rx, data
 
     def records(self) -> Iterator[tuple[int, bytes]]:
         """(time_us, frame) of every frame on the wire, in time order."""
@@ -329,34 +330,47 @@ def _gen_arp(b: Plant) -> None:
 
 
 def _gen_polling(b: Plant) -> None:
+    # the hot loop of every simulation: one conversation per poll, its
+    # frames built straight from the one TCP builder, no helper between
     period = b.profile.poll_period_us
     jitter = int(period * b.profile.jitter_frac)
     d_lo, d_hi = b.profile.response_delay_us
+    duration = b.duration_us
+    append = b.conversations.append
+    tcp_frame = frames.tcp_frame
+    psh_ack = TCP_PSH | TCP_ACK
+    new = tuple.__new__  # TraceFrame(...) without its Python-level __new__
     rels = _relations(b.topology)
     stagger = period // (len(rels) + 1)
     for idx, (client, server) in enumerate(rels):
         rng = _rng(b.seed, "poll:%s>%s" % (client.name, server.name))
+        randrange = rng.randrange
         sport = 49152 + idx
         unit = idx + 1
         t0 = b.host_start(client) + 60_000 + idx * stagger
         _handshake(b, rng, t0, client, server, sport, MODBUS_PORT, 1000 + idx, 2000 + idx)
+        cname, cmac, cip = client.name, client.mac, client.ip
+        sname, smac, sip = server.name, server.mac, server.ip
         client_seq = 1001 + idx
         server_seq = 2001 + idx
         k = 0
         while True:
-            req_t = t0 + (k + 1) * period + rng.randrange(-jitter, jitter + 1)
-            delay = rng.randrange(d_lo, d_hi + 1)
-            if req_t > b.duration_us:
+            req_t = t0 + (k + 1) * period + randrange(-jitter, jitter + 1)
+            delay = randrange(d_lo, d_hi + 1)
+            if req_t > duration:
                 break
             request = frames.modbus_read_request(k, unit)
             response = frames.modbus_read_response(k, unit, k & 0xFF)
-            b.emit(req_t, client.name, server.name,
-                   _tcp(client, server, sport, MODBUS_PORT, TCP_PSH | TCP_ACK,
-                        request, client_seq, server_seq),
-                   TraceFrame(req_t + delay, server.name, client.name,
-                              _tcp(server, client, MODBUS_PORT, sport, TCP_PSH | TCP_ACK,
-                                   response, server_seq, client_seq + len(request))))
-            client_seq += len(request)
+            request_end = client_seq + len(request)
+            append((
+                new(TraceFrame, (req_t, cname, sname, tcp_frame(
+                    cmac, smac, cip, sip, sport, MODBUS_PORT, psh_ack,
+                    request, client_seq, server_seq))),
+                new(TraceFrame, (req_t + delay, sname, cname, tcp_frame(
+                    smac, cmac, sip, cip, MODBUS_PORT, sport, psh_ack,
+                    response, server_seq, request_end))),
+            ))
+            client_seq = request_end
             server_seq += len(response)
             k += 1
 

@@ -858,6 +858,18 @@ def test_unknown_local_ip_rejected_before_traffic_is_built(tmp_path, capsys, mon
     assert capsys.readouterr().err == "eids: no simulated device has address 10.0.0.9\n"
 
 
+@pytest.mark.parametrize("viewpoint", ["S9", "s1", "NoSuchNode"])
+def test_unknown_viewpoint_rejected_before_traffic_is_built(tmp_path, capsys, monkeypatch,
+                                                            viewpoint):
+    # an unknown name would otherwise write every foreign broadcast and exit 0
+    monkeypatch.setattr(sim, "_gen_arp", _no_traffic)
+    out = tmp_path / "x.pcap"
+    assert main(["simulate", "--duration", "5", "--viewpoint", viewpoint,
+                 "--pcap-out", str(out)]) == 2
+    assert capsys.readouterr().err == "eids: no device named %r\n" % viewpoint
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("source", ["sim", "pcap"])
 def test_stats_filter_checked_before_input_is_built(tmp_path, capsys, monkeypatch, source):
     monkeypatch.setattr(sim, "_gen_arp", _no_traffic)

@@ -1,7 +1,9 @@
 """Frame builders: the Internet checksum, header checksums on built
-frames, and the cached address and IPv4 header conversions."""
+frames, TCP frames from cached templates against a reference built here,
+and the cached address and IPv4 header conversions."""
 
 import random
+import socket
 import struct
 
 import pytest
@@ -111,3 +113,82 @@ def test_cached_conversions_equal_fresh_ones():
         assert convert.__wrapped__(text) == expected
     assert frames.ip_bytes.cache_info().hits >= 1
     assert frames._ipv4_header.cache_info().hits >= 1
+
+
+def _reference_tcp_frame(src_mac, dst_mac, src_ip, dst_ip, src_port, dst_port, flags,
+                         payload, seq, ack):
+    """A TCP frame built field by field, both checksums by the reference fold."""
+    def mac(text):
+        return bytes(int(part, 16) for part in text.split(":"))
+
+    addresses = socket.inet_aton(src_ip) + socket.inet_aton(dst_ip)
+    header = struct.pack(">HHIIBBHHH", src_port, dst_port, seq % (1 << 32), ack % (1 << 32),
+                         5 << 4, flags, 8192, 0, 0)
+    pseudo = addresses + struct.pack(">BBH", 0, PROTO_TCP, len(header) + len(payload))
+    csum = _reference_checksum(pseudo + header + payload)
+    segment = header[:16] + struct.pack(">H", csum) + header[18:] + payload
+    ip = struct.pack(">BBHHHBBH", 0x45, 0, 20 + len(segment), 0, 0x4000, 64, PROTO_TCP, 0)
+    ip += addresses
+    ip = ip[:10] + struct.pack(">H", _reference_checksum(ip)) + ip[12:]
+    return mac(dst_mac) + mac(src_mac) + b"\x08\x00" + ip + segment
+
+
+def _random_tcp_args(rng):
+    def mac():
+        return ":".join("%02x" % rng.randrange(256) for _ in range(6))
+
+    def ip():
+        return ".".join(str(rng.randrange(256)) for _ in range(4))
+
+    def seq_number():
+        return rng.choice([rng.randrange(1 << 32), rng.randrange(-(1 << 40), 0),
+                           rng.randrange(1 << 32, 1 << 64), -1, 1 << 32])
+
+    payload = bytes(rng.randrange(256) for _ in range(rng.randrange(65)))
+    return (mac(), mac(), ip(), ip(), rng.randrange(1 << 16), rng.randrange(1 << 16),
+            rng.randrange(256), payload, seq_number(), seq_number())
+
+
+def _zero_residue(args):
+    """ARGS with the payload word before any odd tail set so that the words
+    the TCP checksum covers sum to a nonzero multiple of 0xFFFF. With that
+    word zero, the reference checksum is 0xFFFF less the sum's residue, so
+    taking it as the word cancels the residue."""
+    payload = args[7]
+    at = len(payload) - 2 - len(payload) % 2
+    zeroed = payload[:at] + b"\x00\x00" + payload[at + 2:]
+    csum = _reference_tcp_frame(*args[:7], zeroed, *args[8:])[50:52]
+    return args[:7] + (payload[:at] + csum + payload[at + 2:],) + args[8:]
+
+
+def test_tcp_frame_matches_reference_on_random_segments():
+    rng = random.Random(23)
+    for _ in range(2_000):
+        args = _random_tcp_args(rng)
+        assert frames.tcp_frame(*args[:8], seq=args[8], ack=args[9]) == \
+            _reference_tcp_frame(*args), args
+
+
+def test_tcp_frame_matches_reference_on_one_connection():
+    # one template per payload length, served from the cache for the
+    # rest: only seq, ack and the payload's octets vary
+    rng = random.Random(29)
+    connection = (PLC_MAC, S1_MAC, PLC_IP, S1_IP, 49152, 502, 0x18)
+    for _ in range(2_000):
+        payload = bytes(rng.randrange(256) for _ in range(rng.choice([0, 1, 7, 8, 12, 13])))
+        seq, ack = rng.randrange(-(1 << 33), 1 << 33), rng.randrange(-(1 << 33), 1 << 33)
+        assert frames.tcp_frame(*connection, payload, seq, ack) == \
+            _reference_tcp_frame(*connection, payload, seq, ack)
+
+
+@pytest.mark.parametrize("odd", [False, True], ids=["even-payload", "odd-payload"])
+def test_tcp_word_sum_multiple_of_0xffff_checksums_to_zero(odd):
+    rng = random.Random(31 + odd)
+    for _ in range(200):
+        args = _random_tcp_args(rng)
+        length = 2 * rng.randrange(1, 32) + odd
+        args = _zero_residue(args[:7] + (bytes(rng.randrange(256) for _ in range(length)),)
+                             + args[8:])
+        reference = _reference_tcp_frame(*args)
+        assert reference[50:52] == b"\x00\x00"  # the fold gave 0xFFFF, not the residue 0
+        assert frames.tcp_frame(*args) == reference

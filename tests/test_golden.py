@@ -6,9 +6,12 @@ from the release before the per-frame data model became plain tuples and
 pin the simulator's capture, the learned model and both detect modes'
 event logs across refactors of the hot path. The simulator digests were
 taken before frame construction was made cheaper and pin the full-domain
-trace of every scenario kind plus two device views of one run. A
-deliberate change of behaviour updates them in the same commit and says
-why.
+trace of every scenario kind plus two device views of one run. The
+720 s flood trace digest was taken from an unmodified archive of the
+release before TCP frames were built from cached per-connection
+templates; it pins long-run sequence number growth and tens of thousands
+of identical flood frames. A deliberate change of behaviour updates them
+in the same commit and says why.
 """
 
 import contextlib
@@ -40,6 +43,9 @@ TRACE_SHA256 = {
     7: ({"stop_us": 25 * S}, "e98c8bbdbd6e0eac68423f37fb91da2c464de8c6324cb8fb150a8b17b91c1fde"),
     8: ({"start_us": 25 * S}, "e1bb8de898195b31dba28b1a8cc0c5a96f13c7e7261c79857487d2f72ba794a6"),
 }
+# the full-domain trace of the s1-flood benchmark input: 720 s at seed 0,
+# the 1000 pps flood on S1 from 650 s; 218,565 frames
+FLOOD_TRACE_SHA256 = "9e6e1e884c43d892a5e5b02040b8f3b38fa3479f2a636b19d64ad588f0dea45c"
 # the learning-attack run's write_pcap views
 VIEW_PCAP_SHA256 = {
     "S1": "0ef45b68d3cffa7a85b09d88eaac9ea1773425ddf34184c878fb14b911839316",
@@ -54,6 +60,13 @@ OBSERVE_SHA256 = "b1122ac059ef79c8a7112a7e50b8c8f7f0c2c82414e13a37897adb9ac898e9
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def _trace_sha256(trace: sim.FrameTrace) -> str:
+    digest = hashlib.sha256()
+    for fr in trace.frames:
+        digest.update(repr((fr.time_us, fr.src, fr.dst, fr.data)).encode())
+    return digest.hexdigest()
 
 
 def _simulate(kind: int) -> sim.FrameTrace:
@@ -103,10 +116,13 @@ def test_learned_model_and_detect_outputs(flood_capture, tmp_path):
 
 @pytest.mark.parametrize("kind", sorted(TRACE_SHA256))
 def test_simulated_trace_per_scenario_kind(kind):
-    digest = hashlib.sha256()
-    for fr in _simulate(kind).frames:
-        digest.update(repr((fr.time_us, fr.src, fr.dst, fr.data)).encode())
-    assert digest.hexdigest() == TRACE_SHA256[kind][1]
+    assert _trace_sha256(_simulate(kind)) == TRACE_SHA256[kind][1]
+
+
+def test_long_flood_trace():
+    flood = sim.AttackScenario(sim.ScenarioKind.DOS_FLOOD, start_us=650 * S, target="S1")
+    assert _trace_sha256(sim.run(scenarios=[flood], duration_us=720 * S, seed=0)) \
+        == FLOOD_TRACE_SHA256
 
 
 @pytest.mark.parametrize("viewpoint", sorted(VIEW_PCAP_SHA256))
@@ -123,10 +139,7 @@ def test_one_shared_plant_gives_every_scenario_kind_trace():
     for kind in sorted(TRACE_SHA256, reverse=True):
         kwargs, expected = TRACE_SHA256[kind]
         trace = plant.trace([sim.AttackScenario(sim.ScenarioKind(kind), **kwargs)])
-        digest = hashlib.sha256()
-        for fr in trace.frames:
-            digest.update(repr((fr.time_us, fr.src, fr.dst, fr.data)).encode())
-        assert digest.hexdigest() == expected, kind
+        assert _trace_sha256(trace) == expected, kind
 
 
 def test_observe_matrix_rows_on_a_short_shared_plant(monkeypatch):

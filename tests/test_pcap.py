@@ -7,6 +7,7 @@ import tracemalloc
 import pytest
 
 from eids.pcap import (
+    WRITE_BLOCK,
     BadMagic,
     PcapError,
     TruncatedRecord,
@@ -107,3 +108,53 @@ def test_record_at_largest_snaplen_is_read():
     write_pcap(buffer, [(0, frame)])
     buffer.seek(0)
     assert list(read_pcap(buffer)) == [(0, frame)]
+
+
+def _frames(count):
+    """Fresh frames of 1-120 octets at times that cross second boundaries."""
+    for i in range(count):
+        yield i * 333_337, bytes([i & 0xFF]) * (1 + i % 120)
+
+
+def _per_record(frames):
+    out = [struct.pack("<IHHiIII", 0xA1B2C3D4, 2, 4, 0, 0, 65535, 1)]
+    for ts_us, data in frames:
+        out.append(struct.pack("<IIII", ts_us // 1_000_000, ts_us % 1_000_000,
+                               len(data), len(data)) + data)
+    return b"".join(out)
+
+
+@pytest.mark.parametrize("count", [0, 1, WRITE_BLOCK - 1, WRITE_BLOCK, WRITE_BLOCK + 1, 5_000])
+def test_block_writes_equal_per_record_bytes(count):
+    buffer = io.BytesIO()
+    assert write_pcap(buffer, _frames(count)) == count
+    assert buffer.getvalue() == _per_record(_frames(count))
+
+
+class _Sink:
+    """A stream that keeps nothing of what is written to it."""
+
+    def __init__(self):
+        self.size = 0
+
+    def write(self, data):
+        self.size += len(data)
+
+
+def _peak_write(count):
+    sink = _Sink()
+    tracemalloc.start()
+    try:
+        assert write_pcap(sink, _frames(count)) == count
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak, sink.size
+
+
+def test_write_consumes_a_generator_without_holding_it():
+    small, _ = _peak_write(1_000)
+    large, written = _peak_write(100_000)
+    # holding the 100k frames would take more than the whole file
+    assert written > 7_000_000
+    assert large < small + (1 << 20)
