@@ -280,6 +280,9 @@ def cmd_detect(args) -> int:
     ):
         write(format_event(event, config.node_id) + "\n")
         raised = True
+    # what was flagged, bursts included, as `flagged: TooFast=60599` or `flagged: none`
+    named = sorted((cause.value, n) for cause, n in engine.counts().items() if n)
+    print("flagged: " + (" ".join("%s=%d" % pair for pair in named) or "none"), file=sys.stderr)
     return 1 if raised else 0
 
 

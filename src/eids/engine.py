@@ -7,6 +7,19 @@ model import, switches it to active mode, where the Cause that the flow
 table or a timing baseline reports goes into an intrusion event as it
 is, and the frame that raised it is answered ALERT.
 
+Timing causes come in bursts: a flood breaks its flow's band on every
+frame. The first TooFast, TooSlow or MeanDrift on a flow opens a burst
+and raises an event whose detail names the band broken. Later frames
+that break the flow's band with the same cause answer ALERT and raise
+nothing; the flow counts them. The burst closes, with one event of the
+burst's cause giving its frame count and the time of its last flagged
+frame, when the flow's next interarrival is judged clean, when another
+timing cause opens a burst in its place, or when replay runs out of
+input (close_bursts). A metadata cause or an unparseable frame raises
+one event per frame, and HostSilent one per silence episode. counts()
+gives the frames flagged per cause, in a burst or not, and the
+silences raised.
+
 Frames carrying a TCP SYN, FIN or RST are connection setup/teardown
 and excluded from interarrival sampling in both modes; their timing is
 irregular by nature. Packets with a metadata cause never touch timing
@@ -15,8 +28,8 @@ A capture record earlier than its flow's last one moves neither the
 flow's last arrival nor its last sample back.
 
 Events go back to the caller of ingest and tick; the engine keeps no
-status summary of them, and no part of eids yet sends an engine's
-findings to the central logger.
+status summary of them beyond its counts, and no part of eids yet sends
+an engine's findings to the central logger.
 
 Callers serialize ingest and tick by timestamp.
 """
@@ -59,6 +72,14 @@ _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 class Verdict(Enum):
     PASS = "pass"
     ALERT = "alert"
+
+
+# the members the packet path reads on every frame, bound once: on CPython
+# 3.11 reading an Enum member off its class takes about 0.1 us, a module
+# global a tenth of that
+_TX = Direction.TX
+_LEARNING = Mode.LEARNING
+_PASS, _ALERT = Verdict.PASS, Verdict.ALERT
 
 
 class BadModelVersion(ValueError):
@@ -115,6 +136,8 @@ class Engine:
         self.started_us: int | None = None
         # (sent, header signature) -> key_for/observe result; see ingest
         self._judged: dict[tuple, tuple[FlowKey, Cause | None, str]] = {}
+        # flagged frames and raised silences per cause, bursts still open left out
+        self._counts: dict[Cause, int] = dict.fromkeys(Cause, 0)
 
     # -- packet path ---------------------------------------------------
 
@@ -124,10 +147,15 @@ class Engine:
         """Run one frame through the detection path.
 
         Learning mode records and always passes. Active mode returns
-        ALERT with one event per triggered cause, or PASS with none. A
-        frame that cannot be parsed is itself suspicious and alerts
-        rather than raising. A direction of None means the input does
-        not say, as in a pcap capture; the flow table decides the side.
+        ALERT for a frame that breaks a rule and PASS for one that does
+        not. An ALERT carries a metadata cause's event; or, for a timing
+        cause, the event opening a burst, after the closing event of the
+        flow's burst of another cause if one was open; or nothing inside
+        the flow's open burst of that cause. A PASS carries the closing
+        event of the burst it ends, if any. A frame that cannot be parsed
+        is itself suspicious and alerts as UNPARSEABLE rather than
+        raising. A direction of None means the input does not say, as in
+        a pcap capture; the flow table decides the side.
 
         While the flow table is unchanged, a TCP or UDP frame's flow
         key and metadata cause depend only on whether it is sent and on
@@ -148,7 +176,7 @@ class Engine:
         if signature is not None:
             # a bool, not the Direction: the probe then hashes in C; RX
             # and None key a TCP/UDP frame alike (flows._endpoints)
-            probe = (direction is Direction.TX, signature)
+            probe = (direction is _TX, signature)
             judged = self._judged.get(probe)
             if judged is None:
                 judged = self._judge(parse_frame(frame), direction, probe)
@@ -157,19 +185,18 @@ class Engine:
             try:
                 meta = parse_frame(frame)
             except ParseError as exc:
-                if self.mode is Mode.LEARNING:
-                    return Verdict.PASS, []
-                return Verdict.ALERT, [
-                    IntrusionEvent(now_us, Cause.NEW_FLOW, None, "unparseable: %s" % exc)
-                ]
+                if self.mode is _LEARNING:
+                    return _PASS, []
+                self._counts[Cause.UNPARSEABLE] += 1
+                return _ALERT, [IntrusionEvent(now_us, Cause.UNPARSEABLE, None, str(exc))]
             judged = self._judge(meta, direction)
             l4 = meta.l3.l4 if meta.l3 is not None else None
             tcp_flags = l4.tcp_flags if l4 is not None else None
         key, cause, detail = judged
         if cause is not None:
-            return Verdict.ALERT, [IntrusionEvent(now_us, cause, key, detail)]
-        events = self._track_timing(tcp_flags, key, now_us)
-        return (Verdict.ALERT if events else Verdict.PASS), events
+            self._counts[cause] += 1
+            return _ALERT, [IntrusionEvent(now_us, cause, key, detail)]
+        return self._track_timing(tcp_flags, key, now_us)
 
     def _judge(
         self, meta: PacketMeta, direction: Direction | None, probe: tuple | None = None
@@ -195,11 +222,11 @@ class Engine:
 
     def _track_timing(
         self, tcp_flags: int | None, key: FlowKey, now_us: int
-    ) -> list[IntrusionEvent]:
+    ) -> tuple[Verdict, list[IntrusionEvent]]:
         baseline = self.states.get(key)
         if baseline is None:
-            if self.mode is not Mode.LEARNING:
-                return []
+            if self.mode is not _LEARNING:
+                return _PASS, []
             baseline = self.states[key] = self._new_baseline(key, last_arrival_us=now_us)
         # a record earlier than the flow's last one moves no flow time back
         # and is no sign of life now
@@ -208,24 +235,58 @@ class Engine:
             baseline.silent = False
 
         if tcp_flags is not None and tcp_flags & _NO_SAMPLE_FLAGS:
-            return []
+            return _PASS, []
 
         previous = baseline.last_sample_us
         if previous is None or now_us > previous:
             baseline.last_sample_us = now_us
         if previous is None:
-            return []
-        if self.mode is Mode.LEARNING:
+            return _PASS, []
+        if self.mode is _LEARNING:
             # a reordered or tied capture record is no interarrival sample
             if now_us > previous:
                 baseline.record_learning_sample(now_us - previous)
-            return []
+            return _PASS, []
         t_us = max(1, now_us - previous)  # a reordered or tied record is 1 us
         cause = baseline.check(t_us)
         if cause is None:
             baseline.adjust(t_us)
-            return []
-        return [IntrusionEvent(now_us, cause, key, "dt=%dus" % t_us)]
+            if baseline.burst is None:
+                return _PASS, []
+            return _PASS, [self._close_burst(key, baseline, now_us)]
+        if cause is baseline.burst:
+            # inside the burst: counted on the flow, no event
+            baseline.burst_frames += 1
+            baseline.burst_last_us = now_us
+            return _ALERT, []
+        events = [] if baseline.burst is None else [self._close_burst(key, baseline, now_us)]
+        baseline.burst, baseline.burst_frames, baseline.burst_last_us = cause, 1, now_us
+        events.append(IntrusionEvent(now_us, cause, key, baseline.band_detail(cause, t_us)))
+        return _ALERT, events
+
+    def _close_burst(self, key: FlowKey, baseline: FlowBaseline, now_us: int) -> IntrusionEvent:
+        """The closing event at now_us of the flow's open burst, whose
+        frames go into the engine's counts; the flow's latch is cleared."""
+        cause, frames = baseline.burst, baseline.burst_frames
+        self._counts[cause] += frames
+        baseline.burst = None
+        return IntrusionEvent(now_us, cause, key, "burst ended: frames=%d last=%dus"
+                              % (frames, baseline.burst_last_us))
+
+    def close_bursts(self, now_us: int) -> list[IntrusionEvent]:
+        """The closing events at now_us of every open burst, in flow
+        insertion order, as the input ends."""
+        return [self._close_burst(key, baseline, now_us)
+                for key, baseline in self.states.items() if baseline.burst is not None]
+
+    def counts(self) -> dict[Cause, int]:
+        """Per cause, the frames flagged, in an open or closed burst or
+        alone, and the silences raised, every cause included."""
+        counts = dict(self._counts)
+        for baseline in self.states.values():
+            if baseline.burst is not None:
+                counts[baseline.burst] += baseline.burst_frames
+        return counts
 
     def _new_baseline(
         self, key: FlowKey, delta_milli: int | None = None, **fields
@@ -266,6 +327,7 @@ class Engine:
                 continue
             if now_us - baseline.last_arrival_us >= baseline.high_us:
                 baseline.silent = True
+                self._counts[Cause.HOST_SILENT] += 1
                 events.append(
                     IntrusionEvent(
                         now_us,
@@ -450,8 +512,10 @@ def replay(
     each event as it is raised. tail_us extends ticking past the last
     frame so silence at the end of a capture is still seen. Across a
     gap of several grid times, such as a clock step, only the times
-    from which a tick can act are ticked. Nothing runs until the caller
-    iterates."""
+    from which a tick can act are ticked. When the input runs out,
+    after the tail's ticks, the bursts still open close at the last
+    frame's time plus tail_us, in flow insertion order. Nothing runs
+    until the caller iterates."""
     due = Clock(TICK_PERIOD_US).due
     last = None
     for at_us, direction, data in frames:
@@ -465,6 +529,7 @@ def replay(
         last = at_us
     if last is not None:
         yield from _acting_ticks(engine, due(last + tail_us))
+        yield from engine.close_bursts(last + tail_us)
 
 
 def _acting_ticks(engine: Engine, ticks: range) -> Iterator[IntrusionEvent]:

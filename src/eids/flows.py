@@ -28,8 +28,9 @@ class Mode(Enum):
 
 class Cause(Enum):
     """Why a frame or a tick is suspicious: the metadata causes come from
-    FlowTable.observe, the interarrival causes from FlowBaseline.check
-    and the silence cause from the engine's tick."""
+    FlowTable.observe, the interarrival causes from FlowBaseline.check,
+    the silence cause from the engine's tick, and UNPARSEABLE from a
+    frame the engine cannot parse, which has no flow."""
 
     NEW_FLOW = "NewFlow"
     BINDING_CONFLICT = "BindingConflict"
@@ -38,6 +39,7 @@ class Cause(Enum):
     TOO_SLOW = "TooSlow"
     MEAN_DRIFT = "MeanDrift"
     HOST_SILENT = "HostSilent"
+    UNPARSEABLE = "Unparseable"
 
 
 # a str mixin: a FlowKey hashes and compares in C, equal to the plain tuple

@@ -178,7 +178,13 @@ class FrameTrace:
     def frames_for(self, device_name: str) -> Iterator[tuple[int, Direction, bytes]]:
         """One device's view of the wire: its own frames as TX, frames
         addressed to it plus all foreign broadcasts as RX. Unicast
-        between other hosts is invisible, as on a switched network."""
+        between other hosts is invisible, as on a switched network. A
+        name that is no device raises ConfigInvalid here, before any
+        frame is yielded."""
+        self.topology.device(device_name)
+        return self._view(device_name)
+
+    def _view(self, device_name: str) -> Iterator[tuple[int, Direction, bytes]]:
         tx, rx = Direction.TX, Direction.RX
         for time_us, src, dst, data in self.frames:
             if src == device_name:
@@ -191,6 +197,9 @@ class FrameTrace:
         return ((fr.time_us, fr.data) for fr in self.frames)
 
     def write_pcap(self, stream: BinaryIO, viewpoint: str | None = None) -> int:
+        """Write the whole wire, or the named device's view, as a pcap and
+        return the frame count; a viewpoint that is no device raises
+        ConfigInvalid before any byte is written."""
         if viewpoint is None:
             records = self.records()
         else:

@@ -15,12 +15,22 @@ arithmetic, as on an MCU without an FPU.
 
 activate() alone turns learning totals, learned or imported, into the
 bands check uses, and refuses a flow below two learning samples.
+
+A baseline also holds its flow's burst latch for the engine: the cause
+of the run of flagged interarrivals still open, how many frames it has
+flagged and when it flagged the last. band_detail names the band an
+interarrival broke, for the event that opens a burst.
 """
 
 from collections import deque
 from dataclasses import dataclass
 
 from .flows import Cause
+
+
+# bound once, as the engine binds the members it reads on every frame:
+# check returns one for every flagged interarrival
+_TOO_FAST, _TOO_SLOW, _MEAN_DRIFT = Cause.TOO_FAST, Cause.TOO_SLOW, Cause.MEAN_DRIFT
 
 
 class NonPositiveInterarrival(ValueError):
@@ -35,7 +45,7 @@ class BaselineNotReady(RuntimeError):
 class FlowBaseline:
     """Learned timing envelope of one flow, and the flow's runtime
     timing state: its mean window with the window's exact sum, the time
-    of its last sample and its silence latch.
+    of its last sample, its silence latch and its burst latch.
 
     delta_milli is the multiplicative tolerance widening both bands, in
     thousandths; from 1000 on a lower edge is at or below zero and
@@ -54,6 +64,10 @@ class FlowBaseline:
     last_arrival_us: int = 0  # the engine sets it before any check
     last_sample_us: int | None = None
     silent: bool = False
+    # the open burst's cause, or None; its flagged frames and the last one's time
+    burst: Cause | None = None
+    burst_frames: int = 0
+    burst_last_us: int = 0
     # set by activate(): the min/max edges, and window size * (1000 -/+ delta_milli)
     low_us: int = 0
     high_us: int = 0
@@ -98,9 +112,9 @@ class FlowBaseline:
         samples right after activation says nothing about drift.
         """
         if t_us <= self.low_us:
-            return Cause.TOO_FAST
+            return _TOO_FAST
         if t_us >= self.high_us:
-            return Cause.TOO_SLOW
+            return _TOO_SLOW
         window = self.window
         if window is not None:
             size = window.maxlen
@@ -113,8 +127,21 @@ class FlowBaseline:
                 self._mean_low * self.mean_q8 < 256_000 * self.window_sum
                 < self._mean_high * self.mean_q8
             ):
-                return Cause.MEAN_DRIFT
+                return _MEAN_DRIFT
         return None
+
+    def band_detail(self, cause: Cause, t_us: int) -> str:
+        """What interarrival t_us, flagged with cause, broke: dt against
+        the min/max band, or for MEAN_DRIFT also the window sum against
+        the mean band. Each band is open, with edges in integer us:
+        a value is clean only strictly between them."""
+        if cause is Cause.MEAN_DRIFT:
+            # floor and ceiling of window size * mean * (1000 -/+ delta) / 1000
+            low = self._mean_low * self.mean_q8 // 256_000
+            high = -(-self._mean_high * self.mean_q8 // 256_000)
+            return "dt=%dus, window sum %dus outside (%dus, %dus)" % (
+                t_us, self.window_sum, low, high)
+        return "dt=%dus outside (%dus, %dus)" % (t_us, self.low_us, self.high_us)
 
     def adjust(self, t_us: int) -> None:
         """Runtime baseline adaptation from a sample judged OK.

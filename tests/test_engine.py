@@ -99,13 +99,16 @@ def test_benign_continuation_stays_quiet():
 
 def test_flood_is_too_fast_and_alerts():
     engine = _learned_engine()
-    events = []
+    verdicts, events = [], []
     start = 101 * 100 * MS
     for k in range(10):
         verdict, raised = engine.ingest(Direction.RX, _poll_frame(200 + k), start + k * MS)
-        assert verdict is (Verdict.ALERT if raised else Verdict.PASS)
+        verdicts.append(verdict)
         events.extend(raised)
-    assert any(e.cause is Cause.TOO_FAST for e in events)
+    # the first poll is on time; the nine after it are one burst, which
+    # only its first frame reports
+    assert verdicts == [Verdict.PASS] + [Verdict.ALERT] * 9
+    assert [(e.at_us, e.cause) for e in events] == [(start + MS, Cause.TOO_FAST)]
 
 
 def test_unknown_host_write_alerts_as_new_flow():
@@ -122,16 +125,17 @@ def test_unparseable_frame_alerts_when_active():
     engine = _learned_engine()
     verdict, events = engine.ingest(Direction.RX, b"\xff" * 10, 11 * S)
     assert verdict is Verdict.ALERT
-    assert events[0].cause is Cause.NEW_FLOW
-    assert events[0].detail.startswith("unparseable")
+    assert events[0].cause is Cause.UNPARSEABLE
+    assert events[0].detail == "frame of 10 bytes is below the 14-byte Ethernet header"
     assert events[0].flow is None
+    assert engine.counts()[Cause.UNPARSEABLE] == 1
 
 
 def test_unparseable_frame_of_unknown_direction_alerts():
     engine = _learned_engine()
     verdict, events = engine.ingest(None, b"\xff" * 10, 11 * S)
     assert verdict is Verdict.ALERT
-    assert [(e.cause, e.flow) for e in events] == [(Cause.NEW_FLOW, None)]
+    assert [(e.cause, e.flow) for e in events] == [(Cause.UNPARSEABLE, None)]
 
 
 def _icmp(src_ip, dst_ip):
@@ -234,12 +238,19 @@ def test_a_record_out_of_order_in_active_mode_moves_no_flow_time_back():
     frames_in = _polls(199)
     frames_in[150], frames_in[151] = frames_in[151], frames_in[150]
     events = list(replay(Engine(_config()), frames_in))
-    # the earlier record is one 1 us interarrival; the next poll is on time
+    # the earlier record is one 1 us interarrival, which ends the TooSlow
+    # burst the later one opened; the next poll is on time
     assert [format_event(e, 1) for e in events] == [
         "1970-01-01T00:00:15.200000Z\t1\tHostSilent\t%s\tsilent since %dus"
         % (POLL_FLOW, 15 * S),
-        "1970-01-01T00:00:15.200000Z\t1\tTooSlow\t%s\tdt=200000us" % POLL_FLOW,
-        "1970-01-01T00:00:15.100000Z\t1\tTooFast\t%s\tdt=1us" % POLL_FLOW,
+        "1970-01-01T00:00:15.200000Z\t1\tTooSlow\t%s\tdt=200000us outside "
+        "(70000us, 130000us)" % POLL_FLOW,
+        "1970-01-01T00:00:15.100000Z\t1\tTooSlow\t%s\tburst ended: frames=1 "
+        "last=15200000us" % POLL_FLOW,
+        "1970-01-01T00:00:15.100000Z\t1\tTooFast\t%s\tdt=1us outside (70000us, 130000us)"
+        % POLL_FLOW,
+        "1970-01-01T00:00:15.300000Z\t1\tTooFast\t%s\tburst ended: frames=1 "
+        "last=15100000us" % POLL_FLOW,
     ]
 
 
@@ -347,10 +358,10 @@ def _ingest_all(engine, timed_frames):
 
 # per case, named after its cause: what a fresh engine raises, and its line
 _EVENT_LINES = {
-    "NEW_FLOW-unparseable": (
+    "UNPARSEABLE": (
         lambda: _learned_engine().ingest(Direction.RX, b"\x00" * 7, 11 * S)[1],
-        "1970-01-01T00:00:11.000000Z\t1\tNewFlow\t-\t"
-        "unparseable: frame of 7 bytes is below the 14-byte Ethernet header"),
+        "1970-01-01T00:00:11.000000Z\t1\tUnparseable\t-\t"
+        "frame of 7 bytes is below the 14-byte Ethernet header"),
     "NEW_FLOW": (
         lambda: _learned_engine().ingest(Direction.RX, frames.tcp_frame(
             ATTACKER_MAC, LOCAL_MAC, "192.168.1.200", LOCAL, 51000, 502, 0x02), 11 * S)[1],
@@ -368,14 +379,18 @@ _EVENT_LINES = {
     "TOO_FAST": (
         lambda: _ingest_all(_learned_engine(), [(10_100 * MS, _poll_frame(100)),
                                                 (10_101 * MS, _poll_frame(101))]),
-        "1970-01-01T00:00:10.101000Z\t1\tTooFast\t%s\tdt=1000us" % POLL_FLOW),
+        "1970-01-01T00:00:10.101000Z\t1\tTooFast\t%s\tdt=1000us outside "
+        "(70000us, 130000us)" % POLL_FLOW),
     "TOO_SLOW": (
         lambda: _learned_engine().ingest(Direction.RX, _poll_frame(100), 10_150 * MS)[1],
-        "1970-01-01T00:00:10.150000Z\t1\tTooSlow\t%s\tdt=150000us" % POLL_FLOW),
+        "1970-01-01T00:00:10.150000Z\t1\tTooSlow\t%s\tdt=150000us outside "
+        "(70000us, 130000us)" % POLL_FLOW),
     "MEAN_DRIFT": (
         lambda: _ingest_all(_drifting_engine(), [(S + k * 150 * MS, _poll_frame(k))
                                                  for k in range(17)]),
-        "1970-01-01T00:00:03.400000Z\t1\tMeanDrift\t%s\tdt=150000us" % POLL_FLOW),
+        # 15 clean 150 ms interarrivals moved the mean from 100 ms first
+        "1970-01-01T00:00:03.400000Z\t1\tMeanDrift\t%s\tdt=150000us, window sum "
+        "2400000us outside (1151930us, 2139300us)" % POLL_FLOW),
     "HOST_SILENT": (
         lambda: _learned_engine().tick(10_130 * MS),
         "1970-01-01T00:00:10.130000Z\t1\tHostSilent\t%s\tsilent since %dus"
@@ -429,8 +444,9 @@ def test_intrusion_events_are_immutable_hashable_values():
     engine = _learned_engine()
     flood = [engine.ingest(Direction.RX, _poll_frame(k), 10_200 * MS + k)[1] for k in range(4)]
     raised = [e for events in flood for e in events]
-    assert [e.cause for e in raised] == [Cause.TOO_SLOW] + [Cause.TOO_FAST] * 3
-    assert len(set(raised)) == 4 and raised[1] in set(raised)
+    # TooSlow opens, then ends as TooFast opens; the last two frames raise nothing
+    assert [e.cause for e in raised] == [Cause.TOO_SLOW, Cause.TOO_SLOW, Cause.TOO_FAST]
+    assert len(set(raised)) == 3 and raised[1] in set(raised)
 
 
 def test_model_of_every_flow_kind_re_exports_byte_identically():

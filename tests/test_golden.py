@@ -11,7 +11,11 @@ trace of every scenario kind plus two device views of one run. The
 release before TCP frames were built from cached per-connection
 templates; it pins long-run sequence number growth and tens of thousands
 of identical flood frames. A deliberate change of behaviour updates them
-in the same commit and says why.
+in the same commit and says why: the two detect digests and the matrix
+observation digest were taken again when a flow's run of timing
+violations became one opening event naming the band broken and one
+closing event with the run's frame count, and unparseable frames got a
+cause of their own; every simulator, pcap and model digest stayed.
 """
 
 import contextlib
@@ -26,8 +30,8 @@ from eids.engine import format_event
 
 PCAP_SHA256 = "3b733a63af9333b94798fcd496641d1e2de1f5e6e72241072e13b32d9f9948b7"
 MODEL_SHA256 = "f2e818dda414abc13bd793eaaccd8515a67e9f109d2ad1437f71c41620d1049f"
-DETECT_MODEL_SHA256 = "48bedb8ec8abbfd10d730da7013a3aeeaab485c954b2325f7a934ab071981db8"
-DETECT_LEARN_FIRST_SHA256 = "4c86bd1cfe3f8488f52776b453ce84f68b0edfdb7970dd07871583a10c871ea5"
+DETECT_MODEL_SHA256 = "391a2e5df4017cb7eb3bd65f02e4bb4337f71949636cd8547d4a3e06cfd068cf"
+DETECT_LEARN_FIRST_SHA256 = "71a259defce7bdb8ce9520089a2e23e35745fff921fb67a67a980b7d5181e94f"
 
 S = 1_000_000
 # scenario kind -> (scenario arguments, sha256 of the full-domain trace)
@@ -53,9 +57,8 @@ VIEW_PCAP_SHA256 = {
 }
 # sha256 of every scenario matrix row's event log lines and logger
 # downs, on one shared 100 s plant at seed 3 with the bench shrunk as
-# perfbench/selfcheck.py shrinks it; taken while the engine's ticks and
-# the logger's sweeps each kept a schedule of their own
-OBSERVE_SHA256 = "b1122ac059ef79c8a7112a7e50b8c8f7f0c2c82414e13a37897adb9ac898e99c"
+# perfbench/selfcheck.py shrinks it
+OBSERVE_SHA256 = "87ca7707355e881101f904a4eddf46654b42c1049e15eb7c2c9d9da75f9113f3"
 
 
 def _sha256(data: bytes) -> str:

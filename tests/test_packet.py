@@ -306,7 +306,7 @@ def _parse_error_cases():
 
 @pytest.mark.parametrize("frame, error, text", _parse_error_cases())
 def test_parse_error_texts(frame, error, text):
-    # the text reaches `eids detect` output as "unparseable: <text>"
+    # the text reaches `eids detect` output as the detail of an Unparseable line
     with pytest.raises(error) as raised:
         parse_frame(frame)
     assert type(raised.value) is error

@@ -186,6 +186,17 @@ def test_frames_for_viewpoints():
             assert S1_IP in (meta.l3.src_ip, meta.l3.dst_ip)
 
 
+@pytest.mark.parametrize("name", ["S9", "s1", "attacker"])
+def test_a_viewpoint_that_names_no_device_raises_before_any_frame(name):
+    trace = sim.run(duration_us=5 * S, seed=0)
+    with pytest.raises(sim.ConfigInvalid, match="no device named"):
+        trace.frames_for(name)
+    buffer = io.BytesIO()
+    with pytest.raises(sim.ConfigInvalid, match="no device named"):
+        trace.write_pcap(buffer, viewpoint=name)
+    assert buffer.getvalue() == b""
+
+
 def test_pcap_round_trip_counts():
     trace = sim.run(duration_us=10 * S, seed=3)
     buffer = io.BytesIO()

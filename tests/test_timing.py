@@ -1,6 +1,7 @@
 """Interarrival envelopes: band arithmetic, window exactness, properties."""
 
 import random
+import re
 from collections import deque
 from fractions import Fraction
 
@@ -212,6 +213,43 @@ def test_integer_mean_tracks_the_exact_average_and_keeps_the_float_verdicts():
             assert -Fraction(1, 256) < Fraction(baseline.mean_q8, 256) - exact < 1
     assert full_checks > 30_000
     assert drifts > 3_000
+
+
+def _edges(detail):
+    """The two edges of the band an opening event's detail names."""
+    match = re.search(r"outside \((-?\d+)us, (-?\d+)us\)$", detail)
+    return int(match[1]), int(match[2])
+
+
+def test_band_detail_edges_bound_exactly_the_clean_values():
+    # at each check, the edges band_detail names hold a value as clean
+    # exactly when check does: t_us against the min/max band, and once the
+    # window is full its sum against the mean band
+    rng = random.Random(53)
+    min_max_checks = mean_checks = 0
+    for _ in range(150):
+        period = rng.randrange(1_000, 5_000_000)
+        samples = [rng.randrange(period // 2, period * 3 // 2) for _ in range(rng.randrange(2, 40))]
+        size = rng.randrange(1, 17)
+        baseline = _baseline(samples, rng.randrange(0, 1200), window=deque(maxlen=size))
+        for _ in range(200):
+            t_us = rng.randrange(1, 2 * period)
+            low, high = _edges(baseline.band_detail(Cause.TOO_FAST, t_us))
+            assert _edges(baseline.band_detail(Cause.TOO_SLOW, t_us)) == (low, high)
+            verdict = baseline.check(t_us)
+            assert (low < t_us < high) is (verdict not in (Cause.TOO_FAST, Cause.TOO_SLOW))
+            min_max_checks += 1
+            if verdict in (None, Cause.MEAN_DRIFT) and len(baseline.window) == size:
+                detail = baseline.band_detail(Cause.MEAN_DRIFT, t_us)
+                assert detail.startswith("dt=%dus, window sum %dus outside ("
+                                         % (t_us, baseline.window_sum))
+                low, high = _edges(detail)
+                assert (low < baseline.window_sum < high) is (verdict is None)
+                mean_checks += 1
+            if verdict is None:
+                baseline.adjust(t_us)
+    assert min_max_checks == 30_000
+    assert mean_checks > 5_000
 
 
 def test_monotonicity_of_band_verdicts():
