@@ -3,16 +3,17 @@ node plus the central logger and reports whether it was detected.
 
 Layout per run: 600 s of trusted learning, the attack starts at 650 s,
 the simulation ends at 720 s. The engine runs on sensor S1; the logger
-consumes the cloud host's view of the status broadcasts. A scenario
-counts as detected when the engine raised at least one intrusion event
-or the logger marked some node down.
+steps through the cloud host's view, as `eids logger` does through its
+socket. A scenario counts as detected when the engine raised at least
+one intrusion event or the logger marked some node down.
 """
 
+import itertools
 import time
 from dataclasses import dataclass
 
 from .central import CentralLogger
-from .engine import Clock, Engine, EngineConfig, IntrusionEvent, replay
+from .engine import Engine, EngineConfig, IntrusionEvent, replay
 from .packet import PROTO_UDP, Direction, ParseError, parse_frame
 from .sim import (
     AttackScenario,
@@ -119,26 +120,26 @@ def _observe(trace: FrameTrace, profile: TrafficProfile) -> ScenarioResult:
 
 
 def _feed_logger(logger: CentralLogger, trace: FrameTrace) -> list[tuple[int, int]]:
+    """Step the logger at each frame the logger host receives and at the end
+    of the run; returns the (sweep time us, node id) of each node down."""
+    received = ((at_us, _udp_payload(data)) for at_us, direction, data
+                in trace.frames_for(LOGGER_HOST) if direction is Direction.RX)
     downs: list[tuple[int, int]] = []
-    due = Clock(1_000_000).due
-    for at_us, direction, data in trace.frames_for(LOGGER_HOST):
-        if direction is not Direction.RX:
-            continue
-        for sweep_us in due(at_us):
-            downs.extend((sweep_us, r.node_id) for r in logger.sweep(sweep_us))
-        try:
-            l3 = parse_frame(data).l3
-        except ParseError:
-            continue
-        if l3 is None or l3.protocol != PROTO_UDP:
-            continue
-        start = l3.l4.payload_offset
-        end = start + l3.l4.payload_len
-        if end <= len(data):
-            logger.on_datagram(data[start:end], at_us)
-    for sweep_us in due(DURATION_US):
-        downs.extend((sweep_us, r.node_id) for r in logger.sweep(sweep_us))
+    for at_us, payload in itertools.chain(received, [(DURATION_US, None)]):
+        transitions = logger.step(payload, at_us)[0]
+        downs += [(t_us, node_id) for t_us, node_id, state in transitions if state == "down"]
     return downs
+
+
+def _udp_payload(data: bytes) -> bytes | None:
+    try:
+        l3 = parse_frame(data).l3
+    except ParseError:
+        return None
+    if l3 is None or l3.protocol != PROTO_UDP:
+        return None
+    end = l3.l4.payload_offset + l3.l4.payload_len
+    return data[l3.l4.payload_offset:end] if end <= len(data) else None
 
 
 def run_benchmark(seed=0) -> tuple[list[BenchRow], float]:

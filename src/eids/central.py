@@ -4,9 +4,10 @@ Nodes are discovered from their first valid message; a node that has
 never sent one is not listed. A node's record holds its last accepted
 message, so its intrusion view is by construction that message's
 intrusion bit, as the node set it, and its mode and event count are
-that message's too. A node that stays silent past the contamination
-timeout (default 20 s) is marked down, and its intrusion state is then
-unknown, rendered as "???". Invalid datagrams are counted but never
+that message's too. A node silent for the contamination timeout
+(default 20 s) is marked down at the next 1 s sweep of CentralLogger.step,
+which `eids logger` and the bench both drive, and its intrusion state is
+then unknown, rendered as "???". Invalid datagrams are counted but never
 touch node records, so a flood of garbage cannot evict good state.
 """
 
@@ -14,6 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .announce import AnnounceError, ReplayState, StatusMessage, decode_verify
+from .engine import Clock
 
 DEFAULT_TIMEOUT_US = 20_000_000
 
@@ -39,6 +41,25 @@ class CentralLogger:
         self.records: dict[int, NodeRecord] = {}
         self.replay = ReplayState()
         self.rejected = Counter()
+        self._due = Clock(1_000_000).due  # the sweep grid
+        self._view = ""  # the status view step last returned
+
+    def step(self, data: bytes | None, now_us: int, wall_ms: int | None = None):
+        """Sweep at each 1 s grid time due by now_us (anchored at the first
+        now_us), then apply data, the datagram received at now_us, if any.
+        Returns the transitions (at_us, node_id, "up"|"down") in the order
+        they happened, one sweep's in first-seen order, and the status view
+        if a line of it changed, else None; wall_ms is as for on_datagram."""
+        transitions = [(t, r.node_id, "down") for t in self._due(now_us) for r in self.sweep(t)]
+        accepted = None if data is None else self.on_datagram(data, now_us, wall_ms)
+        record, came_up, flipped = accepted or (None, False, False)
+        if came_up:
+            transitions.append((now_us, record.node_id, "up"))
+        if not (transitions or flipped):
+            return transitions, None
+        view = self.render_status()
+        changed, self._view = view != self._view, view
+        return transitions, view if changed else None
 
     def on_datagram(
         self, data: bytes, now_us: int, wall_ms: int | None = None

@@ -2,9 +2,10 @@
 
 Subcommands: learn (build a model from trusted traffic), detect (judge
 traffic against a model), simulate (write testbed traffic as pcap),
-logger (run the central status logger), bench (scenario detection
-matrix), stats (interarrival CSV). Event logs go to standard output,
-diagnostics to standard error, so pipelines compose.
+logger (run the central status logger: a shell that steps
+CentralLogger at each datagram and each 0.2 s receive timeout), bench
+(scenario detection matrix), stats (interarrival CSV). Event logs go to
+standard output, diagnostics to standard error, so pipelines compose.
 
 The announce PSK is taken from the EIDS_PSK environment variable or a
 file named with --psk-file, never from an argument: command lines leak
@@ -24,7 +25,6 @@ from . import announce, bench, sim
 from .central import CentralLogger
 from .engine import (
     BadModelVersion,
-    Clock,
     Engine,
     EngineConfig,
     MalformedModelLine,
@@ -316,51 +316,28 @@ def cmd_logger(args) -> int:
     psk = _psk_from_env(args)
     logger = CentralLogger(psk, timeout_us=_us(args.timeout))
     # the log file opens first, and the socket closes on every way out
-    log_file = open(args.log_file, "a") if args.log_file else contextlib.nullcontext()
-    with log_file as log_handle, socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
+    with open(args.log_file or os.devnull, "a", buffering=1) as log_handle, \
+            socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
         sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         sock.bind((args.bind, args.port))
         sock.settimeout(0.2)
         print("listening on %s:%d" % sock.getsockname(), file=sys.stderr)
 
-        # liveness, sweeps and --duration run on the monotonic clock, which a
-        # wall-clock step does not move; wall time only checks a message's
-        # time for future skew and stamps the transition log
+        # liveness, sweeps and --duration run on the monotonic clock, which a wall-clock
+        # step does not move; wall time only checks message skew and stamps the log
         started = time.monotonic()
-        sweeps = Clock(1_000_000)
-        last_render = ""
         try:
             while args.duration is None or time.monotonic() - started < args.duration:
-                # (record, up|down) for each liveness change, and whether a line changed
-                transitions, changed = [], False
-                try:
-                    data, _addr = sock.recvfrom(4096)
-                except socket.timeout:
-                    pass
-                else:
-                    accepted = logger.on_datagram(data, int(time.monotonic() * 1e6),
-                                                  wall_ms=int(time.time() * 1e3))
-                    if accepted is not None:
-                        record, came_up, changed = accepted
-                        if came_up:
-                            transitions.append((record, "up"))
-                now_us = int(time.monotonic() * 1e6)
-                if sweeps.due(now_us):
-                    downs = logger.sweep(now_us)
-                    transitions += [(record, "down") for record in downs]
-                if len(transitions) > 1:  # logged in the order nodes were first seen
-                    first_seen = {node_id: k for k, node_id in enumerate(logger.records)}
-                    transitions.sort(key=lambda change: first_seen[change[0].node_id])
-                for record, state in transitions:
-                    if log_handle is not None:
-                        stamp = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-                        log_handle.write("%s\t%d\t%s\n" % (stamp, record.node_id, state))
-                        log_handle.flush()
-                rendered = logger.render_status() if transitions or changed else last_render
-                if rendered != last_render:
-                    sys.stdout.write(rendered)
-                    sys.stdout.flush()
-                    last_render = rendered
+                data = None
+                with contextlib.suppress(socket.timeout):
+                    data = sock.recvfrom(4096)[0]
+                wall_ms = int(time.time() * 1e3)
+                transitions, view = logger.step(data, int(time.monotonic() * 1e6), wall_ms)
+                for _, node_id, state in transitions:  # the log file is line-buffered
+                    stamp = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(wall_ms // 1000))
+                    log_handle.write("%s\t%d\t%s\n" % (stamp, node_id, state))
+                if view is not None:
+                    print(view, end="", flush=True)
         except KeyboardInterrupt:
             pass
         finally:

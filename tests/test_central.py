@@ -173,3 +173,89 @@ def test_logger_feed_skips_udp_length_past_frame_end():
         _feed_logger(logger, trace)
         assert (s2.node_id in logger.records) is delivered
         assert not logger.rejected
+
+
+class _SweepLog(CentralLogger):
+    """A logger that records the time of every sweep."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.sweeps = []
+
+    def sweep(self, now_us):
+        self.sweeps.append(now_us)
+        return super().sweep(now_us)
+
+
+def test_step_logs_down_then_up_for_a_datagram_after_its_deadline_grid_time():
+    logger = CentralLogger(PSK)
+    assert logger.step(_wire(1, 1_000), 0) == ([(0, 1, "up")], "ID: 1 is up Intrusion: no\n")
+    # node 1's deadline, 20 s, is a grid time, and due in the step of its late datagram
+    transitions, view = logger.step(_wire(1, 21_000), 20 * S + 500_000)
+    assert transitions == [(20 * S, 1, "down"), (20 * S + 500_000, 1, "up")]
+    assert view is None  # down and back up: no line of the view changed
+
+
+def test_step_after_a_stall_sweeps_each_missed_grid_time():
+    anchor, timeout = 300_000, 4 * S
+    logger = _SweepLog(PSK, timeout)
+    last = {1: anchor, 2: 1 * S, 3: 2 * S + 500_000}
+    for node_id, at_us in last.items():
+        logger.step(_wire(node_id, 1_000 + node_id), at_us)
+    stalled = len(logger.sweeps)
+    transitions, view = logger.step(None, 12 * S)
+
+    # every grid time the stall skipped is swept, oldest first
+    assert logger.sweeps[stalled:] == list(range(anchor + 3 * S, 12 * S, S))
+    # each node down at the first grid time at or after last + timeout
+    first_due = {n: anchor - (anchor - at_us - timeout) // S * S for n, at_us in last.items()}
+    assert transitions == [(first_due[n], n, "down") for n in (1, 2, 3)]
+    assert [t for t, _, _ in transitions] == [4 * S + 300_000, 5 * S + 300_000, 7 * S + 300_000]
+    assert view == "".join("ID: %d is down Intrusion: ???\n" % n for n in (1, 2, 3))
+
+
+@pytest.mark.parametrize("step_s", [-3600, 3600])
+def test_step_liveness_ignores_a_wall_clock_step(step_s):
+    """Two loggers see the same arrivals; one's wall clock steps an hour
+    after node 7's last datagram. Node 8 announces on the stepped clock.
+    Both log the same transitions at the same times."""
+    epoch_ms = 1_700_000_000_000
+
+    def run(wall_step_ms):
+        logger = CentralLogger(PSK, timeout_us=2 * S)
+        log = []
+        for k in range(60):  # 6 s of steps, 100 ms apart
+            now_us = k * 100_000
+            wall_ms = epoch_ms + now_us // 1000 + (wall_step_ms if k > 10 else 0)
+            data = None
+            if k in (5, 10):
+                data = _wire(7, epoch_ms + now_us // 1000)
+            elif k == 20:
+                data = _wire(8, wall_ms)
+            log += logger.step(data, now_us, wall_ms)[0]
+        assert not logger.rejected
+        return log
+
+    log = run(step_s * 1000)
+    assert log == run(0)
+    assert log == [(500_000, 7, "up"), (2 * S, 8, "up"), (3 * S, 7, "down"), (4 * S, 8, "down")]
+
+
+def test_a_step_with_nothing_due_renders_nothing():
+    renders = []
+
+    class CountingLogger(CentralLogger):
+        def render_status(self):
+            renders.append(1)
+            return super().render_status()
+
+    logger = CountingLogger(PSK)
+    assert logger.step(_wire(1, 1_000), 0)[1] == "ID: 1 is up Intrusion: no\n"
+    assert logger.step(_wire(2, 1_000, intrusion=True), 200_000)[1] is not None
+    renders.clear()
+    # no grid time due, a sweep that takes no node down, a datagram that
+    # changes no line, a rejected one, and nothing at all
+    for data, now_us in [(None, 500_000), (None, 1 * S), (_wire(1, 2_000), 1_200_000),
+                         (b"junk", 1_300_000), (None, 1_900_000)]:
+        assert logger.step(data, now_us) == ([], None)
+    assert renders == []

@@ -2,6 +2,7 @@
 
 import contextlib
 import gc
+import heapq
 import os
 import re
 import socket
@@ -20,7 +21,7 @@ from eids.central import CentralLogger
 from eids.cli import ArpRequestGaps, build_parser, load_config, main
 from eids.engine import Engine, EngineConfig
 from eids.flows import FlowTable, Mode
-from eids.packet import ArpOp, ParseError, header_signature, parse_frame
+from eids.packet import TCP_ACK, TCP_PSH, ArpOp, ParseError, header_signature, parse_frame
 from eids.pcap import read_pcap, write_pcap
 
 S = 1_000_000
@@ -116,27 +117,62 @@ def test_stats_memory_does_not_grow_with_capture_length(tmp_path, capsys):
     assert peak_bytes(long) <= peak_bytes(short) + 64 * 1024
 
 
+class _LineCounter:
+    """A standard output that counts lines and keeps none of them."""
+
+    lines = 0
+
+    def write(self, text):
+        self.lines += text.count("\n")
+
+    def flush(self):
+        pass
+
+
 def test_detect_memory_does_not_grow_with_event_count(tmp_path, capsys):
-    def flood_pcap(name, flood_s):
+    """A 20 s flood on S1 from 70 s peaks within 1.5x of a 5 s one. The DoS
+    flood is one TooFast burst, a few lines however long it runs; a flood
+    from a fresh source port per frame raises one NewFlow per frame, so
+    its long input writes about 4x the lines of its short one."""
+    def dos_pcap(name, flood_s):
         flood = sim.AttackScenario(sim.ScenarioKind.DOS_FLOOD, start_us=70 * S,
                                    target="S1")
         pcap, _ = _write_viewpoint_pcap(tmp_path, name, duration_s=70 + flood_s,
                                         seed=4, scenarios=[flood])
         return pcap
 
-    short, long = flood_pcap("short.pcap", 5), flood_pcap("long.pcap", 20)
+    def fresh_port_pcap(name, flood_s):
+        trace = sim.run(duration_us=(70 + flood_s) * S, seed=4)
+        s1, s2 = trace.topology.device("S1"), trace.topology.device("S2")
+        flood = (
+            (70 * S + k * 1000,
+             frames.tcp_frame(s2.mac, s1.mac, s2.ip, s1.ip, 10_000 + k, 502, TCP_PSH | TCP_ACK,
+                              frames.modbus_read_request(k, 1)))
+            for k in range(flood_s * 1000)
+        )
+        view = ((at_us, data) for at_us, _, data in trace.frames_for("S1"))
+        with open(tmp_path / name, "wb") as handle:
+            write_pcap(handle, heapq.merge(view, flood, key=lambda record: record[0]))
+        return tmp_path / name
 
-    def peak_bytes(pcap):
+    def peak_bytes_and_lines(pcap):
         tracemalloc.start()
         try:
-            with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            with contextlib.redirect_stdout(_LineCounter()) as out:
                 assert main(["detect", "--learn-first", "60", "--pcap", str(pcap)]) == 1
-            return tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1], out.lines
         finally:
             tracemalloc.stop()
 
-    peak_bytes(short)  # warm-up: first-call allocations are not per event
-    assert peak_bytes(long) <= 1.5 * peak_bytes(short)
+    for make_pcap in (dos_pcap, fresh_port_pcap):
+        short = make_pcap("short-%s.pcap" % make_pcap.__name__, 5)
+        long = make_pcap("long-%s.pcap" % make_pcap.__name__, 20)
+        peak_bytes_and_lines(short)  # warm-up: first-call allocations are not per event
+        (short_peak, short_lines), (long_peak, long_lines) = map(peak_bytes_and_lines,
+                                                                 (short, long))
+        assert long_peak <= 1.5 * short_peak
+        if make_pcap is fresh_port_pcap:
+            assert (short_lines, long_lines) == (5_001, 20_001)  # and one HostSilent
 
 
 def test_learn_empty_pcap_fails(tmp_path, capsys):
@@ -651,6 +687,64 @@ def test_logger_prints_the_port_it_bound(capsys, monkeypatch):
     assert host == "127.0.0.1" and int(port) > 0
 
 
+class _ScriptedHost:
+    """Stands in for the time and socket modules of eids.cli, so that
+    cmd_logger runs on synthetic clocks: the monotonic clock moves only in
+    recvfrom, to the next scripted arrival, or by the receive timeout when
+    none is due before it, and wall(monotonic seconds) is the wall clock."""
+
+    AF_INET, SOCK_DGRAM = socket.AF_INET, socket.SOCK_DGRAM
+    SOL_SOCKET, SO_REUSEADDR = socket.SOL_SOCKET, socket.SO_REUSEADDR
+    timeout = socket.timeout
+
+    def __init__(self, monkeypatch, arrivals=(), wall=lambda mono: mono + 1.7e9):
+        self.mono = 100.0
+        self.wall = wall
+        self.arrivals = list(arrivals)  # (monotonic s, datagram), in time order
+        self._timeout = None
+        monkeypatch.setattr("eids.cli.time", self)
+        monkeypatch.setattr("eids.cli.socket", self)
+
+    def __getattr__(self, name):  # strftime, gmtime
+        return getattr(time, name)
+
+    def monotonic(self):
+        return self.mono
+
+    def time(self):
+        return self.wall(self.mono)
+
+    # the socket module and the socket it makes
+    def socket(self, family, kind):
+        return self
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def setsockopt(self, *args):
+        pass
+
+    def bind(self, address):
+        self.address = address
+
+    def settimeout(self, seconds):
+        self._timeout = seconds
+
+    def getsockname(self):
+        return self.address
+
+    def recvfrom(self, size):
+        if self.arrivals and self.arrivals[0][0] <= self.mono + self._timeout:
+            at, data = self.arrivals.pop(0)
+            self.mono = max(self.mono, at)
+            return data, ("127.0.0.1", 47808)
+        self.mono += self._timeout
+        raise socket.timeout
+
+
 def test_logger_stamps_datagrams_when_they_arrive(capsys, monkeypatch):
     monkeypatch.setenv("EIDS_PSK", "loopback-psk")
     stamps = []
@@ -661,106 +755,104 @@ def test_logger_stamps_datagrams_when_they_arrive(capsys, monkeypatch):
             return super().on_datagram(data, now_us, wall_ms)
 
     monkeypatch.setattr("eids.cli.CentralLogger", RecordingLogger)
-    probe = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-    probe.bind(("127.0.0.1", 0))
-    port = probe.getsockname()[1]
-    probe.close()
-    result = {}
+    # each one arrives while the logger waits in recvfrom
+    arrivals = [(100.3 + 0.13 * k, b"probe-%d" % k) for k in range(5)]
+    host = _ScriptedHost(monkeypatch, arrivals)
+    sent = {data: (int(at * 1e6), int(host.wall(at) * 1e3)) for at, data in arrivals}
+    code = main(["logger", "--bind", "127.0.0.1", "--port", "0", "--duration", "1.5"])
 
-    def serve():
-        result["code"] = main(["logger", "--bind", "127.0.0.1", "--port", str(port),
-                               "--duration", "1.5"])
-
-    thread = threading.Thread(target=serve)
-    thread.start()
-    time.sleep(0.3)
-    sent = {}
-    with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sender:
-        # spaced so that each one arrives while the logger waits in recvfrom
-        for k in range(5):
-            payload = b"probe-%d" % k
-            sent[payload] = int(time.monotonic() * 1e6), int(time.time() * 1e3)
-            sender.sendto(payload, ("127.0.0.1", port))
-            time.sleep(0.13)
-    thread.join(timeout=10)
-
-    assert result.get("code") == 0
+    assert code == 0
     assert sorted(data for data, _, _ in stamps) == sorted(sent)
     for data, now_us, wall_ms in stamps:
         sent_us, sent_ms = sent[data]
         assert now_us >= sent_us, "stamp %d us before the send" % (sent_us - now_us)
         assert wall_ms >= sent_ms, "wall stamp %d ms before the send" % (sent_ms - wall_ms)
+        # and from the right clock: the two are 1.7e9 s apart
+        assert now_us - sent_us < 1000 and wall_ms - sent_ms < 1
 
 
-def test_logger_liveness_ignores_wall_clock_steps(tmp_path, monkeypatch):
+def test_logger_log_file_lines_carry_each_step_wall_time(tmp_path, capsys, monkeypatch):
+    """The wall clock steps back an hour after node 7's datagram: the
+    node still goes down at the grid time its monotonic timeout falls on,
+    each log line is stamped with the wall time of the step that made
+    it, and the shell exits 0."""
+    monkeypatch.setenv("EIDS_PSK", "loopback-psk")
+    steps = []
+
+    class RecordingLogger(CentralLogger):
+        def step(self, data, now_us, wall_ms=None):
+            transitions, view = super().step(data, now_us, wall_ms)
+            steps.append((now_us, wall_ms, transitions))
+            return transitions, view
+
+    monkeypatch.setattr("eids.cli.CentralLogger", RecordingLogger)
+    wire = encode(StatusMessage(7, 1_700_000_100_500, False, True, 0), b"loopback-psk")
+    _ScriptedHost(monkeypatch, [(100.5, wire)],
+                  wall=lambda mono: mono + 1.7e9 - (3600 if mono > 100.5 else 0))
+    log_file = tmp_path / "transitions.log"
+    assert main(["logger", "--bind", "127.0.0.1", "--port", "0", "--timeout", "1.5",
+                 "--duration", "4", "--log-file", str(log_file)]) == 0
+
+    expected = [
+        "%s\t%d\t%s" % (time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(wall_ms // 1000)),
+                         node_id, state)
+        for _, wall_ms, transitions in steps for _, node_id, state in transitions
+    ]
+    assert log_file.read_text().splitlines() == expected
+    logged = [(at_us, state) for _, _, transitions in steps for at_us, _, state in transitions]
+    assert [state for _, state in logged] == ["up", "down"]
+    (up_us, _), (down_us, _) = logged
+    anchor_us = steps[0][0]  # the sweep grid starts at the first step
+    assert down_us - anchor_us == -(-(up_us + 1_500_000 - anchor_us) // S) * S
+    # up at 1,700,000,100.5 s on the wall clock; down at 102.3 s on the
+    # monotonic one, the first 0.2 s step past the 102.2 s grid time
+    assert expected == ["2023-11-14T22:15:00Z\t7\tup", "2023-11-14T21:15:02Z\t7\tdown"]
+
+
+def test_logger_liveness_ignores_wall_clock_steps():
     """The wall clock steps back an hour after node 7's last datagram,
     then forward an hour after node 8's: each node is logged down at a
     sweep at least the timeout after its last datagram, neither an hour
-    late nor at once."""
-    monkeypatch.setenv("EIDS_PSK", "loopback-psk")
-    step_s = 0.0
+    late nor at once. The logger steps every 10 ms of synthetic time."""
+    timeout_us = 1_500_000
+    logger = CentralLogger(b"loopback-psk", timeout_us=timeout_us)
+    now_us, step_ms = 5 * S, 0
 
-    class SteppedTime:
-        def __getattr__(self, name):
-            return getattr(time, name)
+    def wall_ms():
+        return 1_700_000_000_000 + now_us // 1000 + step_ms
 
-        def time(self):
-            return time.time() + step_s
-
-    monkeypatch.setattr("eids.cli.time", SteppedTime())
-    probe = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-    probe.bind(("127.0.0.1", 0))
-    port = probe.getsockname()[1]
-    probe.close()
-    log_file = tmp_path / "transitions.log"
-    result = {}
-    timeout_s = 1.5
-
-    def serve():
-        result["code"] = main(["logger", "--bind", "127.0.0.1", "--port", str(port),
-                               "--timeout", str(timeout_s), "--duration", "8",
-                               "--log-file", str(log_file)])
-
-    def logged_by(line, deadline):
-        """When the test first saw line in the transition log, if by deadline."""
-        while time.monotonic() < deadline:
-            if log_file.exists() and line in log_file.read_text():
-                return time.monotonic()
-            time.sleep(0.01)
+    def logged_by(node_id, state, deadline_us, data=None):
+        """When the logger logged node_id's state, if by deadline_us; it
+        steps every 10 ms, the first time with data."""
+        nonlocal now_us
+        while now_us <= deadline_us:
+            for at_us, logged_id, logged_state in logger.step(data, now_us, wall_ms())[0]:
+                if (logged_id, logged_state) == (node_id, state):
+                    return at_us
+            data = None
+            now_us += 10_000
         return None
 
-    def announce_until_up(sender, node_id):
-        """Send node_id's status, stamped on the logger's wall clock, until
-        the logger logs the node up; returns the monotonic time of the last
-        send."""
-        for k in range(100):
-            sent = time.monotonic()
-            msg_ms = int((time.time() + step_s) * 1e3) + k
-            sender.sendto(encode(StatusMessage(node_id, msg_ms, False, True, 0),
-                                 b"loopback-psk"), ("127.0.0.1", port))
-            if logged_by("\t%d\tup\n" % node_id, time.monotonic() + 0.1) is not None:
-                return sent
-        raise AssertionError("node %d never logged up" % node_id)
+    def announce(node_id):
+        """Send node_id's status, stamped on the logger's wall clock, which
+        logs the node up; returns the time of the send."""
+        sent = now_us
+        wire = encode(StatusMessage(node_id, wall_ms(), False, True, 0), b"loopback-psk")
+        assert logged_by(node_id, "up", sent, wire) == sent, "node %d never logged up" % node_id
+        return sent
 
-    thread = threading.Thread(target=serve)
-    thread.start()
-    try:
-        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sender:
-            sent = announce_until_up(sender, 7)
-            step_s = -3600.0
-            down = logged_by("\t7\tdown\n", sent + timeout_s + 2)
-            assert down is not None, "node 7 not down within 2 s of its timeout"
-            assert down - sent >= timeout_s
-            sent = announce_until_up(sender, 8)
-            step_s = 0.0
-            down = logged_by("\t8\tdown\n", sent + timeout_s + 2)
-            assert down is not None, "node 8 not down within 2 s of its timeout"
-            assert down - sent >= timeout_s, "node 8 down %.2f s after its datagram" % (
-                down - sent)
-    finally:
-        thread.join(timeout=15)
-    assert not thread.is_alive()
-    assert result.get("code") == 0
+    sent = announce(7)
+    step_ms = -3_600_000
+    down = logged_by(7, "down", sent + timeout_us + 2 * S)
+    assert down is not None, "node 7 not down within 2 s of its timeout"
+    assert down - sent >= timeout_us
+    sent = announce(8)
+    step_ms = 0
+    down = logged_by(8, "down", sent + timeout_us + 2 * S)
+    assert down is not None, "node 8 not down within 2 s of its timeout"
+    assert down - sent >= timeout_us, "node 8 down %.2f s after its datagram" % (
+        (down - sent) / S)
+    assert not logger.rejected
 
 
 def test_logger_renders_only_when_a_line_changes(capsys, monkeypatch):
@@ -773,12 +865,8 @@ def test_logger_renders_only_when_a_line_changes(capsys, monkeypatch):
             return super().render_status()
 
     monkeypatch.setattr("eids.cli.CentralLogger", CountingLogger)
-    probe = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-    probe.bind(("127.0.0.1", 0))
-    port = probe.getsockname()[1]
-    probe.close()
-    assert main(["logger", "--bind", "127.0.0.1", "--port", str(port),
-                 "--duration", "1"]) == 0
+    _ScriptedHost(monkeypatch)
+    assert main(["logger", "--bind", "127.0.0.1", "--port", "0", "--duration", "1"]) == 0
     assert renders == []
     assert capsys.readouterr().out == ""
 
