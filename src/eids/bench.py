@@ -88,7 +88,7 @@ def _scenario_matrix() -> list[tuple[AttackScenario, str, bool]]:
 @dataclass
 class ScenarioResult:
     events: list[IntrusionEvent]
-    downs: list[tuple[int, int]]  # (sweep time us, node id)
+    downs: list[tuple[int, int]]  # (deadline us, node id)
     trace: FrameTrace
     engine: Engine
 
@@ -121,7 +121,7 @@ def _observe(trace: FrameTrace, profile: TrafficProfile) -> ScenarioResult:
 
 def _feed_logger(logger: CentralLogger, trace: FrameTrace) -> list[tuple[int, int]]:
     """Step the logger at each frame the logger host receives and at the end
-    of the run; returns the (sweep time us, node id) of each node down."""
+    of the run; returns the (deadline us, node id) of each node down."""
     received = ((at_us, _udp_payload(data)) for at_us, direction, data
                 in trace.frames_for(LOGGER_HOST) if direction is Direction.RX)
     downs: list[tuple[int, int]] = []

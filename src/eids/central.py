@@ -5,17 +5,20 @@ never sent one is not listed. A node's record holds its last accepted
 message, so its intrusion view is by construction that message's
 intrusion bit, as the node set it, and its mode and event count are
 that message's too. A node silent for the contamination timeout
-(default 20 s) is marked down at the next 1 s sweep of CentralLogger.step,
-which `eids logger` and the bench both drive, and its intrusion state is
-then unknown, rendered as "???". Invalid datagrams are counted but never
-touch node records, so a flood of garbage cannot evict good state.
+(default 20 s) is marked down at exactly its last message's time plus
+the timeout, and its intrusion state is then unknown, rendered as
+"???". CentralLogger.step, which `eids logger` and the bench both drive,
+sweeps the records only once the earliest such deadline of the nodes up
+is due; until then a step costs one compare. Invalid datagrams are
+counted but never touch node records, so a flood of garbage cannot
+evict good state or make the logger scan them.
 """
 
 from collections import Counter
 from dataclasses import dataclass
+from math import inf
 
 from .announce import AnnounceError, ReplayState, StatusMessage, decode_verify
-from .engine import Clock
 
 DEFAULT_TIMEOUT_US = 20_000_000
 
@@ -31,7 +34,7 @@ class NodeRecord:
 class CentralLogger:
     def __init__(self, psk: bytes, timeout_us: int = DEFAULT_TIMEOUT_US):
         # anyone can sign under the empty key, and a timeout of 0 or less
-        # takes every node down at the next sweep
+        # takes every node down at once
         if not psk:
             raise ValueError("empty PSK")
         if timeout_us <= 0:
@@ -41,16 +44,20 @@ class CentralLogger:
         self.records: dict[int, NodeRecord] = {}
         self.replay = ReplayState()
         self.rejected = Counter()
-        self._due = Clock(1_000_000).due  # the sweep grid
+        # a lower bound on the earliest down deadline, inf while no node is up
+        self.due_us: int | float = inf
         self._view = ""  # the status view step last returned
 
     def step(self, data: bytes | None, now_us: int, wall_ms: int | None = None):
-        """Sweep at each 1 s grid time due by now_us (anchored at the first
-        now_us), then apply data, the datagram received at now_us, if any.
-        Returns the transitions (at_us, node_id, "up"|"down") in the order
-        they happened, one sweep's in first-seen order, and the status view
+        """Sweep if a down is due by now_us, then apply data, the datagram
+        received at now_us, if any. Returns the transitions (at_us,
+        node_id, "up"|"down") in the order they happened, each down at
+        its node's deadline, ties in first-seen order, and the status view
         if a line of it changed, else None; wall_ms is as for on_datagram."""
-        transitions = [(t, r.node_id, "down") for t in self._due(now_us) for r in self.sweep(t)]
+        transitions = []
+        if now_us >= self.due_us:
+            downs = sorted(self.sweep(now_us), key=lambda r: r.last_msg_us)
+            transitions = [(r.last_msg_us + self.timeout_us, r.node_id, "down") for r in downs]
         accepted = None if data is None else self.on_datagram(data, now_us, wall_ms)
         record, came_up, flipped = accepted or (None, False, False)
         if came_up:
@@ -79,10 +86,15 @@ class CentralLogger:
             self.rejected[type(exc).__name__] += 1
             return None
         record = self.records.get(msg.node_id)
+        came_up = record is None or not record.up
+        if came_up:
+            # arrivals come in time order: a node up already never holds the
+            # earliest deadline, so only a node coming up can lower the bound
+            self.due_us = min(self.due_us, now_us + self.timeout_us)
         if record is None:
             record = self.records[msg.node_id] = NodeRecord(msg.node_id, msg, now_us, True)
             return record, True, False
-        change = record, not record.up, record.last.intrusion != msg.intrusion
+        change = record, came_up, record.last.intrusion != msg.intrusion
         record.last = msg
         record.last_msg_us = now_us
         record.up = True
@@ -90,12 +102,20 @@ class CentralLogger:
 
     def sweep(self, now_us: int) -> list[NodeRecord]:
         """Time out silent nodes; returns the records that transitioned
-        up -> down on this sweep."""
+        up -> down on this sweep, in first-seen order. due_us becomes the
+        earliest deadline of the nodes still up."""
         flipped = []
+        cutoff_us = now_us - self.timeout_us
+        earliest_us = inf  # of the last messages of the nodes still up
         for record in self.records.values():
-            if record.up and now_us - record.last_msg_us >= self.timeout_us:
-                record.up = False
-                flipped.append(record)
+            if record.up:
+                last_us = record.last_msg_us
+                if last_us <= cutoff_us:
+                    record.up = False
+                    flipped.append(record)
+                elif last_us < earliest_us:
+                    earliest_us = last_us
+        self.due_us = earliest_us + self.timeout_us
         return flipped
 
     def render_status(self) -> str:

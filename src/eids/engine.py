@@ -39,6 +39,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from enum import Enum
 from functools import lru_cache
+from math import inf
 from socket import inet_aton
 from typing import Iterable, Iterator, NamedTuple
 
@@ -59,7 +60,6 @@ from .packet import (
 from .timing import FlowBaseline
 
 MODEL_HEADER = "EIDS-MODEL 1"
-TICK_PERIOD_US = 100_000
 # header signatures an engine keeps the judgment of: a plant has tens
 # of flows; a flood of fresh ports fills the table, which is then
 # emptied and refills, so the flows that come back are kept again
@@ -134,6 +134,9 @@ class Engine:
         self.states: dict[FlowKey, FlowBaseline] = {}
         self.mode = Mode.LEARNING
         self.started_us: int | None = None
+        # a lower bound on the earliest time a tick can act, inf while none
+        # can: replay ticks when a frame or the tail's end reaches it
+        self.due_us: int | float = inf
         # (sent, header signature) -> key_for/observe result; see ingest
         self._judged: dict[tuple, tuple[FlowKey, Cause | None, str]] = {}
         # flagged frames and raised silences per cause, bursts still open left out
@@ -232,7 +235,10 @@ class Engine:
         # and is no sign of life now
         if now_us >= baseline.last_arrival_us:
             baseline.last_arrival_us = now_us
-            baseline.silent = False
+            if baseline.silent:
+                # re-armed: the flow's deadline may now be the earliest
+                baseline.silent = False
+                self.due_us = min(self.due_us, now_us + baseline.high_us)
 
         if tcp_flags is not None and tcp_flags & _NO_SAMPLE_FLAGS:
             return _PASS, []
@@ -310,7 +316,9 @@ class Engine:
 
         Performs the learning-to-active transition and, in active mode,
         the per-flow silence checks. A silent flow is reported once per
-        silence episode; traffic on the flow re-arms the check.
+        silence episode; traffic on the flow re-arms the check. Once
+        active, due_us becomes the earliest deadline, last arrival plus
+        the baseline's high edge, of the flows still not silent.
         """
         self._note_time(now_us)
         if (
@@ -322,10 +330,15 @@ class Engine:
         if self.mode is not Mode.ACTIVE:
             return []
         events = []
+        due_us = inf
         for key, baseline in self.states.items():
             if baseline.silent:
                 continue
-            if now_us - baseline.last_arrival_us >= baseline.high_us:
+            deadline_us = baseline.last_arrival_us + baseline.high_us
+            if now_us < deadline_us:
+                if deadline_us < due_us:  # a compare, not a min() call per flow
+                    due_us = deadline_us
+            else:
                 baseline.silent = True
                 self._counts[Cause.HOST_SILENT] += 1
                 events.append(
@@ -336,23 +349,16 @@ class Engine:
                         "silent since %dus" % baseline.last_arrival_us,
                     )
                 )
+        self.due_us = due_us
         return events
-
-    def next_action_us(self) -> int | None:
-        """The earliest time a tick can act, on an engine shown a time:
-        the end of learning, or once active the first time a flow not
-        yet silent is silent for its baseline. None when every flow is
-        silent: no tick acts before the next frame."""
-        if self.mode is Mode.LEARNING:
-            return self.started_us + self.config.learning_duration_us
-        return min((b.last_arrival_us + b.high_us for b in self.states.values()
-                    if not b.silent), default=None)
 
     def _note_time(self, now_us: int) -> None:
         if self.started_us is None:
             self.started_us = now_us
-            # only an imported model has baselines yet: their flows' silence
-            # is measured from the first time the engine is shown
+            # learning ends a learning duration on; an imported model's flows'
+            # silence is measured from the first time the engine is shown
+            self.due_us = now_us + (0 if self.mode is Mode.ACTIVE
+                                    else self.config.learning_duration_us)
             for baseline in self.states.values():
                 baseline.last_arrival_us = now_us
 
@@ -482,64 +488,29 @@ def format_event(event: IntrusionEvent, node_id: int) -> str:
     )
 
 
-_NONE_DUE = range(0)
-
-
-class Clock:
-    """A grid of times period_us apart, anchored at the first time it is
-    shown. Its state is plain attributes, so a copy carries on the grid."""
-
-    def __init__(self, period_us: int):
-        self.period_us = period_us
-        self.next_us: int | None = None
-
-    def due(self, now_us: int) -> range:
-        """The grid times at or before now_us not returned before, oldest first."""
-        first = now_us if self.next_us is None else self.next_us
-        if now_us < first:
-            return _NONE_DUE
-        self.next_us = now_us - (now_us - first) % self.period_us + self.period_us
-        return range(first, self.next_us, self.period_us)
-
-
 def replay(
     engine: Engine,
     frames: Iterable[tuple[int, Direction | None, bytes]],
     tail_us: int = 0,
 ) -> Iterator[IntrusionEvent]:
-    """Drive an engine from a time-ordered frame stream, interleaving
-    clock ticks every TICK_PERIOD_US from the first frame, and yield
-    each event as it is raised. tail_us extends ticking past the last
-    frame so silence at the end of a capture is still seen. Across a
-    gap of several grid times, such as a clock step, only the times
-    from which a tick can act are ticked. When the input runs out,
-    after the tail's ticks, the bursts still open close at the last
-    frame's time plus tail_us, in flow insertion order. Nothing runs
-    until the caller iterates."""
-    due = Clock(TICK_PERIOD_US).due
+    """Drive an engine from a time-ordered frame stream and yield each
+    event as it is raised. Before each frame, the engine is ticked at
+    engine.due_us for as long as that is at or before the frame's time,
+    so the learning end and every silence come at their own deadlines.
+    tail_us extends ticking past the last frame so silence at the end of
+    a capture is still seen. When the input runs out, after the tail's
+    ticks, the bursts still open close at the last frame's time plus
+    tail_us, in flow insertion order. Nothing runs until the caller
+    iterates."""
     last = None
     for at_us, direction, data in frames:
-        ticks = due(at_us)
-        if len(ticks) > 1:
-            yield from _acting_ticks(engine, ticks)
-        else:
-            for tick_us in ticks:
-                yield from engine.tick(tick_us)
+        # inline, not a helper generator, on this per-frame path: most
+        # frames tick nothing
+        while engine.due_us <= at_us:
+            yield from engine.tick(engine.due_us)
         yield from engine.ingest(direction, data, at_us)[1]
         last = at_us
     if last is not None:
-        yield from _acting_ticks(engine, due(last + tail_us))
+        while engine.due_us <= last + tail_us:
+            yield from engine.tick(engine.due_us)
         yield from engine.close_bursts(last + tail_us)
-
-
-def _acting_ticks(engine: Engine, ticks: range) -> Iterator[IntrusionEvent]:
-    """The events of engine.tick at each of the grid times ticks from
-    which a tick can act; the others would raise nothing and change
-    nothing."""
-    while ticks:
-        acts_us = engine.next_action_us()
-        if acts_us is None or acts_us > ticks[-1]:
-            return
-        skip = max(0, -((ticks.start - acts_us) // ticks.step))
-        yield from engine.tick(ticks[skip])
-        ticks = ticks[skip + 1:]

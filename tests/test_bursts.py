@@ -110,9 +110,10 @@ def test_the_end_of_replay_closes_open_bursts_after_the_tail_ticks():
     assert lines == [
         "1970-01-01T00:00:01.101000Z\t1\tTooFast\t%s\tdt=1000us %s" % (HMI_POLLS, BAND),
         "1970-01-01T00:00:01.102000Z\t1\tTooFast\t%s\tdt=2000us %s" % (POLLS, BAND),
-        # the tail's ticks run first: both flows fall silent
-        "1970-01-01T00:00:01.300000Z\t1\tHostSilent\t%s\tsilent since 1104000us" % POLLS,
-        "1970-01-01T00:00:01.300000Z\t1\tHostSilent\t%s\tsilent since 1103000us" % HMI_POLLS,
+        # the tail's ticks run first: each flow falls silent at its own
+        # deadline, its last frame plus the 130 ms high edge
+        "1970-01-01T00:00:01.233000Z\t1\tHostSilent\t%s\tsilent since 1103000us" % HMI_POLLS,
+        "1970-01-01T00:00:01.234000Z\t1\tHostSilent\t%s\tsilent since 1104000us" % POLLS,
         # then the bursts close at the last frame's time plus the tail, in
         # the engine's flow order
         "1970-01-01T00:00:02.104000Z\t1\tTooFast\t%s\tburst ended: frames=2 last=1104000us"

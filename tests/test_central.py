@@ -190,28 +190,50 @@ class _SweepLog(CentralLogger):
 def test_step_logs_down_then_up_for_a_datagram_after_its_deadline_grid_time():
     logger = CentralLogger(PSK)
     assert logger.step(_wire(1, 1_000), 0) == ([(0, 1, "up")], "ID: 1 is up Intrusion: no\n")
-    # node 1's deadline, 20 s, is a grid time, and due in the step of its late datagram
+    # node 1's deadline, 20 s, is due in the step of its late datagram
     transitions, view = logger.step(_wire(1, 21_000), 20 * S + 500_000)
     assert transitions == [(20 * S, 1, "down"), (20 * S + 500_000, 1, "up")]
     assert view is None  # down and back up: no line of the view changed
 
 
-def test_step_after_a_stall_sweeps_each_missed_grid_time():
-    anchor, timeout = 300_000, 4 * S
-    logger = _SweepLog(PSK, timeout)
-    last = {1: anchor, 2: 1 * S, 3: 2 * S + 500_000}
-    for node_id, at_us in last.items():
-        logger.step(_wire(node_id, 1_000 + node_id), at_us)
-    stalled = len(logger.sweeps)
+def test_step_after_a_stall_stamps_each_down_at_its_deadline():
+    logger = _SweepLog(PSK, 4 * S)
+    # first seen in the order 1, 2, 3; node 1 speaks again last
+    for node_id, at_us in [(1, 300_000), (2, 1 * S), (3, 1 * S), (1, 2 * S + 500_000)]:
+        logger.step(_wire(node_id, at_us // 1000 + 1), at_us)
+    # node 1's first deadline, 4.3 s, is the bound until a sweep: the one at
+    # 4.3 s finds node 1 refreshed, and none before it runs
+    assert logger.step(None, 4_299_999) == ([], None)
+    assert logger.step(None, 4_300_000) == ([], None)
+    assert logger.sweeps == [4_300_000]
     transitions, view = logger.step(None, 12 * S)
 
-    # every grid time the stall skipped is swept, oldest first
-    assert logger.sweeps[stalled:] == list(range(anchor + 3 * S, 12 * S, S))
-    # each node down at the first grid time at or after last + timeout
-    first_due = {n: anchor - (anchor - at_us - timeout) // S * S for n, at_us in last.items()}
-    assert transitions == [(first_due[n], n, "down") for n in (1, 2, 3)]
-    assert [t for t, _, _ in transitions] == [4 * S + 300_000, 5 * S + 300_000, 7 * S + 300_000]
+    # one sweep after the stall; each down at its datagram's time plus the
+    # timeout, in time order, the tie in first-seen order
+    assert logger.sweeps == [4_300_000, 12 * S]
+    assert transitions == [(5 * S, 2, "down"), (5 * S, 3, "down"), (6_500_000, 1, "down")]
     assert view == "".join("ID: %d is down Intrusion: ???\n" % n for n in (1, 2, 3))
+
+
+def test_a_flood_of_rejected_datagrams_scans_no_record_until_a_down_is_due():
+    """10,000 rejected datagrams, and a status every 0.19 s from ten
+    nodes in turn, go through step inside one timeout: no step sweeps,
+    until the earliest deadline of the nodes up is due."""
+    logger = _SweepLog(PSK, 20 * S)
+    hostile = [b"junk", encode(StatusMessage(1, 1_000, False, True, 0), b"not-the-psk")]
+    for k in range(10_000):
+        at_us = 1_000 + k * 1_900  # up to 19 s
+        if k % 100 == 0:
+            logger.step(_wire(k // 100 % 10 + 1, at_us // 1000 + 1), at_us)
+        logger.step(hostile[k % 2], at_us + 1)
+    assert logger.rejected == {"BadLength": 5_000, "BadHmac": 5_000}
+    assert len(logger.records) == 10
+    assert logger.sweeps == []
+    # the bound is node 1's first deadline, 20.001 s; the sweep there finds
+    # every node refreshed since
+    assert logger.step(None, 20 * S)[0] == []
+    assert logger.step(None, 20 * S + 1_000)[0] == []
+    assert logger.sweeps == [20 * S + 1_000]
 
 
 @pytest.mark.parametrize("step_s", [-3600, 3600])
@@ -253,9 +275,9 @@ def test_a_step_with_nothing_due_renders_nothing():
     assert logger.step(_wire(1, 1_000), 0)[1] == "ID: 1 is up Intrusion: no\n"
     assert logger.step(_wire(2, 1_000, intrusion=True), 200_000)[1] is not None
     renders.clear()
-    # no grid time due, a sweep that takes no node down, a datagram that
-    # changes no line, a rejected one, and nothing at all
+    # nothing due, a datagram that changes no line, a rejected one, nothing
+    # at all, and a sweep at node 1's first deadline that takes no node down
     for data, now_us in [(None, 500_000), (None, 1 * S), (_wire(1, 2_000), 1_200_000),
-                         (b"junk", 1_300_000), (None, 1_900_000)]:
+                         (b"junk", 1_300_000), (None, 1_900_000), (None, 20 * S)]:
         assert logger.step(data, now_us) == ([], None)
     assert renders == []

@@ -246,8 +246,8 @@ def test_learned_model_holds_the_learning_mean_not_the_runtime_one(tmp_path, cap
 
 def test_learn_and_detect_across_a_clock_step_to_wall_time(tmp_path, capsys, monkeypatch):
     # a node whose clock steps from 1970 to wall time at NTP sync: 100
-    # polls 100 ms apart from 0 s, then 100 more from 1.78e9 s; a tick at
-    # every 100 ms grid point of the step would be 1.78e10 calls
+    # polls 100 ms apart from 0 s, then 100 more from 1.78e9 s; a tick
+    # every 100 ms across the step would be 1.78e10 calls
     step_us = 1_780_000_000 * S
     times = [k * 100_000 for k in range(100)] + [step_us + k * 100_000 for k in range(100)]
     poll = frames.tcp_frame("02:00:ac:10:01:32", "02:00:ac:10:01:65", "192.168.1.50",
@@ -273,7 +273,8 @@ def test_learn_and_detect_across_a_clock_step_to_wall_time(tmp_path, capsys, mon
     capsys.readouterr()
     flow = "tcp/192.168.1.50->192.168.1.101:502"
     expected = [
-        "1970-01-01T00:00:10.100000Z\t1\tHostSilent\t%s\tsilent since 9900000us" % flow,
+        # at its deadline: the last poll plus the 130 ms high edge
+        "1970-01-01T00:00:10.030000Z\t1\tHostSilent\t%s\tsilent since 9900000us" % flow,
         "2026-05-28T20:26:40.000000Z\t1\tTooSlow\t%s\tdt=%dus outside (70000us, 130000us)"
         % (flow, step_us - 9_900_000),
         "2026-05-28T20:26:40.100000Z\t1\tTooSlow\t%s\tburst ended: frames=1 last=%dus"
@@ -319,8 +320,9 @@ def test_learn_first_and_model_round_trip_use_one_delta(tmp_path, capsys):
 _TAIL_SILENT = {
     "arp": "1970-01-01T00:00:30.003037Z\t1\tHostSilent\tarp/02:00:ac:10:01:32"
            "\tsilent since 68885us\n",
-    # after the last frame (59.909531 s), seen only by ticking past it
-    "tcp": "1970-01-01T00:01:00.103037Z\t1\tHostSilent"
+    # after the last frame (59.909531 s), at its deadline, seen only by
+    # ticking past it
+    "tcp": "1970-01-01T00:01:00.041151Z\t1\tHostSilent"
            "\ttcp/192.168.1.50->192.168.1.101:502\tsilent since 59909531us\n",
 }
 
@@ -773,7 +775,7 @@ def test_logger_stamps_datagrams_when_they_arrive(capsys, monkeypatch):
 
 def test_logger_log_file_lines_carry_each_step_wall_time(tmp_path, capsys, monkeypatch):
     """The wall clock steps back an hour after node 7's datagram: the
-    node still goes down at the grid time its monotonic timeout falls on,
+    node still goes down at its datagram's monotonic time plus the timeout,
     each log line is stamped with the wall time of the step that made
     it, and the shell exits 0."""
     monkeypatch.setenv("EIDS_PSK", "loopback-psk")
@@ -802,10 +804,9 @@ def test_logger_log_file_lines_carry_each_step_wall_time(tmp_path, capsys, monke
     logged = [(at_us, state) for _, _, transitions in steps for at_us, _, state in transitions]
     assert [state for _, state in logged] == ["up", "down"]
     (up_us, _), (down_us, _) = logged
-    anchor_us = steps[0][0]  # the sweep grid starts at the first step
-    assert down_us - anchor_us == -(-(up_us + 1_500_000 - anchor_us) // S) * S
-    # up at 1,700,000,100.5 s on the wall clock; down at 102.3 s on the
-    # monotonic one, the first 0.2 s step past the 102.2 s grid time
+    assert down_us == up_us + 1_500_000
+    # up at 1,700,000,100.5 s on the wall clock; down at 102 s on the
+    # monotonic one, logged by the first 0.2 s step past it, at 102.1 s
     assert expected == ["2023-11-14T22:15:00Z\t7\tup", "2023-11-14T21:15:02Z\t7\tdown"]
 
 

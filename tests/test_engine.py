@@ -1,15 +1,15 @@
 """Engine orchestration: modes, verdicts, events, model persistence."""
 
 from datetime import datetime, timedelta, timezone
+from math import inf
 
 import pytest
 
 from eids import engine as engine_module
-from eids import frames, sim
+from eids import bench, frames, sim
 from eids.engine import (
     BadModelVersion,
     Cause,
-    Clock,
     Engine,
     EngineConfig,
     IntrusionEvent,
@@ -238,10 +238,11 @@ def test_a_record_out_of_order_in_active_mode_moves_no_flow_time_back():
     frames_in = _polls(199)
     frames_in[150], frames_in[151] = frames_in[151], frames_in[150]
     events = list(replay(Engine(_config()), frames_in))
-    # the earlier record is one 1 us interarrival, which ends the TooSlow
-    # burst the later one opened; the next poll is on time
+    # silent at its deadline, 15 s + 130 ms; the earlier record is one 1 us
+    # interarrival, which ends the TooSlow burst the later one opened; the
+    # next poll is on time
     assert [format_event(e, 1) for e in events] == [
-        "1970-01-01T00:00:15.200000Z\t1\tHostSilent\t%s\tsilent since %dus"
+        "1970-01-01T00:00:15.130000Z\t1\tHostSilent\t%s\tsilent since %dus"
         % (POLL_FLOW, 15 * S),
         "1970-01-01T00:00:15.200000Z\t1\tTooSlow\t%s\tdt=200000us outside "
         "(70000us, 130000us)" % POLL_FLOW,
@@ -645,17 +646,6 @@ def test_replay_helper_ticks_and_ingests():
     assert events == []
 
 
-def test_clock_returns_each_grid_point_once_from_the_first_time():
-    clock = Clock(100)
-    assert list(clock.due(7)) == [7]  # the first call anchors the grid
-    assert list(clock.due(106)) == []
-    assert list(clock.due(107)) == [107]  # a point at the time itself is due
-    assert list(clock.due(107)) == []
-    assert list(clock.due(450)) == [207, 307, 407]  # every point a gap skipped
-    assert list(clock.due(300)) == []  # time going back fires nothing
-    assert list(clock.due(507)) == [507]
-
-
 class _TickCountingEngine(Engine):
     ticks = 0
 
@@ -664,17 +654,30 @@ class _TickCountingEngine(Engine):
         return super().tick(now_us)
 
 
-def _tick_every_grid_point(engine, frames_in, tail_us):
-    """replay's events with a tick at every grid point, none skipped."""
-    due = Clock(engine_module.TICK_PERIOD_US).due
+def _tick_at_each_deadline(engine, frames_in, tail_us):
+    """replay's events by brute force: before each frame, and at the
+    tail's end, tick at the earliest deadline, the learning end while
+    learning, else the least last arrival plus high edge of the flows not
+    silent, recomputed from every flow before every tick, with no bound
+    kept between them."""
     events = []
+
+    def tick_to(until_us):
+        while engine.started_us is not None:
+            if engine.mode is Mode.LEARNING:
+                due_us = engine.started_us + engine.config.learning_duration_us
+            else:
+                due_us = min((b.last_arrival_us + b.high_us for b in engine.states.values()
+                              if not b.silent), default=inf)
+            if due_us > until_us:
+                return
+            events.extend(engine.tick(due_us))
+
     for at_us, direction, data in frames_in:
-        for tick_us in due(at_us):
-            events.extend(engine.tick(tick_us))
+        tick_to(at_us)
         events.extend(engine.ingest(direction, data, at_us)[1])
-    for tick_us in due(frames_in[-1][0] + tail_us):
-        events.extend(engine.tick(tick_us))
-    return events
+    tick_to(frames_in[-1][0] + tail_us)
+    return events + engine.close_bursts(frames_in[-1][0] + tail_us)
 
 
 def _stepped_frames(step_us):
@@ -697,16 +700,17 @@ def _stepped_frames(step_us):
 def test_replay_across_a_clock_step_raises_what_a_tick_at_every_grid_point_does(
     learning_s, step_s, tail_s
 ):
+    """replay, which keeps a bound on the earliest deadline, raises what
+    the brute-force reference _tick_at_each_deadline does."""
     frames_in = _stepped_frames(step_s * S)
     reference = _TickCountingEngine(_config(learning_duration_us=learning_s * S))
-    expected = _tick_every_grid_point(reference, frames_in, tail_s * S)
+    expected = _tick_at_each_deadline(reference, frames_in, tail_s * S)
     engine = _TickCountingEngine(_config(learning_duration_us=learning_s * S))
     assert list(replay(engine, frames_in, tail_us=tail_s * S)) == expected
     assert engine.export_model() == reference.export_model()
     if learning_s < 10**6:
         assert {e.cause for e in expected} >= {Cause.HOST_SILENT, Cause.TOO_SLOW}
-    assert reference.ticks > (step_s + tail_s) * 10 - 1000
-    # each step's grid points but those from which a tick can act are skipped
+    # a step or a tail of hours costs no tick but at a deadline
     assert engine.ticks < 1000
 
 
@@ -717,24 +721,91 @@ def test_an_imported_engine_skips_a_clock_step_as_a_learned_one_does():
     model = learned.export_model()
     reference = _TickCountingEngine(_config())
     reference.import_model(model)
-    expected = _tick_every_grid_point(reference, frames_in, 0)
+    expected = _tick_at_each_deadline(reference, frames_in, 0)
     engine = _TickCountingEngine(_config())
     engine.import_model(model)
     assert list(replay(engine, frames_in)) == expected
     assert Cause.HOST_SILENT in {e.cause for e in expected}
-    assert engine.ticks < 1000 < reference.ticks
+    assert engine.ticks < 1000
 
 
 def test_next_action_is_the_learning_end_then_the_first_silence():
     engine = Engine(_config())
     engine.tick(0)
-    assert engine.next_action_us() == 10 * S
+    assert engine.due_us == 10 * S
     for k in range(100):
         engine.ingest(Direction.RX, _poll_frame(k), (k + 1) * 100 * MS)
     engine.tick(10 * S)
     # the last poll came at 10 s; the learned max 100 ms * 1.3 is 130 ms
-    assert engine.next_action_us() == 10 * S + 130 * MS
+    assert engine.due_us == 10 * S + 130 * MS
     assert engine.tick(10 * S + 130 * MS - 1) == []
     assert [e.cause for e in engine.tick(10 * S + 130 * MS)] == [Cause.HOST_SILENT]
     # every flow silent: no tick acts before the next frame
-    assert engine.next_action_us() is None
+    assert engine.due_us == inf
+    # a poll on the silent flow re-arms it, and its deadline is the next action
+    engine.ingest(Direction.RX, _poll_frame(100), 11 * S)
+    assert engine.due_us == 11 * S + 130 * MS
+
+
+def test_an_imported_engine_is_due_at_the_first_time_it_is_shown():
+    learned = Engine(_config())
+    list(replay(learned, _polls(101)))
+    engine = Engine(_config())
+    engine.import_model(learned.export_model())
+    assert engine.due_us == inf  # shown no time, it has no deadline
+    engine.ingest(Direction.RX, _poll_frame(0), 50 * S)
+    assert engine.due_us == 50 * S
+    assert engine.tick(50 * S) == []
+    assert engine.due_us == 50 * S + 130 * MS
+
+
+def _silent_since_us(event):
+    """The last arrival a HostSilent event's detail gives."""
+    return int(event.detail.removeprefix("silent since ").removesuffix("us"))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_an_imported_model_raises_what_learning_first_does_on_every_matrix_row(seed):
+    """learn -> export_model -> import_model -> replay of the frames from
+    the learning end on gives learn-first's events in 8 of the 9 rows.
+    In "attacker stops" the attacker's last frame comes just before the
+    learning end: learn-first dates its flow's silence from that frame,
+    but a model keeps no last arrival, so the imported engine dates it
+    from the first time it is shown (ROADMAP item 7). That HostSilent's
+    time and "silent since" are the one difference."""
+    profile = sim.TrafficProfile()
+    plant = sim.Plant(sim.Topology.default(), profile, bench.DURATION_US, seed)
+    differing = []
+    for scenario, variant, _expected in bench._scenario_matrix():
+        result = bench._observe(plant.trace([scenario]), profile)
+        frames_in = list(result.trace.frames_for(bench.MONITOR))
+        learning_end_us = result.engine.started_us + bench.LEARNING_US
+        learner = Engine(result.engine.config)
+        list(replay(learner, [f for f in frames_in if f[0] < learning_end_us]))
+        engine = Engine(result.engine.config)
+        engine.import_model(learner.export_model())
+        rest = [f for f in frames_in if f[0] >= learning_end_us]
+        imported = list(replay(engine, rest))
+        # every silence at its flow's deadline, or at the learning end for
+        # a flow silent already
+        for event in result.events + imported:
+            if event.cause is Cause.HOST_SILENT:
+                high_us = engine.states[event.flow].high_us
+                assert event.at_us == max(_silent_since_us(event) + high_us, learning_end_us)
+        if imported != result.events:
+            differing.append((scenario.kind, variant, result.events, imported, engine, rest))
+    assert [row[:2] for row in differing] == [(sim.ScenarioKind.LEARNING_ATTACK,
+                                               "attacker stops")]
+    _, _, learned_first, imported, engine, rest = differing[0]
+    assert len(imported) == len(learned_first)
+    pairs = [(a, b) for a, b in zip(learned_first, imported) if a != b]
+    assert len(pairs) == 1
+    (first, second), = pairs
+    assert first.cause is second.cause is Cause.HOST_SILENT and first.flow == second.flow
+    # each at its deadline: learn-first's from the attacker's last frame,
+    # before the learning end; the imported one's from the first time shown
+    high_us = engine.states[second.flow].high_us
+    since_us = _silent_since_us(first)
+    shown_us = rest[0][0]
+    assert since_us < shown_us and first.at_us == since_us + high_us
+    assert (second.at_us, second.detail) == (shown_us + high_us, "silent since %dus" % shown_us)

@@ -15,7 +15,13 @@ in the same commit and says why: the two detect digests and the matrix
 observation digest were taken again when a flow's run of timing
 violations became one opening event naming the band broken and one
 closing event with the run's frame count, and unparseable frames got a
-cause of their own; every simulator, pcap and model digest stayed.
+cause of their own; every simulator, pcap and model digest stayed. The
+detect --model digest and the matrix observation digest were taken
+again when the engine and the logger stopped acting on 100 ms and 1 s
+grids: each HostSilent now comes at its flow's last arrival plus the
+high edge, and each logger down at its node's last status plus the
+timeout. The learn-first digest stayed: its one silence is raised at
+the learning end, where the grid ticked too.
 """
 
 import contextlib
@@ -30,7 +36,7 @@ from eids.engine import format_event
 
 PCAP_SHA256 = "3b733a63af9333b94798fcd496641d1e2de1f5e6e72241072e13b32d9f9948b7"
 MODEL_SHA256 = "f2e818dda414abc13bd793eaaccd8515a67e9f109d2ad1437f71c41620d1049f"
-DETECT_MODEL_SHA256 = "391a2e5df4017cb7eb3bd65f02e4bb4337f71949636cd8547d4a3e06cfd068cf"
+DETECT_MODEL_SHA256 = "f47e25087b99b0dfda7b10428b050eb9ebe8d6bf071452e26afaf671f98dd3bf"
 DETECT_LEARN_FIRST_SHA256 = "71a259defce7bdb8ce9520089a2e23e35745fff921fb67a67a980b7d5181e94f"
 
 S = 1_000_000
@@ -58,7 +64,7 @@ VIEW_PCAP_SHA256 = {
 # sha256 of every scenario matrix row's event log lines and logger
 # downs, on one shared 100 s plant at seed 3 with the bench shrunk as
 # perfbench/selfcheck.py shrinks it
-OBSERVE_SHA256 = "87ca7707355e881101f904a4eddf46654b42c1049e15eb7c2c9d9da75f9113f3"
+OBSERVE_SHA256 = "d6a060af942a0b24af3e2ec390457b87e098c3dd2780fa432bdab55f11c94d10"
 
 
 def _sha256(data: bytes) -> str:
