@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .central import CentralLogger
 from .engine import Engine, EngineConfig, IntrusionEvent, replay
-from .packet import PROTO_UDP, Direction, ParseError, parse_frame
+from .packet import PROTO_TCP, PROTO_UDP, Direction, ParseError, header_signature, parse_frame
 from .sim import (
     AttackScenario,
     FrameTrace,
@@ -132,6 +132,9 @@ def _feed_logger(logger: CentralLogger, trace: FrameTrace) -> list[tuple[int, in
 
 
 def _udp_payload(data: bytes) -> bytes | None:
+    signature = header_signature(data)
+    if signature is not None and signature[1] == PROTO_TCP:
+        return None  # most of what the logger host receives: polls
     try:
         l3 = parse_frame(data).l3
     except ParseError:

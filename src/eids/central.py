@@ -9,11 +9,14 @@ that message's too. A node silent for the contamination timeout
 the timeout, and its intrusion state is then unknown, rendered as
 "???". CentralLogger.step, which `eids logger` and the bench both drive,
 sweeps the records only once the earliest such deadline of the nodes up
-is due; until then a step costs one compare. Invalid datagrams are
+is due; until then a step costs one compare. Each node's status line is
+kept as its record changes, so a view is one join of lines in node id
+order, not a sort and format of every record. Invalid datagrams are
 counted but never touch node records, so a flood of garbage cannot
 evict good state or make the logger scan them.
 """
 
+from bisect import insort
 from collections import Counter
 from dataclasses import dataclass
 from math import inf
@@ -47,6 +50,10 @@ class CentralLogger:
         # a lower bound on the earliest down deadline, inf while no node is up
         self.due_us: int | float = inf
         self._view = ""  # the status view step last returned
+        # each known node's status line, kept as its record changes, and
+        # the node ids in sorted order, so a view is one join
+        self._lines: dict[int, str] = {}
+        self._ids: list[int] = []
 
     def step(self, data: bytes | None, now_us: int, wall_ms: int | None = None):
         """Sweep if a down is due by now_us, then apply data, the datagram
@@ -93,12 +100,16 @@ class CentralLogger:
             self.due_us = min(self.due_us, now_us + self.timeout_us)
         if record is None:
             record = self.records[msg.node_id] = NodeRecord(msg.node_id, msg, now_us, True)
+            insort(self._ids, msg.node_id)
+            self._lines[msg.node_id] = _status_line(record)
             return record, True, False
-        change = record, came_up, record.last.intrusion != msg.intrusion
+        flipped = record.last.intrusion != msg.intrusion
         record.last = msg
         record.last_msg_us = now_us
         record.up = True
-        return change
+        if came_up or flipped:
+            self._lines[msg.node_id] = _status_line(record)
+        return record, came_up, flipped
 
     def sweep(self, now_us: int) -> list[NodeRecord]:
         """Time out silent nodes; returns the records that transitioned
@@ -113,6 +124,7 @@ class CentralLogger:
                 if last_us <= cutoff_us:
                     record.up = False
                     flipped.append(record)
+                    self._lines[record.node_id] = _status_line(record)
                 elif last_us < earliest_us:
                     earliest_us = last_us
         self.due_us = earliest_us + self.timeout_us
@@ -121,16 +133,18 @@ class CentralLogger:
     def render_status(self) -> str:
         """Operator view, one line per known node sorted by id:
         ``ID: <n> is <up|down> Intrusion: <no|yes|???>``"""
-        lines = [
-            "ID: %d is up Intrusion: %s" % (r.node_id, "yes" if r.last.intrusion else "no")
-            if r.up
-            else "ID: %d is down Intrusion: ???" % r.node_id
-            for r in sorted(self.records.values(), key=lambda r: r.node_id)
-        ]
-        return "\n".join(lines) + ("\n" if lines else "")
+        return "".join(map(self._lines.__getitem__, self._ids))
 
     def render_rejected(self) -> str:
         """Rejected datagrams per cause, sorted by name:
         ``rejected: BadHmac=2 BadLength=1`` or ``rejected: none``"""
         counts = " ".join("%s=%d" % item for item in sorted(self.rejected.items()))
         return "rejected: " + (counts or "none")
+
+
+def _status_line(record: NodeRecord) -> str:
+    """A node's line of the status view, newline included."""
+    if record.up:
+        return "ID: %d is up Intrusion: %s\n" % (
+            record.node_id, "yes" if record.last.intrusion else "no")
+    return "ID: %d is down Intrusion: ???\n" % record.node_id

@@ -19,6 +19,14 @@ data offset, flags and window. What varies per frame, sequence and
 acknowledgement numbers and the payload, is added to that residue as
 integers, so a frame costs one struct pack and one modulo.
 
+A Modbus read poll on one relation goes one step further:
+modbus_read_poll returns request and response builders, each holding
+one struct.Struct that spans the whole frame, from the Ethernet header
+to the end of the Modbus ADU, with the relation's fixed octets packed
+in as byte runs, and the template's residue plus that of the ADU's
+fixed words. A poll frame then costs one pack of seq, ack, checksum,
+transaction id and, for the response, the register value.
+
 Each cache is a bounded LRU: a caller with more distinct keys than it
 holds only recomputes evicted entries. The cached values are bytes,
 ints and tuples of them, all immutable, so one entry is shared by every
@@ -28,7 +36,15 @@ caller and no caller can alter another's frames through it.
 import struct
 from functools import lru_cache
 
-from .packet import ETHERTYPE_ARP, ETHERTYPE_IPV4, PROTO_TCP, PROTO_UDP, ArpOp
+from .packet import (
+    ETHERTYPE_ARP,
+    ETHERTYPE_IPV4,
+    PROTO_TCP,
+    PROTO_UDP,
+    TCP_ACK,
+    TCP_PSH,
+    ArpOp,
+)
 
 BROADCAST_MAC = "ff:ff:ff:ff:ff:ff"
 ZERO_MAC = "00:00:00:00:00:00"
@@ -40,6 +56,9 @@ _IPV4 = struct.Struct(">BBHHHBBH4s4s")
 # the Ethernet+IPv4 prefix of a TCP template, then the TCP header
 _TCP_FRAME = struct.Struct(">34sHHIIBBHHH")
 _UDP = struct.Struct(">HHHH")
+_POLL_FLAGS = TCP_PSH | TCP_ACK
+# data offset (5 words, no options), flags and window of a poll segment
+_POLL_CONTROL = struct.pack(">BBH", 5 << 4, _POLL_FLAGS, 8192)
 
 
 @lru_cache(maxsize=1024)
@@ -190,3 +209,71 @@ def modbus_write_request(txid: int, unit: int, address: int, value: int) -> byte
     return struct.pack(
         ">HHHBBHH", txid & 0xFFFF, 0, 6, unit & 0xFF, 0x05, address & 0xFFFF, value & 0xFFFF
     )
+
+
+def _poll_template(src_mac, dst_mac, src_ip, dst_ip, src_port, dst_port,
+                   adu: bytes) -> tuple[bytes, int]:
+    """(Ethernet+IPv4 prefix and the ports, residue of every checksummed
+    word fixed) for a PSH+ACK segment that carries adu, whose varying
+    fields are zeros."""
+    prefix, fixed, pad = _tcp_template(
+        src_mac, dst_mac, src_ip, dst_ip, src_port, dst_port, _POLL_FLAGS, len(adu)
+    )
+    return (prefix + struct.pack(">HH", src_port, dst_port),
+            (fixed + (int.from_bytes(adu, "big") << pad)) % 0xFFFF)
+
+
+def modbus_read_poll(
+    client_mac: str,
+    server_mac: str,
+    client_ip: str,
+    server_ip: str,
+    client_port: int,
+    server_port: int,
+    unit: int,
+):
+    """Frame builders for Modbus read polls on one TCP connection:
+    request(seq, ack, txid) equals tcp_frame(client -> server, PSH+ACK,
+    modbus_read_request(txid, unit), seq, ack), and response(seq, ack,
+    txid, value) equals tcp_frame(server -> client, PSH+ACK,
+    modbus_read_response(txid, unit, value), seq, ack). Each frame is one
+    pack: the urgent pointer is pad octets, the rest of the relation's
+    fixed octets are byte runs."""
+    request_adu = modbus_read_request(0, unit)
+    response_adu = modbus_read_response(0, unit, 0)
+    # both ADUs are of even length, so the transaction id (the first
+    # word) adds itself to the checksum residue, and so does the register
+    # value (the low octet of the last word)
+    request_head, request_fixed = _poll_template(
+        client_mac, server_mac, client_ip, server_ip, client_port, server_port, request_adu
+    )
+    response_head, response_fixed = _poll_template(
+        server_mac, client_mac, server_ip, client_ip, server_port, client_port, response_adu
+    )
+    # head, seq, ack, control, checksum, urgent pointer, txid, the ADU's
+    # fixed octets after it and, in the response, the register value
+    request_rest = request_adu[2:]
+    response_rest = response_adu[2:-1]
+    pack_request = struct.Struct(
+        ">%dsII4sH2xH%ds" % (len(request_head), len(request_rest))).pack
+    pack_response = struct.Struct(
+        ">%dsII4sH2xH%dsB" % (len(response_head), len(response_rest))).pack
+
+    def request(seq: int, ack: int, txid: int) -> bytes:
+        seq &= 0xFFFFFFFF
+        ack &= 0xFFFFFFFF
+        txid &= 0xFFFF
+        # the checksum as in tcp_frame
+        return pack_request(request_head, seq, ack, _POLL_CONTROL,
+                            -(request_fixed + seq + ack + txid) % 0xFFFF, txid, request_rest)
+
+    def response(seq: int, ack: int, txid: int, value: int) -> bytes:
+        seq &= 0xFFFFFFFF
+        ack &= 0xFFFFFFFF
+        txid &= 0xFFFF
+        value &= 0xFF
+        return pack_response(response_head, seq, ack, _POLL_CONTROL,
+                             -(response_fixed + seq + ack + txid + value) % 0xFFFF, txid,
+                             response_rest, value)
+
+    return request, response

@@ -11,6 +11,12 @@ nodes. Given equal inputs and seed, the produced frame trace is
 byte-identical: every stream draws from its own seeded generator, so
 adding a scenario never perturbs benign traffic.
 
+Polls make up almost all of the traffic, so each polling relation gets
+one poll template (frames.modbus_read_poll) and each request and
+response is one struct pack of seq, ack, checksum, transaction id and
+register value; the other frames come from the general builders in
+frames.
+
 Times are integer microseconds of simulated time starting at zero; no
 wall clock is involved anywhere.
 """
@@ -339,15 +345,13 @@ def _gen_arp(b: Plant) -> None:
 
 
 def _gen_polling(b: Plant) -> None:
-    # the hot loop of every simulation: one conversation per poll, its
-    # frames built straight from the one TCP builder, no helper between
+    # the hot loop of every simulation: one conversation per poll, each
+    # of its frames one pack of the relation's poll template
     period = b.profile.poll_period_us
     jitter = int(period * b.profile.jitter_frac)
     d_lo, d_hi = b.profile.response_delay_us
     duration = b.duration_us
     append = b.conversations.append
-    tcp_frame = frames.tcp_frame
-    psh_ack = TCP_PSH | TCP_ACK
     new = tuple.__new__  # TraceFrame(...) without its Python-level __new__
     rels = _relations(b.topology)
     stagger = period // (len(rels) + 1)
@@ -358,8 +362,11 @@ def _gen_polling(b: Plant) -> None:
         unit = idx + 1
         t0 = b.host_start(client) + 60_000 + idx * stagger
         _handshake(b, rng, t0, client, server, sport, MODBUS_PORT, 1000 + idx, 2000 + idx)
-        cname, cmac, cip = client.name, client.mac, client.ip
-        sname, smac, sip = server.name, server.mac, server.ip
+        request, response = frames.modbus_read_poll(
+            client.mac, server.mac, client.ip, server.ip, sport, MODBUS_PORT, unit)
+        request_len = len(frames.modbus_read_request(0, unit))
+        response_len = len(frames.modbus_read_response(0, unit, 0))
+        cname, sname = client.name, server.name
         client_seq = 1001 + idx
         server_seq = 2001 + idx
         k = 0
@@ -368,19 +375,14 @@ def _gen_polling(b: Plant) -> None:
             delay = randrange(d_lo, d_hi + 1)
             if req_t > duration:
                 break
-            request = frames.modbus_read_request(k, unit)
-            response = frames.modbus_read_response(k, unit, k & 0xFF)
-            request_end = client_seq + len(request)
+            request_end = client_seq + request_len
             append((
-                new(TraceFrame, (req_t, cname, sname, tcp_frame(
-                    cmac, smac, cip, sip, sport, MODBUS_PORT, psh_ack,
-                    request, client_seq, server_seq))),
-                new(TraceFrame, (req_t + delay, sname, cname, tcp_frame(
-                    smac, cmac, sip, cip, MODBUS_PORT, sport, psh_ack,
-                    response, server_seq, request_end))),
+                new(TraceFrame, (req_t, cname, sname, request(client_seq, server_seq, k))),
+                new(TraceFrame, (req_t + delay, sname, cname,
+                                 response(server_seq, request_end, k, k))),
             ))
             client_seq = request_end
-            server_seq += len(response)
+            server_seq += response_len
             k += 1
 
 
@@ -464,8 +466,13 @@ def _gen_attacks(b: Plant, scenarios: list[AttackScenario]) -> None:
             # every flood frame carries the same bytes
             frame = _tcp(plc, target, 49999, MODBUS_PORT, TCP_PSH | TCP_ACK,
                          frames.modbus_read_request(0xFFFF, 1), 7, 7)
-            for t in range(start, end, max(1, 1_000_000 // sc.rate_pps)):
-                b.emit(t, attacker.name, target.name, frame)
+            # one-frame conversations, built as _gen_polling builds its frames
+            new = tuple.__new__
+            src, dst = attacker.name, target.name
+            b.conversations += [
+                (new(TraceFrame, (t, src, dst, frame)),)
+                for t in range(start, end, max(1, 1_000_000 // sc.rate_pps))
+            ]
 
         elif sc.kind is ScenarioKind.LEARNING_ATTACK:
             _gen_patient_attacker(b, rng, attacker, target, end)

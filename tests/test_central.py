@@ -1,12 +1,13 @@
 """Central logger: record updates, contamination timeout, rendering."""
 
+import random
 import struct
 
 import pytest
 
-from eids import frames, sim
+from eids import frames, packet, sim
 from eids.announce import StatusMessage, encode
-from eids.bench import _feed_logger
+from eids.bench import _feed_logger, _udp_payload
 from eids.central import CentralLogger
 
 PSK = b"logger-test-psk"
@@ -173,6 +174,83 @@ def test_logger_feed_skips_udp_length_past_frame_end():
         _feed_logger(logger, trace)
         assert (s2.node_id in logger.records) is delivered
         assert not logger.rejected
+
+
+def test_logger_feed_parses_only_frames_outside_the_common_tcp_layout(monkeypatch):
+    parsed = []
+
+    def counted(data):
+        parsed.append(data)
+        return packet.parse_frame(data)
+
+    monkeypatch.setattr("eids.bench.parse_frame", counted)
+    topology = sim.Topology.default()
+    cloud, plc, s2 = (topology.device(name) for name in ("Cloud", "PLC", "S2"))
+    poll = frames.tcp_frame(cloud.mac, plc.mac, cloud.ip, plc.ip, 49161, 502, 0x18,
+                            frames.modbus_read_request(7, 11), seq=1001, ack=2001)
+    assert _udp_payload(poll) is None
+    assert parsed == []
+
+    datagram = _wire(s2.node_id, 1_000)
+    assert len(datagram) == 48
+    status = frames.udp_frame(s2.mac, frames.BROADCAST_MAC, s2.ip, frames.BROADCAST_IP,
+                              47808, 47808, datagram)
+    assert _udp_payload(status) == datagram
+
+    # IHL 6: one word of IPv4 options, outside the layout header_signature reads
+    ip = bytearray(status[14:34])
+    ip[0] = 0x46
+    ip[2:4] = struct.pack(">H", len(status) - 14 + 4)
+    optioned = status[:14] + bytes(ip) + b"\x01\x01\x01\x00" + status[34:]
+    assert packet.header_signature(optioned) is None
+    parsed.clear()
+    assert _udp_payload(optioned) == datagram
+    assert parsed == [optioned]
+
+
+def _view_from_scratch(logger):
+    """render_status as a sort and format of every record."""
+    return "".join("ID: %d is %s Intrusion: %s\n" % ((r.node_id,) + _view(r))
+                   for r in sorted(logger.records.values(), key=lambda r: r.node_id))
+
+
+def test_step_views_equal_a_from_scratch_render_over_500_nodes():
+    """500 nodes, first seen in random order, announce every 10 s for
+    60 s; a tenth fall silent past the timeout and come back, each
+    datagram flips its node's intrusion bit with probability 0.1, and all
+    go down at the end. Every view a step returns, and the view at every
+    50th step and at the end, equal a sort and format of the records."""
+    rng = random.Random(47)
+    logger = CentralLogger(PSK)
+    intrusion = {}
+    arrivals = []
+    for node_id in rng.sample(range(1, 0x10000), 500):
+        intrusion[node_id] = False
+        silent = (15 * S, 15 * S + rng.randrange(21 * S, 40 * S)) if rng.random() < 0.1 else None
+        at_us = rng.randrange(0, 10 * S)
+        while at_us < 60 * S:
+            if silent is None or not silent[0] <= at_us < silent[1]:
+                arrivals.append((at_us, node_id))
+            at_us += 10 * S + rng.randrange(-200_000, 200_001)
+    arrivals.sort()
+    counts = {"up": 0, "down": 0, "flip": 0}
+    for step, (at_us, node_id) in enumerate(arrivals + [(90 * S, None)]):
+        data = None
+        if node_id is not None:
+            if rng.random() < 0.1:
+                intrusion[node_id] = not intrusion[node_id]
+                counts["flip"] += 1
+            data = _wire(node_id, at_us // 1000 + 1, intrusion=intrusion[node_id])
+        transitions, view = logger.step(data, at_us)
+        for _at_us, _node_id, state in transitions:
+            counts[state] += 1
+        if view is not None:
+            assert view == _view_from_scratch(logger)
+        if step % 50 == 0 or node_id is None:
+            assert logger.render_status() == _view_from_scratch(logger)
+    assert view == "".join("ID: %d is down Intrusion: ???\n" % n for n in sorted(intrusion))
+    assert not logger.rejected
+    assert counts["up"] > 500 and counts["down"] > 500 and counts["flip"] > 200
 
 
 class _SweepLog(CentralLogger):

@@ -1,6 +1,7 @@
 """Frame builders: the Internet checksum, header checksums on built
-frames, TCP frames from cached templates against a reference built here,
-and the cached address and IPv4 header conversions."""
+frames, TCP frames from cached templates and Modbus poll frames from
+per-relation templates against a reference built here, and the cached
+address and IPv4 header conversions."""
 
 import random
 import socket
@@ -192,3 +193,79 @@ def test_tcp_word_sum_multiple_of_0xffff_checksums_to_zero(odd):
         reference = _reference_tcp_frame(*args)
         assert reference[50:52] == b"\x00\x00"  # the fold gave 0xFFFF, not the residue 0
         assert frames.tcp_frame(*args) == reference
+
+
+PSH_ACK = 0x18
+
+
+def _random_relation(rng):
+    """(client MAC, server MAC, client IP, server IP, client port, server
+    port, unit) of a poll relation."""
+    args = _random_tcp_args(rng)
+    return args[:6] + (rng.randrange(1 << 9),)
+
+
+def _reference_poll(relation, seq, ack, k):
+    """The request with seq and ack, and the response with ack as its seq
+    and seq as its ack, of poll k on a relation, built by the reference."""
+    cmac, smac, cip, sip, cport, sport, unit = relation
+    return (
+        _reference_tcp_frame(cmac, smac, cip, sip, cport, sport, PSH_ACK,
+                             frames.modbus_read_request(k, unit), seq, ack),
+        _reference_tcp_frame(smac, cmac, sip, cip, sport, cport, PSH_ACK,
+                             frames.modbus_read_response(k, unit, k & 0xFF), ack, seq),
+    )
+
+
+def _poll(relation, seq, ack, k):
+    request, response = frames.modbus_read_poll(*relation)
+    return request(seq, ack, k), response(ack, seq, k, k)
+
+
+def test_poll_frames_match_reference_on_random_relations():
+    rng = random.Random(37)
+    for _ in range(300):
+        relation = _random_relation(rng)
+        for _ in range(5):
+            seq, ack = rng.randrange(-(1 << 33), 1 << 33), rng.randrange(-(1 << 33), 1 << 33)
+            k = rng.randrange(1 << 18)
+            assert _poll(relation, seq, ack, k) == _reference_poll(relation, seq, ack, k), \
+                (relation, seq, ack, k)
+
+
+def test_poll_transaction_id_wraps():
+    relation = (PLC_MAC, S1_MAC, PLC_IP, S1_IP, 49152, 502, 1)
+    for k, txid in ((0xFFFE, b"\xff\xfe"), (0xFFFF, b"\xff\xff"), (0x10000, b"\x00\x00"),
+                    (0x10001, b"\x00\x01")):
+        built = _poll(relation, 1001 + 12 * k, 2001 + 10 * k, k)
+        assert built == _reference_poll(relation, 1001 + 12 * k, 2001 + 10 * k, k)
+        assert [frame[54:56] for frame in built] == [txid, txid]  # the ADU's first word
+
+
+def test_poll_sequence_numbers_wrap_at_2_to_the_32():
+    rng = random.Random(41)
+    relation = _random_relation(rng)
+    for d_seq in range(-64, 65):
+        for d_ack in (-64, -12, -1, 0, 1, 10, 64):
+            seq, ack = (1 << 32) + d_seq, (1 << 32) + d_ack
+            k = rng.randrange(1 << 16)
+            assert _poll(relation, seq, ack, k) == _reference_poll(relation, seq, ack, k)
+
+
+def test_poll_word_sum_multiple_of_0xffff_checksums_to_zero():
+    """For each frame of a poll, an ack chosen as the reference checksum
+    of the frame with ack 0 makes the checksummed words sum to a nonzero
+    multiple of 0xFFFF: the fold gives 0xFFFF, so the checksum is 0."""
+    rng = random.Random(43)
+    for _ in range(200):
+        relation = _random_relation(rng)
+        request, response = frames.modbus_read_poll(*relation)
+        seq, k = rng.randrange(1 << 32), rng.randrange(1 << 16)
+        ack = int.from_bytes(_reference_poll(relation, seq, 0, k)[0][50:52], "big")
+        reference = _reference_poll(relation, seq, ack, k)[0]
+        assert reference[50:52] == b"\x00\x00"
+        assert request(seq, ack, k) == reference
+        ack = int.from_bytes(_reference_poll(relation, 0, seq, k)[1][50:52], "big")
+        reference = _reference_poll(relation, ack, seq, k)[1]
+        assert reference[50:52] == b"\x00\x00"
+        assert response(seq, ack, k, k) == reference
