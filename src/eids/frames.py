@@ -11,26 +11,21 @@ function of its addresses, protocol and payload length, because the
 identification field is always 0) are computed once per distinct
 argument tuple.
 
-A TCP frame is built from a template per connection and segment shape:
-the key is (MACs, IPs, ports, flags, payload length), and the template
-holds the Ethernet+IPv4 prefix bytes plus the residue mod 0xFFFF of
-every checksummed word that the key fixes: the pseudo header, ports,
-data offset, flags and window. What varies per frame, sequence and
-acknowledgement numbers and the payload, is added to that residue as
-integers, so a frame costs one struct pack and one modulo.
-
-A Modbus read poll on one relation goes one step further:
+Only _checksum turns bytes into a checksum. A Modbus read poll on
+one relation, the bulk of a simulated plant, is one pack:
 modbus_read_poll returns request and response builders, each holding
 one struct.Struct that spans the whole frame, from the Ethernet header
-to the end of the Modbus ADU, with the relation's fixed octets packed
-in as byte runs, and the template's residue plus that of the ADU's
-fixed words. A poll frame then costs one pack of seq, ack, checksum,
-transaction id and, for the response, the register value.
+to the end of the Modbus ADU. Each builder is read off one frame that
+tcp_frame builds with sequence and acknowledgement numbers,
+transaction id and register value all zero: its head, its control
+octets, and its checksum, whose negation mod 0xFFFF is the residue of
+every checksummed word the relation fixes. A poll frame adds what
+varies to that residue and packs seq, ack, checksum, transaction id
+and, for the response, the register value.
 
-Each cache is a bounded LRU: a caller with more distinct keys than it
-holds only recomputes evicted entries. The cached values are bytes,
-ints and tuples of them, all immutable, so one entry is shared by every
-caller and no caller can alter another's frames through it.
+Each cache is a bounded LRU: a caller with more distinct addresses than
+it holds only recomputes evicted entries, and the cached values are
+immutable bytes.
 """
 
 import struct
@@ -53,12 +48,8 @@ BROADCAST_IP = "255.255.255.255"
 _ETH = struct.Struct(">6s6sH")
 _ARP = struct.Struct(">HHBBH6s4s6s4s")
 _IPV4 = struct.Struct(">BBHHHBBH4s4s")
-# the Ethernet+IPv4 prefix of a TCP template, then the TCP header
-_TCP_FRAME = struct.Struct(">34sHHIIBBHHH")
+_TCP = struct.Struct(">HHIIBBHHH")
 _UDP = struct.Struct(">HHHH")
-_POLL_FLAGS = TCP_PSH | TCP_ACK
-# data offset (5 words, no options), flags and window of a poll segment
-_POLL_CONTROL = struct.pack(">BBH", 5 << 4, _POLL_FLAGS, 8192)
 
 
 @lru_cache(maxsize=1024)
@@ -122,36 +113,6 @@ def _ipv4_header(src_ip: str, dst_ip: str, protocol: int, payload_len: int) -> b
     return head[:10] + struct.pack(">H", csum) + head[12:]
 
 
-@lru_cache(maxsize=4096)
-def _tcp_template(
-    src_mac: str,
-    dst_mac: str,
-    src_ip: str,
-    dst_ip: str,
-    src_port: int,
-    dst_port: int,
-    flags: int,
-    payload_len: int,
-) -> tuple[bytes, int, int]:
-    """(Ethernet+IPv4 prefix, residue of the fixed checksummed words,
-    shift that pads an odd payload) for one TCP segment shape."""
-    segment_len = 20 + payload_len
-    prefix = ethernet(dst_mac, src_mac, ETHERTYPE_IPV4,
-                      _ipv4_header(src_ip, dst_ip, PROTO_TCP, segment_len))
-    # pseudo header (addresses, zero+protocol, length), ports, data
-    # offset+flags and window; the urgent pointer is 0
-    fixed = (
-        int.from_bytes(ip_bytes(src_ip) + ip_bytes(dst_ip), "big")
-        + PROTO_TCP
-        + segment_len
-        + src_port
-        + dst_port
-        + (5 << 12 | flags)
-        + 8192
-    )
-    return prefix, fixed % 0xFFFF, 8 * (payload_len % 2)
-
-
 def tcp_frame(
     src_mac: str,
     dst_mac: str,
@@ -164,19 +125,16 @@ def tcp_frame(
     seq: int = 0,
     ack: int = 0,
 ) -> bytes:
-    prefix, fixed, pad = _tcp_template(
-        src_mac, dst_mac, src_ip, dst_ip, src_port, dst_port, flags, len(payload)
+    head = _TCP.pack(
+        src_port, dst_port, seq & 0xFFFFFFFF, ack & 0xFFFFFFFF, 5 << 4, flags, 8192, 0, 0
     )
-    seq &= 0xFFFFFFFF
-    ack &= 0xFFFFFFFF
-    # as in _checksum: a 32-bit number and the payload's number leave the
-    # residue of their 16-bit word sums. The pseudo header's protocol
-    # word makes the sum nonzero, so a zero residue is a fold to 0xFFFF,
-    # whose complement is 0, and the complement of any other residue r
-    # is 0xFFFF - r: both are the negated sum mod 0xFFFF
-    csum = -(fixed + seq + ack + (int.from_bytes(payload, "big") << pad)) % 0xFFFF
-    head = _TCP_FRAME.pack(prefix, src_port, dst_port, seq, ack, 5 << 4, flags, 8192, csum, 0)
-    return head + payload
+    pseudo = ip_bytes(src_ip) + ip_bytes(dst_ip) + struct.pack(
+        ">BBH", 0, PROTO_TCP, len(head) + len(payload)
+    )
+    csum = _checksum(pseudo + head + payload)
+    segment = head[:16] + struct.pack(">H", csum) + head[18:] + payload
+    ip = _ipv4_header(src_ip, dst_ip, PROTO_TCP, len(segment)) + segment
+    return ethernet(dst_mac, src_mac, ETHERTYPE_IPV4, ip)
 
 
 def udp_frame(
@@ -212,15 +170,17 @@ def modbus_write_request(txid: int, unit: int, address: int, value: int) -> byte
 
 
 def _poll_template(src_mac, dst_mac, src_ip, dst_ip, src_port, dst_port,
-                   adu: bytes) -> tuple[bytes, int]:
-    """(Ethernet+IPv4 prefix and the ports, residue of every checksummed
-    word fixed) for a PSH+ACK segment that carries adu, whose varying
-    fields are zeros."""
-    prefix, fixed, pad = _tcp_template(
-        src_mac, dst_mac, src_ip, dst_ip, src_port, dst_port, _POLL_FLAGS, len(adu)
-    )
-    return (prefix + struct.pack(">HH", src_port, dst_port),
-            (fixed + (int.from_bytes(adu, "big") << pad)) % 0xFFFF)
+                   adu: bytes) -> tuple[bytes, bytes, int]:
+    """(Ethernet+IPv4 header and the ports; data offset, flags and window;
+    residue mod 0xFFFF of every checksummed word fixed) for a PSH+ACK
+    segment that carries adu, read off that segment with seq and ack 0.
+    The pseudo header's protocol word makes the word sum nonzero, so a
+    zero residue is a fold to 0xFFFF, whose complement is 0, and the
+    complement of any other residue r is 0xFFFF - r: the checksum is the
+    negated residue mod 0xFFFF, and the residue the negated checksum."""
+    frame = tcp_frame(src_mac, dst_mac, src_ip, dst_ip, src_port, dst_port,
+                      TCP_PSH | TCP_ACK, adu)
+    return frame[:38], frame[46:50], -int.from_bytes(frame[50:52], "big") % 0xFFFF
 
 
 def modbus_read_poll(
@@ -241,13 +201,14 @@ def modbus_read_poll(
     fixed octets are byte runs."""
     request_adu = modbus_read_request(0, unit)
     response_adu = modbus_read_response(0, unit, 0)
-    # both ADUs are of even length, so the transaction id (the first
-    # word) adds itself to the checksum residue, and so does the register
-    # value (the low octet of the last word)
-    request_head, request_fixed = _poll_template(
+    # as in _checksum, a 32-bit number leaves the residue of its 16-bit
+    # word sum, so seq and ack add themselves to the residue; both ADUs
+    # are of even length, so the transaction id (the first word) does
+    # too, and so does the register value (the low octet of the last word)
+    request_head, request_control, request_fixed = _poll_template(
         client_mac, server_mac, client_ip, server_ip, client_port, server_port, request_adu
     )
-    response_head, response_fixed = _poll_template(
+    response_head, response_control, response_fixed = _poll_template(
         server_mac, client_mac, server_ip, client_ip, server_port, client_port, response_adu
     )
     # head, seq, ack, control, checksum, urgent pointer, txid, the ADU's
@@ -263,8 +224,7 @@ def modbus_read_poll(
         seq &= 0xFFFFFFFF
         ack &= 0xFFFFFFFF
         txid &= 0xFFFF
-        # the checksum as in tcp_frame
-        return pack_request(request_head, seq, ack, _POLL_CONTROL,
+        return pack_request(request_head, seq, ack, request_control,
                             -(request_fixed + seq + ack + txid) % 0xFFFF, txid, request_rest)
 
     def response(seq: int, ack: int, txid: int, value: int) -> bytes:
@@ -272,7 +232,7 @@ def modbus_read_poll(
         ack &= 0xFFFFFFFF
         txid &= 0xFFFF
         value &= 0xFF
-        return pack_response(response_head, seq, ack, _POLL_CONTROL,
+        return pack_response(response_head, seq, ack, response_control,
                              -(response_fixed + seq + ack + txid + value) % 0xFFFF, txid,
                              response_rest, value)
 

@@ -22,7 +22,9 @@ wall clock is involved anywhere.
 """
 
 import copy
+import ipaddress
 import random
+import re
 import socket
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
@@ -44,6 +46,7 @@ from .pcap import write_pcap
 MODBUS_PORT = 502
 ATTACKER_NAME = "attacker"
 DEFAULT_PSK = b"eids-testbed-psk"
+_MAC = re.compile(r"[0-9a-f]{2}(:[0-9a-f]{2}){5}", re.IGNORECASE)
 
 
 class ConfigInvalid(ValueError):
@@ -144,6 +147,8 @@ class TrafficProfile:
             raise ConfigInvalid("jitter fraction out of range")
         if not self.psk:
             raise ConfigInvalid("empty PSK")
+        if not 0 <= self.status_port <= 0xFFFF:
+            raise ConfigInvalid("status port %d out of range" % self.status_port)
 
 
 class ScenarioKind(IntEnum):
@@ -558,6 +563,14 @@ def _validate_scenarios(scenarios, topology, duration_us) -> None:
             raise ConfigInvalid("scenario rate must be at least 1 pps")
         if sc.stop_us is not None and sc.stop_us <= sc.start_us:
             raise ConfigInvalid("scenario stop must come after its start")
+        # a frame field would cut or pad a longer or shorter address
+        try:
+            ipaddress.IPv4Address(sc.attacker_ip)
+        except ValueError:
+            raise ConfigInvalid("attacker IP %r is not a dotted quad" % sc.attacker_ip) from None
+        if not _MAC.fullmatch(sc.attacker_mac):
+            raise ConfigInvalid("attacker MAC %r is not six colon-separated octets"
+                                % sc.attacker_mac)
         if sc.kind is ScenarioKind.PASSIVE_SNIFF:
             continue
         target = _resolve_target(sc)

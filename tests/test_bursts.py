@@ -173,11 +173,15 @@ def short_plant(monkeypatch):
     return sim.Plant(sim.Topology.default(), sim.TrafficProfile(), bench.DURATION_US, 3)
 
 
-@pytest.mark.parametrize("kind", [sim.ScenarioKind.DOS_FLOOD, sim.ScenarioKind.INJECT],
-                         ids=["flood", "inject"])
-def test_flood_and_injection_rows_give_the_same_lines_from_a_pcap(short_plant, kind):
-    scenario = next(sc for sc, _variant, _expected in bench._scenario_matrix()
-                    if sc.kind is kind)
+MATRIX_ROWS = ["removed", "active-sniff", "spoof", "inject", "flood", "passive-sniff",
+               "learning-continues", "learning-stops", "capture"]
+
+
+@pytest.mark.parametrize("row", range(len(MATRIX_ROWS)), ids=MATRIX_ROWS)
+def test_every_matrix_row_gives_the_same_lines_from_a_pcap(short_plant, row):
+    matrix = bench._scenario_matrix()  # read after the fixture shortens the plant
+    assert len(matrix) == len(MATRIX_ROWS)
+    scenario, _variant, detected = matrix[row]
     trace = short_plant.trace([scenario])
     capture = io.BytesIO()
     trace.write_pcap(capture, viewpoint=bench.MONITOR)
@@ -189,10 +193,13 @@ def test_flood_and_injection_rows_give_the_same_lines_from_a_pcap(short_plant, k
 
     simulated = lines(trace.frames_for(bench.MONITOR))
     assert lines((at, None, data) for at, data in read_pcap(capture)) == simulated
-    details = [line.rsplit("\t", 1)[1] for line in simulated]
-    assert details
-    if kind is sim.ScenarioKind.DOS_FLOOD:
-        assert any(detail.startswith("burst ended") for detail in details)
+    # a row the matrix expects caught adds lines to the benign run's; the
+    # short plant's benign run has one of its own, a HostSilent on the
+    # PLC's ARP, whose 60 s learning saw one request
+    benign = lines(short_plant.trace([]).frames_for(bench.MONITOR))
+    assert (simulated != benign) is detected
+    if scenario.kind is sim.ScenarioKind.DOS_FLOOD:
+        assert any(line.rsplit("\t", 1)[1].startswith("burst ended") for line in simulated)
 
 
 # per matrix row at seed 0: the events per cause raised when every flagged

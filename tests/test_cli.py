@@ -369,14 +369,19 @@ def test_detect_bad_input_exits_two(tmp_path, capsys, case):
     "learn-unwritable-out", "simulate-unwritable-out", "simulate-unknown-scenario",
     "detect-learn-first-zero", "simulate-duration-inf", "simulate-scenario-start-inf",
     "detect-learn-first-inf", "stats-duration-inf", "stats-garbage-pcap-any-filter",
-    "detect-alpha-flag",
+    "detect-alpha-flag", "simulate-status-port-70000", "simulate-attacker-ip-five-parts",
+    "simulate-attacker-ip-three-parts", "simulate-attacker-mac-seven-octets",
+    "simulate-attacker-mac-five-octets",
 ])
 def test_input_error_exits_two(tmp_path, capsys, case):
     config = tmp_path / "plant.ini"
     config.write_text("[profile]\npoll_period_ms = abc\n")
+    port_config = tmp_path / "port.ini"
+    port_config.write_text("[profile]\nstatus_port = 70000\n")
     garbage = tmp_path / "garbage.pcap"
     garbage.write_bytes(b"this is not a capture")
     sim_input = ["--duration", "5"]
+    sim_out = sim_input + ["--pcap-out", str(tmp_path / "x.pcap")]
     absent_dir = tmp_path / "absent"
     argv = {
         "sim-unknown-local-ip":
@@ -402,12 +407,24 @@ def test_input_error_exits_two(tmp_path, capsys, case):
         "stats-garbage-pcap-any-filter": ["stats", "--pcap", str(garbage), "--flow", "tcp:S1:502"],
         # the runtime mean's weight is fixed at 1/256: no flag sets it
         "detect-alpha-flag": ["detect", "--learn-first", "30", "--alpha", "0.5"] + sim_input,
+        # a port past 16 bits, or an address longer or shorter than its
+        # frame field, would crash the frame builder or be cut or padded
+        "simulate-status-port-70000": ["simulate", "--config", str(port_config)] + sim_out,
+        "simulate-attacker-ip-five-parts":
+            ["simulate", "--scenario", "2:attacker-ip=1.2.3.4.5"] + sim_out,
+        "simulate-attacker-ip-three-parts":
+            ["simulate", "--scenario", "2:attacker-ip=1.2.3"] + sim_out,
+        "simulate-attacker-mac-seven-octets":
+            ["simulate", "--scenario", "6:attacker-mac=02:00:ac:10:01:c8:07"] + sim_out,
+        "simulate-attacker-mac-five-octets":
+            ["simulate", "--scenario", "3:target=S2,attacker-mac=02:00:ac:10:01"] + sim_out,
     }[case]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith("eids: ")
+    assert not (tmp_path / "x.pcap").exists()
 
 
 @pytest.mark.parametrize("line, key", [

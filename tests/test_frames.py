@@ -171,8 +171,7 @@ def test_tcp_frame_matches_reference_on_random_segments():
 
 
 def test_tcp_frame_matches_reference_on_one_connection():
-    # one template per payload length, served from the cache for the
-    # rest: only seq, ack and the payload's octets vary
+    # one connection: only seq, ack and the payload's octets vary
     rng = random.Random(29)
     connection = (PLC_MAC, S1_MAC, PLC_IP, S1_IP, 49152, 502, 0x18)
     for _ in range(2_000):

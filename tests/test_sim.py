@@ -330,6 +330,25 @@ def test_config_validation():
         )
 
 
+def test_attacker_addresses_and_status_port_must_fit_their_frame_fields():
+    plant = sim.Plant(sim.Topology.default(), sim.TrafficProfile(), 10 * S, 0)
+    for bad in ({"attacker_ip": "1.2.3.4.5"}, {"attacker_ip": "1.2.3"},
+                {"attacker_ip": "1.2.3.256"}, {"attacker_mac": "02:00:ac:10:01:c8:07"},
+                {"attacker_mac": "02:00:ac:10:01"}, {"attacker_mac": "02:00:ac:10:01:1c8"}):
+        scenario = sim.AttackScenario(sim.ScenarioKind.ACTIVE_SNIFF, **bad)
+        with pytest.raises(sim.ConfigInvalid, match="attacker"):
+            sim.run(duration_us=10 * S, seed=0, scenarios=[scenario])
+        with pytest.raises(sim.ConfigInvalid, match="attacker"):
+            plant.trace([scenario])
+    scenario = sim.AttackScenario(sim.ScenarioKind.ACTIVE_SNIFF, attacker_ip="10.0.0.9",
+                                  attacker_mac="02:AA:00:00:00:09")
+    assert any(parse_frame(fr.data).src_mac == "02:aa:00:00:00:09"
+               for fr in plant.trace([scenario]).frames)
+    for port in (-1, 0x10000):
+        with pytest.raises(sim.ConfigInvalid, match="status port"):
+            sim.run(profile=sim.TrafficProfile(status_port=port), duration_us=10 * S, seed=0)
+
+
 def test_topology_defaults_match_reference_plant():
     topo = sim.Topology.default()
     assert topo.device("S1").ip == "192.168.1.101"
