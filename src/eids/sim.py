@@ -17,6 +17,12 @@ response is one struct pack of seq, ack, checksum, transaction id and
 register value; the other frames come from the general builders in
 frames.
 
+A trace frame is a plain (time_us, src, dst, data) tuple, dst None for
+a broadcast. The cyclic garbage collector stops tracking an exact tuple
+at a pass that finds it holds only ints, strs, bytes, None or untracked
+tuples, but never a tuple subclass, so a plant's hundreds of thousands
+of frames and their conversations drop out of later collections.
+
 Times are integer microseconds of simulated time starting at zero; no
 wall clock is involved anywhere.
 """
@@ -29,8 +35,8 @@ import socket
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from itertools import chain
-from operator import attrgetter
-from typing import BinaryIO, Iterable, Iterator, NamedTuple
+from operator import itemgetter
+from typing import BinaryIO, Iterable, Iterator
 
 from . import announce, frames
 from .packet import (
@@ -141,8 +147,9 @@ class TrafficProfile:
             raise ConfigInvalid("durations must be positive")
         if self.response_delay_us[0] > self.response_delay_us[1]:
             raise ConfigInvalid("response delay range inverted")
-        if self.arp_expiry_us[0] > self.arp_expiry_us[1]:
-            raise ConfigInvalid("arp expiry range inverted")
+        # ARP refresh intervals are drawn from [low, high), which needs low < high
+        if self.arp_expiry_us[0] >= self.arp_expiry_us[1]:
+            raise ConfigInvalid("arp expiry range empty or inverted")
         if not 0.0 <= self.jitter_frac < 0.5:
             raise ConfigInvalid("jitter fraction out of range")
         if not self.psk:
@@ -174,17 +181,18 @@ class AttackScenario:
     attacker_mac: str = _mac_for(200)
 
 
-class TraceFrame(NamedTuple):
-    time_us: int
-    src: str
-    dst: str | None  # None = broadcast
-    data: bytes
+# (time_us, src, dst, data), dst None for a broadcast
+_Frame = tuple[int, str, str | None, bytes]
 
 
 @dataclass
 class FrameTrace:
+    """The frames on the wire in time order, each a plain
+    (time_us, src, dst, data) tuple that the cyclic garbage collector
+    can stop tracking (see the module docstring)."""
+
     topology: Topology
-    frames: list[TraceFrame] = field(default_factory=list)
+    frames: list[_Frame] = field(default_factory=list)
 
     def frames_for(self, device_name: str) -> Iterator[tuple[int, Direction, bytes]]:
         """One device's view of the wire: its own frames as TX, frames
@@ -205,7 +213,7 @@ class FrameTrace:
 
     def records(self) -> Iterator[tuple[int, bytes]]:
         """(time_us, frame) of every frame on the wire, in time order."""
-        return ((fr.time_us, fr.data) for fr in self.frames)
+        return ((time_us, data) for time_us, _src, _dst, data in self.frames)
 
     def write_pcap(self, stream: BinaryIO, viewpoint: str | None = None) -> int:
         """Write the whole wire, or the named device's view, as a pcap and
@@ -232,14 +240,14 @@ class Plant:
         self.profile = profile
         self.duration_us = duration_us
         self.seed = seed
-        self.conversations: list[tuple[TraceFrame, ...]] = []
+        self.conversations: list[tuple[_Frame, ...]] = []
         _gen_arp(self)
         _gen_polling(self)
         _gen_status(self)
 
     def emit(self, t_us: int, src: str, dst: str | None, data: bytes,
-             *answers: TraceFrame) -> None:
-        self.conversations.append((TraceFrame(t_us, src, dst, data), *answers))
+             *answers: _Frame) -> None:
+        self.conversations.append(((t_us, src, dst, data), *answers))
 
     def host_start(self, device: Device) -> int:
         return _rng(self.seed, "host:%s" % device.name).randrange(0, 50_000)
@@ -262,14 +270,14 @@ class Plant:
         kept = []
         for conversation in chain(self.conversations, attacks.conversations):
             for fr in conversation:
-                t = fr.time_us
-                windows = silent.get(fr.src)
+                t = fr[0]
+                windows = silent.get(fr[1])
                 if t > self.duration_us or (
                         windows and any(start <= t < end for start, end in windows)):
                     break
                 kept.append(fr)
         # stable: frames with equal times keep their generation order
-        return FrameTrace(topology=self.topology, frames=sorted(kept, key=attrgetter("time_us")))
+        return FrameTrace(topology=self.topology, frames=sorted(kept, key=itemgetter(0)))
 
 
 def _relations(topology: Topology) -> list[tuple[Device, Device]]:
@@ -310,7 +318,7 @@ def _arp_exchange(b: Plant, rng, t: int, asker: Device, answerer: Device) -> Non
     reply_t = t + rng.randrange(300, 1_200)
     b.emit(t, asker.name, None, frames.arp_frame(
         frames.ArpOp.REQUEST, asker.mac, asker.ip, frames.ZERO_MAC, answerer.ip
-    ), TraceFrame(reply_t, answerer.name, asker.name, frames.arp_frame(
+    ), (reply_t, answerer.name, asker.name, frames.arp_frame(
         frames.ArpOp.REPLY, answerer.mac, answerer.ip, asker.mac, asker.ip
     )))
 
@@ -325,9 +333,9 @@ def _handshake(b: Plant, rng, t: int, client: Device, server: Device,
     ack_t = syn_ack_t + rng.randrange(150, 500)
     b.emit(t, client.name, server.name, _tcp(
         client, server, cport, sport, TCP_SYN, b"", cseq, client_ack or 0
-    ), TraceFrame(syn_ack_t, server.name, client.name, _tcp(
+    ), (syn_ack_t, server.name, client.name, _tcp(
         server, client, sport, cport, TCP_SYN | TCP_ACK, b"", sseq, cseq + 1
-    )), TraceFrame(ack_t, client.name, server.name, _tcp(
+    )), (ack_t, client.name, server.name, _tcp(
         client, server, cport, sport, TCP_ACK, b"", cseq + 1,
         sseq + 1 if client_ack is None else client_ack,
     )))
@@ -355,14 +363,21 @@ def _gen_polling(b: Plant) -> None:
     period = b.profile.poll_period_us
     jitter = int(period * b.profile.jitter_frac)
     d_lo, d_hi = b.profile.response_delay_us
+    # randrange(-jitter, jitter + 1) and randrange(d_lo, d_hi + 1) drawn as
+    # Random.randrange draws them, without its call overhead: getrandbits
+    # of the width's bit length until the draw is below the width, so the
+    # values and the generator's state match randrange's
+    j_width = 2 * jitter + 1
+    j_bits = j_width.bit_length()
+    d_width = d_hi - d_lo + 1
+    d_bits = d_width.bit_length()
     duration = b.duration_us
     append = b.conversations.append
-    new = tuple.__new__  # TraceFrame(...) without its Python-level __new__
     rels = _relations(b.topology)
     stagger = period // (len(rels) + 1)
     for idx, (client, server) in enumerate(rels):
         rng = _rng(b.seed, "poll:%s>%s" % (client.name, server.name))
-        randrange = rng.randrange
+        getrandbits = rng.getrandbits
         sport = 49152 + idx
         unit = idx + 1
         t0 = b.host_start(client) + 60_000 + idx * stagger
@@ -374,20 +389,26 @@ def _gen_polling(b: Plant) -> None:
         cname, sname = client.name, server.name
         client_seq = 1001 + idx
         server_seq = 2001 + idx
+        earliest = t0 + period - jitter  # poll k's request time less its jitter
         k = 0
         while True:
-            req_t = t0 + (k + 1) * period + randrange(-jitter, jitter + 1)
-            delay = randrange(d_lo, d_hi + 1)
+            r = getrandbits(j_bits)
+            while r >= j_width:
+                r = getrandbits(j_bits)
+            req_t = earliest + r
+            r = getrandbits(d_bits)
+            while r >= d_width:
+                r = getrandbits(d_bits)
             if req_t > duration:
                 break
             request_end = client_seq + request_len
             append((
-                new(TraceFrame, (req_t, cname, sname, request(client_seq, server_seq, k))),
-                new(TraceFrame, (req_t + delay, sname, cname,
-                                 response(server_seq, request_end, k, k))),
+                (req_t, cname, sname, request(client_seq, server_seq, k)),
+                (req_t + d_lo + r, sname, cname, response(server_seq, request_end, k, k)),
             ))
             client_seq = request_end
             server_seq += response_len
+            earliest += period
             k += 1
 
 
@@ -471,11 +492,10 @@ def _gen_attacks(b: Plant, scenarios: list[AttackScenario]) -> None:
             # every flood frame carries the same bytes
             frame = _tcp(plc, target, 49999, MODBUS_PORT, TCP_PSH | TCP_ACK,
                          frames.modbus_read_request(0xFFFF, 1), 7, 7)
-            # one-frame conversations, built as _gen_polling builds its frames
-            new = tuple.__new__
+            # one-frame conversations
             src, dst = attacker.name, target.name
             b.conversations += [
-                (new(TraceFrame, (t, src, dst, frame)),)
+                ((t, src, dst, frame),)
                 for t in range(start, end, max(1, 1_000_000 // sc.rate_pps))
             ]
 
@@ -500,7 +520,7 @@ def _gen_intruder_connection(b, rng, src: Device, dst: Device, sport: int,
         echo_t = t + rng.randrange(1_000, 3_000)
         b.emit(t, src.name, dst.name, _tcp(
             src, dst, sport, MODBUS_PORT, TCP_PSH | TCP_ACK, payload, seq, 2
-        ), TraceFrame(echo_t, dst.name, src.name, _tcp(
+        ), (echo_t, dst.name, src.name, _tcp(
             dst, src, MODBUS_PORT, sport, TCP_PSH | TCP_ACK, payload, 2,
             seq + len(payload),
         )))

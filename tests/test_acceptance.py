@@ -265,8 +265,8 @@ def test_criterion_7_node_removal():
     ]
     # S2's last status broadcast, which the engine and the logger both hear
     last_seen = max(
-        fr.time_us for fr in result.trace.frames
-        if fr.src == "S2" and _is_udp(fr.data)
+        time_us for time_us, src, _dst, data in result.trace.frames
+        if src == "S2" and _is_udp(data)
     )
     engine_ok = False
     detail_engine = "no HostSilent for the removed node"

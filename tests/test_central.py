@@ -169,7 +169,7 @@ def test_logger_feed_skips_udp_length_past_frame_end():
     overlong = bytearray(frame)
     overlong[14 + 20 + 4 : 14 + 20 + 6] = struct.pack(">H", 8 + 48 + 1)
     for data, delivered in ((frame, True), (bytes(overlong), False)):
-        trace = sim.FrameTrace(topology, [sim.TraceFrame(1 * S, "S2", None, data)])
+        trace = sim.FrameTrace(topology, [(1 * S, "S2", None, data)])
         logger = CentralLogger(PSK)
         _feed_logger(logger, trace)
         assert (s2.node_id in logger.records) is delivered

@@ -371,13 +371,15 @@ def test_detect_bad_input_exits_two(tmp_path, capsys, case):
     "detect-learn-first-inf", "stats-duration-inf", "stats-garbage-pcap-any-filter",
     "detect-alpha-flag", "simulate-status-port-70000", "simulate-attacker-ip-five-parts",
     "simulate-attacker-ip-three-parts", "simulate-attacker-mac-seven-octets",
-    "simulate-attacker-mac-five-octets",
+    "simulate-attacker-mac-five-octets", "simulate-arp-expiry-empty",
 ])
 def test_input_error_exits_two(tmp_path, capsys, case):
     config = tmp_path / "plant.ini"
     config.write_text("[profile]\npoll_period_ms = abc\n")
     port_config = tmp_path / "port.ini"
     port_config.write_text("[profile]\nstatus_port = 70000\n")
+    arp_config = tmp_path / "arp.ini"
+    arp_config.write_text("[profile]\narp_expiry_s = 100,100\n")
     garbage = tmp_path / "garbage.pcap"
     garbage.write_bytes(b"this is not a capture")
     sim_input = ["--duration", "5"]
@@ -418,6 +420,8 @@ def test_input_error_exits_two(tmp_path, capsys, case):
             ["simulate", "--scenario", "6:attacker-mac=02:00:ac:10:01:c8:07"] + sim_out,
         "simulate-attacker-mac-five-octets":
             ["simulate", "--scenario", "3:target=S2,attacker-mac=02:00:ac:10:01"] + sim_out,
+        # an ARP refresh interval is drawn from [low, high): equal ends leave none
+        "simulate-arp-expiry-empty": ["simulate", "--config", str(arp_config)] + sim_out,
     }[case]
     assert main(argv) == 2
     captured = capsys.readouterr()
@@ -425,6 +429,8 @@ def test_input_error_exits_two(tmp_path, capsys, case):
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith("eids: ")
     assert not (tmp_path / "x.pcap").exists()
+    if case == "simulate-arp-expiry-empty":
+        assert "arp expiry range" in captured.err
 
 
 @pytest.mark.parametrize("line, key", [

@@ -73,8 +73,8 @@ def _sha256(data: bytes) -> str:
 
 def _trace_sha256(trace: sim.FrameTrace) -> str:
     digest = hashlib.sha256()
-    for fr in trace.frames:
-        digest.update(repr((fr.time_us, fr.src, fr.dst, fr.data)).encode())
+    for time_us, src, dst, data in trace.frames:
+        digest.update(repr((time_us, src, dst, data)).encode())
     return digest.hexdigest()
 
 

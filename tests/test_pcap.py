@@ -83,9 +83,9 @@ def test_sim_trace_round_trip():
     buffer.seek(0)
     records = list(read_pcap(buffer))
     assert len(records) == len(trace.frames)
-    for (ts, data), fr in zip(records, trace.frames):
-        assert ts == fr.time_us
-        assert data == fr.data
+    for (ts, data), (time_us, _src, _dst, frame) in zip(records, trace.frames):
+        assert ts == time_us
+        assert data == frame
 
 
 def test_oversized_record_rejected_before_its_body_is_read():

@@ -1,6 +1,8 @@
 """Simulator: determinism, traffic statistics, scenario semantics."""
 
+import gc
 import io
+import random
 import statistics
 
 import pytest
@@ -72,9 +74,9 @@ def test_node_removed_goes_silent():
     removal = sim.AttackScenario(sim.ScenarioKind.NODE_REMOVED, start_us=30 * S,
                                  target="S2")
     trace = sim.run(duration_us=120 * S, seed=2, scenarios=[removal])
-    after = [fr for fr in trace.frames if fr.src == "S2" and fr.time_us >= 30 * S]
+    after = [fr for fr in trace.frames if fr[1] == "S2" and fr[0] >= 30 * S]
     assert after == []
-    before = [fr for fr in trace.frames if fr.src == "S2" and fr.time_us < 30 * S]
+    before = [fr for fr in trace.frames if fr[1] == "S2" and fr[0] < 30 * S]
     assert before
 
 
@@ -85,7 +87,8 @@ def _answered_without_question(trace):
     asked = set()
     orphans = []
     for fr in trace.frames:
-        meta = parse_frame(fr.data)
+        _time_us, _src, _dst, data = fr
+        meta = parse_frame(data)
         if meta.arp is not None:
             arp = meta.arp
             if arp.op is ArpOp.REQUEST:
@@ -119,7 +122,7 @@ def test_removed_node_returns_at_stop_and_is_answered_only_when_it_asks():
                            peer="S1"),
     ]
     trace = sim.run(duration_us=40 * S, seed=3, scenarios=scenarios)
-    s2 = [fr.time_us for fr in trace.frames if fr.src == "S2"]
+    s2 = [time_us for time_us, src, _dst, _data in trace.frames if src == "S2"]
     assert not [t for t in s2 if 10 * S <= t < 20 * S]
     assert [t for t in s2 if t >= 20 * S]
     assert [t for t in s2 if t >= 25 * S]
@@ -129,7 +132,7 @@ def test_removed_node_returns_at_stop_and_is_answered_only_when_it_asks():
 def test_handshake_of_a_node_removed_at_start_is_not_completed():
     removal = sim.AttackScenario(sim.ScenarioKind.NODE_REMOVED, start_us=0, target="S2")
     trace = sim.run(duration_us=5 * S, seed=3, scenarios=[removal])
-    assert not [fr for fr in trace.frames if fr.src == "S2"]
+    assert not [fr for fr in trace.frames if fr[1] == "S2"]
     assert _answered_without_question(trace) == []
     assert _answered_without_question(sim.run(duration_us=5 * S, seed=3)) == []
 
@@ -137,22 +140,22 @@ def test_handshake_of_a_node_removed_at_start_is_not_completed():
 def test_responses_never_precede_requests():
     trace = sim.run(duration_us=30 * S, seed=4)
     pending = {}
-    for fr in trace.frames:
-        meta = parse_frame(fr.data)
+    for time_us, _src, _dst, data in trace.frames:
+        meta = parse_frame(data)
         if meta.l3 is None or meta.l3.l4 is None or meta.l3.l4.tcp_flags is None:
             continue
         l4 = meta.l3.l4
         if l4.payload_len == 0:
             continue
-        offset = len(fr.data) - l4.payload_len
-        txid = int.from_bytes(fr.data[offset : offset + 2], "big")
+        offset = len(data) - l4.payload_len
+        txid = int.from_bytes(data[offset : offset + 2], "big")
         stream = (meta.l3.src_ip, meta.l3.dst_ip, l4.src_port, l4.dst_port)
         if l4.dst_port == 502:
-            pending[(stream[0], stream[2], txid)] = fr.time_us
+            pending[(stream[0], stream[2], txid)] = time_us
         elif l4.src_port == 502:
             req_time = pending.get((stream[1], stream[3], txid))
             assert req_time is not None, "response without a request"
-            assert fr.time_us > req_time
+            assert time_us > req_time
 
 
 def test_status_messages_verify_under_profile_psk():
@@ -328,6 +331,11 @@ def test_config_validation():
             duration_us=10 * S, seed=0,
             scenarios=[sim.AttackScenario(sim.ScenarioKind.INJECT, target="nope")],
         )
+    # ARP refresh intervals are drawn from [low, high): equal ends leave none
+    for arp_expiry_us in ((5, 5), (6, 5)):
+        with pytest.raises(sim.ConfigInvalid, match="arp expiry range"):
+            profile = sim.TrafficProfile(arp_expiry_us=arp_expiry_us)
+            sim.run(profile=profile, duration_us=1 * S, seed=0)
 
 
 def test_attacker_addresses_and_status_port_must_fit_their_frame_fields():
@@ -342,8 +350,8 @@ def test_attacker_addresses_and_status_port_must_fit_their_frame_fields():
             plant.trace([scenario])
     scenario = sim.AttackScenario(sim.ScenarioKind.ACTIVE_SNIFF, attacker_ip="10.0.0.9",
                                   attacker_mac="02:AA:00:00:00:09")
-    assert any(parse_frame(fr.data).src_mac == "02:aa:00:00:00:09"
-               for fr in plant.trace([scenario]).frames)
+    assert any(parse_frame(data).src_mac == "02:aa:00:00:00:09"
+               for _time_us, _src, _dst, data in plant.trace([scenario]).frames)
     for port in (-1, 0x10000):
         with pytest.raises(sim.ConfigInvalid, match="status port"):
             sim.run(profile=sim.TrafficProfile(status_port=port), duration_us=10 * S, seed=0)
@@ -373,3 +381,71 @@ def test_every_edge_node_sees_the_benign_plant_before_each_matrix_row_starts(mon
             before = [f for f in trace.frames_for(node.name) if f[0] < scenario.start_us]
             assert before == [f for f in benign.frames_for(node.name)
                               if f[0] < scenario.start_us], (scenario, node.name)
+
+
+def test_trace_frames_are_untracked_by_the_cyclic_collector():
+    # the collector stops tracking an exact tuple at a pass that finds it
+    # holds only ints, strs, bytes, None or untracked tuples, but never a
+    # tuple subclass
+    scenarios = [
+        sim.AttackScenario(sim.ScenarioKind.ACTIVE_SNIFF, start_us=5 * S),
+        sim.AttackScenario(sim.ScenarioKind.SPOOF, start_us=5 * S, target="S6"),
+        sim.AttackScenario(sim.ScenarioKind.INJECT, start_us=10 * S, target="S3"),
+        sim.AttackScenario(sim.ScenarioKind.CAPTURE_NODE, start_us=20 * S, target="S4",
+                           peer="S5"),
+        sim.AttackScenario(sim.ScenarioKind.DOS_FLOOD, start_us=30 * S),
+        sim.AttackScenario(sim.ScenarioKind.NODE_REMOVED, start_us=40 * S, target="S8"),
+        sim.AttackScenario(sim.ScenarioKind.LEARNING_ATTACK, target="S7"),
+    ]
+    trace = sim.run(duration_us=60 * S, seed=0, scenarios=scenarios)
+    plant = sim.Plant(sim.Topology.default(), sim.TrafficProfile(), 60 * S, 0)
+    gc.collect()
+    assert len(trace.frames) > 40_000 and plant.conversations
+    assert [fr for fr in trace.frames if gc.is_tracked(fr)] == []
+    # a pass can reach a conversation before its frames; the next one
+    # finds them untracked
+    gc.collect()
+    assert [c for c in plant.conversations if gc.is_tracked(c)] == []
+
+
+def _check_poll_draws(plant, seed):
+    """Each relation's poll times equal those drawn with randrange from a
+    twin of its generator: the request at the handshake's time plus k + 1
+    periods plus randrange(-jitter, jitter + 1), the response after it by
+    randrange(low, high + 1) of the response delay range."""
+    period = plant.profile.poll_period_us
+    jitter = int(period * plant.profile.jitter_frac)
+    d_lo, d_hi = plant.profile.response_delay_us
+    for client, server in sim._relations(plant.topology):
+        asked = [c for c in plant.conversations
+                 if c[0][1] == client.name and c[0][2] == server.name]
+        handshake, polls = asked[0], asked[1:]
+        assert len(handshake) == 3 and polls
+        twin = random.Random("%s:poll:%s>%s" % (seed, client.name, server.name))
+        twin.randrange(200, 800)  # the handshake's two draws
+        twin.randrange(150, 500)
+        t0 = handshake[0][0]
+        for k, (request, response) in enumerate(polls):
+            assert request[0] == t0 + (k + 1) * period + twin.randrange(-jitter, jitter + 1)
+            assert response[0] - request[0] == twin.randrange(d_lo, d_hi + 1)
+        # the first poll not sent falls past the end of the run
+        late = t0 + (len(polls) + 1) * period + twin.randrange(-jitter, jitter + 1)
+        assert late > plant.duration_us
+
+
+def test_poll_draws_equal_randrange():
+    topology = sim.Topology.default()
+    period = sim.TrafficProfile().poll_period_us
+    # (jitter fraction, response delay range): the default profile's
+    # widths 4,001 and 3,001, then no jitter with equal delay ends
+    # (width 1 each), then delay widths around every power of two up to
+    # 2**20 and odd jitter widths 2 * jitter + 1 up to 99,999
+    cases = [(0.02, (2_000, 5_000)), (0.0, (3_000, 3_000))]
+    cases += [(0.02, (1, width)) for width in sorted(
+        {2**j + e for j in range(21) for e in (-1, 0, 1)} - {0, 2**20 + 1})]
+    cases += [((jitter + 0.5) / period, (2_000, 5_000)) for jitter in sorted(
+        {2**j + e for j in range(16) for e in (-1, 0)} | {49_999})]
+    for seed, (jitter_frac, delay_us) in enumerate(cases):
+        profile = sim.TrafficProfile(jitter_frac=jitter_frac, response_delay_us=delay_us)
+        profile.validate()
+        _check_poll_draws(sim.Plant(topology, profile, 3 * S, seed), seed)
