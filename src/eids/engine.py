@@ -137,8 +137,10 @@ class Engine:
         # a lower bound on the earliest time a tick can act, inf while none
         # can: replay ticks when a frame or the tail's end reaches it
         self.due_us: int | float = inf
-        # (sent, header signature) -> key_for/observe result; see ingest
-        self._judged: dict[tuple, tuple[FlowKey, Cause | None, str]] = {}
+        # header signature -> key_for/observe result, for sent frames and
+        # for all others; see ingest
+        self._judged_sent: dict[tuple, tuple[FlowKey, Cause | None, str]] = {}
+        self._judged_other: dict[tuple, tuple[FlowKey, Cause | None, str]] = {}
         # flagged frames and raised silences per cause, bursts still open left out
         self._counts: dict[Cause, int] = dict.fromkeys(Cause, 0)
 
@@ -162,28 +164,31 @@ class Engine:
 
         While the flow table is unchanged, a TCP or UDP frame's flow
         key and metadata cause depend only on whether it is sent and on
-        its packet.header_signature. The engine keeps them per
-        signature, in both modes, and parses a frame only when its
-        signature is not kept. Active mode never changes the flow
+        its packet.header_signature. The engine keeps them in two
+        tables keyed on the signature, one for sent frames and one for
+        received frames and frames of unknown direction, which key a
+        TCP/UDP frame alike (flows._endpoints). It keeps them in both
+        modes, and parses a frame only when its signature is not kept
+        in its direction's table. Active mode never changes the flow
         table. Learning mode grows it only when it admits a flow, which
-        may re-key any signature: such a judgment empties the table and
-        is not kept. A kept learning judgment is for an admitted flow,
-        which observe would leave as it is, so a hit skips observe.
-        Entering active mode empties the table, since learning
-        judgments carry no cause. A table holding SIGNATURE_CAPACITY
-        signatures is emptied before it stores the next one. The timing
-        check runs on every frame.
+        may re-key any signature: such a judgment empties both tables
+        and is not kept. A kept learning judgment is for an admitted
+        flow, which observe would leave as it is, so a hit skips
+        observe. Entering active mode empties both tables, since
+        learning judgments carry no cause. A table holding
+        SIGNATURE_CAPACITY signatures is emptied before it stores the
+        next one. The timing check runs on every frame that the
+        metadata rules pass.
         """
-        self._note_time(now_us)
+        if self.started_us is None:
+            self._start(now_us)
         signature = header_signature(frame)
         if signature is not None:
-            # a bool, not the Direction: the probe then hashes in C; RX
-            # and None key a TCP/UDP frame alike (flows._endpoints)
-            probe = (direction is _TX, signature)
-            judged = self._judged.get(probe)
+            judged = (self._judged_sent if direction is _TX else self._judged_other).get(signature)
             if judged is None:
-                judged = self._judge(parse_frame(frame), direction, probe)
-            tcp_flags = frame[47] if signature[1] == PROTO_TCP else None
+                judged = self._judge(parse_frame(frame), direction, signature)
+            # connection setup and teardown are no interarrival sample
+            unsampled = signature[1] == PROTO_TCP and frame[47] & _NO_SAMPLE_FLAGS
         else:
             try:
                 meta = parse_frame(frame)
@@ -194,38 +199,14 @@ class Engine:
                 return _ALERT, [IntrusionEvent(now_us, Cause.UNPARSEABLE, None, str(exc))]
             judged = self._judge(meta, direction)
             l4 = meta.l3.l4 if meta.l3 is not None else None
-            tcp_flags = l4.tcp_flags if l4 is not None else None
+            unsampled = l4 is not None and l4.tcp_flags is not None and (
+                l4.tcp_flags & _NO_SAMPLE_FLAGS)
         key, cause, detail = judged
         if cause is not None:
             self._counts[cause] += 1
             return _ALERT, [IntrusionEvent(now_us, cause, key, detail)]
-        return self._track_timing(tcp_flags, key, now_us)
 
-    def _judge(
-        self, meta: PacketMeta, direction: Direction | None, probe: tuple | None = None
-    ) -> tuple[FlowKey, Cause | None, str]:
-        """A frame's flow key, metadata cause and event detail, which
-        names the cause in lower case: new-flow, l2l3-mismatch. The
-        judgment is kept under probe, when given, unless making it
-        admitted a flow; one that did empties the signature table."""
-        flows = len(self.table.flows)
-        key = self.table.key_for(meta, direction)
-        # learning mode finds no cause
-        cause = self.table.observe(meta, self.mode, key)
-        detail = "" if cause is None else cause.name.lower().replace("_", "-")
-        judged = key, cause, detail
-        if len(self.table.flows) != flows:
-            # flows and services grew: key_for may key a kept signature anew
-            self._judged.clear()
-        elif probe is not None:
-            if len(self._judged) >= SIGNATURE_CAPACITY:
-                self._judged.clear()
-            self._judged[probe] = judged
-        return judged
-
-    def _track_timing(
-        self, tcp_flags: int | None, key: FlowKey, now_us: int
-    ) -> tuple[Verdict, list[IntrusionEvent]]:
+        # the flow's timing
         baseline = self.states.get(key)
         if baseline is None:
             if self.mode is not _LEARNING:
@@ -240,20 +221,22 @@ class Engine:
                 baseline.silent = False
                 self.due_us = min(self.due_us, now_us + baseline.high_us)
 
-        if tcp_flags is not None and tcp_flags & _NO_SAMPLE_FLAGS:
+        if unsampled:
             return _PASS, []
 
         previous = baseline.last_sample_us
-        if previous is None or now_us > previous:
-            baseline.last_sample_us = now_us
         if previous is None:
+            baseline.last_sample_us = now_us
             return _PASS, []
+        if now_us > previous:
+            baseline.last_sample_us = now_us
         if self.mode is _LEARNING:
             # a reordered or tied capture record is no interarrival sample
             if now_us > previous:
                 baseline.record_learning_sample(now_us - previous)
             return _PASS, []
-        t_us = max(1, now_us - previous)  # a reordered or tied record is 1 us
+        # a reordered or tied record is 1 us
+        t_us = now_us - previous if now_us > previous else 1
         cause = baseline.check(t_us)
         if cause is None:
             baseline.adjust(t_us)
@@ -269,6 +252,35 @@ class Engine:
         baseline.burst, baseline.burst_frames, baseline.burst_last_us = cause, 1, now_us
         events.append(IntrusionEvent(now_us, cause, key, baseline.band_detail(cause, t_us)))
         return _ALERT, events
+
+    def _judge(
+        self, meta: PacketMeta, direction: Direction | None, signature: tuple | None = None
+    ) -> tuple[FlowKey, Cause | None, str]:
+        """A frame's flow key, metadata cause and event detail, which
+        names the cause in lower case: new-flow, l2l3-mismatch. The
+        judgment is kept under signature, when given, in the table of
+        the frame's direction, unless making it admitted a flow; one
+        that did empties both signature tables."""
+        flows = len(self.table.flows)
+        key = self.table.key_for(meta, direction)
+        # learning mode finds no cause
+        cause = self.table.observe(meta, self.mode, key)
+        detail = "" if cause is None else cause.name.lower().replace("_", "-")
+        judged = key, cause, detail
+        if len(self.table.flows) != flows:
+            # flows and services grew: key_for may key a kept signature anew
+            self._forget_judgments()
+        elif signature is not None:
+            table = self._judged_sent if direction is _TX else self._judged_other
+            if len(table) >= SIGNATURE_CAPACITY:
+                table.clear()
+            table[signature] = judged
+        return judged
+
+    def _forget_judgments(self) -> None:
+        """Empty both signature tables."""
+        self._judged_sent.clear()
+        self._judged_other.clear()
 
     def _close_burst(self, key: FlowKey, baseline: FlowBaseline, now_us: int) -> IntrusionEvent:
         """The closing event at now_us of the flow's open burst, whose
@@ -320,10 +332,10 @@ class Engine:
         active, due_us becomes the earliest deadline, last arrival plus
         the baseline's high edge, of the flows still not silent.
         """
-        self._note_time(now_us)
+        if self.started_us is None:
+            self._start(now_us)
         if (
             self.mode is Mode.LEARNING
-            and self.started_us is not None
             and now_us - self.started_us >= self.config.learning_duration_us
         ):
             self._activate()
@@ -352,22 +364,22 @@ class Engine:
         self.due_us = due_us
         return events
 
-    def _note_time(self, now_us: int) -> None:
-        if self.started_us is None:
-            self.started_us = now_us
-            # learning ends a learning duration on; an imported model's flows'
-            # silence is measured from the first time the engine is shown
-            self.due_us = now_us + (0 if self.mode is Mode.ACTIVE
-                                    else self.config.learning_duration_us)
-            for baseline in self.states.values():
-                baseline.last_arrival_us = now_us
+    def _start(self, now_us: int) -> None:
+        """Take now_us, the first time the engine is shown, as its start."""
+        self.started_us = now_us
+        # learning ends a learning duration on; an imported model's flows'
+        # silence is measured from the first time the engine is shown
+        self.due_us = now_us + (0 if self.mode is Mode.ACTIVE
+                                else self.config.learning_duration_us)
+        for baseline in self.states.values():
+            baseline.last_arrival_us = now_us
 
     def _activate(self) -> None:
         """Enter active mode, which never adds a baseline and judges timing
         only from a learned interval: flows below two samples lose theirs.
-        The signature table is emptied: learning judgments carry no cause."""
+        The signature tables are emptied: learning judgments carry no cause."""
         self.mode = Mode.ACTIVE
-        self._judged.clear()
+        self._forget_judgments()
         self.states = {key: b for key, b in self.states.items() if b.n_l >= 2}
         for baseline in self.states.values():
             baseline.activate()

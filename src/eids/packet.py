@@ -40,6 +40,10 @@ _ARP_BODY = 28
 _ARP_FIXED = struct.Struct(">HHBBH")
 _UDP_HDR = struct.Struct(">HHHH")
 _PORTS = struct.Struct(">HH")
+# header_signature's read of the fixed-offset header: MACs, ethertype and
+# version/IHL octet, IP total length, protocol, addresses and ports, then
+# the TCP data offset and flags octets
+_FIXED_HEADER = struct.Struct("!12s3sxH5xB2x12s8xBB")
 
 
 class ParseError(ValueError):
@@ -194,19 +198,26 @@ def header_signature(data: bytes) -> tuple | None:
     plain values; None unless parse_frame would give the frame l3.l4.
     Only the common layout qualifies, untagged IPv4 with a 20-byte
     header (version/IHL octet 0x45), so the length checks below are
-    those of _parse_ipv4 and _parse_udp at fixed offsets."""
-    if len(data) < 42 or data[12:15] != b"\x08\x00\x45":
+    those of _parse_ipv4 and _parse_udp at fixed offsets. A frame of 48
+    octets or more, the shortest TCP frame that can qualify, is read
+    with one unpack of its fixed-offset header; a shorter one can only
+    be UDP and is sliced."""
+    if len(data) >= 48:
+        macs, start, total_len, protocol, addresses, doff, flags = _FIXED_HEADER.unpack_from(data)
+        if start != b"\x08\x00\x45":
+            return None
+        if protocol == PROTO_TCP:
+            doff = (doff >> 4) * 4
+            if doff < 20 or len(data) < 34 + doff or total_len - 20 - doff < 0:
+                return None
+            return macs, protocol, addresses, flags & (TCP_SYN | TCP_ACK)
+    elif len(data) < 42 or data[12:15] != b"\x08\x00\x45":
         return None
-    protocol = data[23]
-    if protocol == PROTO_TCP:
-        if len(data) < 48:
-            return None
-        doff = (data[46] >> 4) * 4
-        if doff < 20 or len(data) < 34 + doff or ((data[16] << 8) | data[17]) - 20 - doff < 0:
-            return None
-        return data[0:12], protocol, data[26:38], data[47] & (TCP_SYN | TCP_ACK)
+    else:
+        protocol = data[23]
+        macs, addresses = data[0:12], data[26:38]
     if protocol == PROTO_UDP and ((data[38] << 8) | data[39]) >= 8:
-        return data[0:12], protocol, data[26:38], None
+        return macs, protocol, addresses, None
     return None
 
 

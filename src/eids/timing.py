@@ -11,7 +11,9 @@ TOO_SLOW or MEAN_DRIFT), or returns None for a clean one. Durations
 are integer microseconds, the tolerance integer thousandths and the
 runtime mean an integer in 1/256 us, moved by each clean interarrival
 with the weight 1/256, so check, adjust and activate do only integer
-arithmetic, as on an MCU without an FPU.
+arithmetic, as on an MCU without an FPU. Until the first adjust the
+mean band is held against the exact learned mean, the learning sum
+over the sample count, not its floor in 1/256 us.
 
 activate() alone turns learning totals, learned or imported, into the
 bands check uses, and refuses a flow below two learning samples.
@@ -61,6 +63,7 @@ class FlowBaseline:
     learned_min_us: int = 0
     learned_max_us: int = 0
     mean_q8: int = 0
+    adjusted: bool = False
     last_arrival_us: int = 0  # the engine sets it before any check
     last_sample_us: int | None = None
     silent: bool = False
@@ -122,13 +125,25 @@ class FlowBaseline:
                 self.window_sum -= window[0]  # the append below evicts it
             window.append(t_us)
             self.window_sum += t_us
-            # window_sum / size against mean_q8 / 256 * (1000 -/+ delta) / 1000
-            if len(window) == size and not (
-                self._mean_low * self.mean_q8 < 256_000 * self.window_sum
-                < self._mean_high * self.mean_q8
-            ):
-                return _MEAN_DRIFT
+            if len(window) == size:
+                # window_sum / size against mean * (1000 -/+ delta) / 1000, the
+                # mean as _mean gives it, written out on this per-frame path
+                if self.adjusted:
+                    mean, scale = self.mean_q8, 256_000
+                else:
+                    mean, scale = self._sum_us, 1000 * self.n_l
+                if not (self._mean_low * mean < scale * self.window_sum
+                        < self._mean_high * mean):
+                    return _MEAN_DRIFT
         return None
+
+    def _mean(self) -> tuple[int, int]:
+        """The mean band's mean as a fraction, its numerator and its
+        denominator times 1000: mean_q8 / 256 once adjusted, before
+        that the exact learned mean, which mean_q8 holds floored."""
+        if self.adjusted:
+            return self.mean_q8, 256_000
+        return self._sum_us, 1000 * self.n_l
 
     def band_detail(self, cause: Cause, t_us: int) -> str:
         """What interarrival t_us, flagged with cause, broke: dt against
@@ -137,8 +152,9 @@ class FlowBaseline:
         a value is clean only strictly between them."""
         if cause is Cause.MEAN_DRIFT:
             # floor and ceiling of window size * mean * (1000 -/+ delta) / 1000
-            low = self._mean_low * self.mean_q8 // 256_000
-            high = -(-self._mean_high * self.mean_q8 // 256_000)
+            mean, scale = self._mean()
+            low = self._mean_low * mean // scale
+            high = -(-self._mean_high * mean // scale)
             return "dt=%dus, window sum %dus outside (%dus, %dus)" % (
                 t_us, self.window_sum, low, high)
         return "dt=%dus outside (%dus, %dus)" % (t_us, self.low_us, self.high_us)
@@ -152,3 +168,4 @@ class FlowBaseline:
         are never widened by runtime traffic.
         """
         self.mean_q8 += t_us - (self.mean_q8 >> 8)
+        self.adjusted = True

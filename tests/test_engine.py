@@ -759,6 +759,34 @@ def test_an_imported_engine_is_due_at_the_first_time_it_is_shown():
     assert engine.due_us == 50 * S + 130 * MS
 
 
+_FIRST_FRAMES = {
+    "tcp": _poll_frame(0),
+    "arp": frames.arp_frame(ArpOp.REQUEST, PLC_MAC, PLC, frames.ZERO_MAC, LOCAL),
+    "unparseable": b"\x00" * 13,
+}
+
+
+@pytest.mark.parametrize("imported", [False, True], ids=["learning", "imported"])
+@pytest.mark.parametrize("first", sorted(_FIRST_FRAMES))
+def test_the_first_frame_starts_the_engine_whatever_it_holds(first, imported):
+    """An engine shown its first time by a frame, not a tick, starts
+    there: learning ends a learning duration on, and an imported model's
+    flows are due at once, each dated to that time."""
+    engine = Engine(_config())
+    if imported:
+        learned = Engine(_config())
+        list(replay(learned, _polls(101)))
+        engine.import_model(learned.export_model())
+    due_us = 50 * S if imported else 60 * S
+    engine.ingest(Direction.RX, _FIRST_FRAMES[first], 50 * S)
+    assert (engine.started_us, engine.due_us) == (50 * S, due_us)
+    # the imported poll flow, or the flow a parsed learning frame opened
+    assert [b.last_arrival_us for b in engine.states.values()] == (
+        [] if first == "unparseable" and not imported else [50 * S])
+    engine.ingest(Direction.RX, _poll_frame(1), 51 * S)
+    assert (engine.started_us, engine.due_us) == (50 * S, due_us)
+
+
 def _silent_since_us(event):
     """The last arrival a HostSilent event's detail gives."""
     return int(event.detail.removeprefix("silent since ").removesuffix("us"))

@@ -6,10 +6,11 @@ import struct
 
 import pytest
 
-from eids import frames
+from eids import bench, frames, sim
 from eids.announce import StatusMessage, encode
 from eids.packet import (
     PROTO_TCP,
+    PROTO_UDP,
     TCP_ACK,
     TCP_SYN,
     ArpOp,
@@ -394,3 +395,83 @@ def test_header_signature_admits_only_frames_it_spells():
             assert synack is None and l3.l4.tcp_flags is None
         admitted[protocol] += 1
     assert min(admitted.values()) > 100
+
+
+def _reference_signature(data):
+    """header_signature as it read the header before its one struct
+    read: every field sliced or indexed out on its own."""
+    if len(data) < 42 or data[12:15] != b"\x08\x00\x45":
+        return None
+    protocol = data[23]
+    if protocol == PROTO_TCP:
+        if len(data) < 48:
+            return None
+        doff = (data[46] >> 4) * 4
+        if doff < 20 or len(data) < 34 + doff or ((data[16] << 8) | data[17]) - 20 - doff < 0:
+            return None
+        return data[0:12], protocol, data[26:38], data[47] & (TCP_SYN | TCP_ACK)
+    if protocol == PROTO_UDP and ((data[38] << 8) | data[39]) >= 8:
+        return data[0:12], protocol, data[26:38], None
+    return None
+
+
+def _lengths_30_to_66():
+    """TCP and UDP frames of every length from 30 to 66 octets: a
+    Modbus poll and a datagram cut short, datagrams whose length fields
+    fit, and a SYN padded with zeros as a NIC pads it."""
+    poll = frames.tcp_frame(PLC_MAC, S1_MAC, "192.168.1.50", "192.168.1.101", 49152, 502,
+                            0x18, frames.modbus_read_request(7, 1))
+    datagram = frames.udp_frame(S1_MAC, frames.BROADCAST_MAC, "192.168.1.101",
+                                "255.255.255.255", 47808, 47808, b"y" * 24)
+    syn = frames.tcp_frame(PLC_MAC, S1_MAC, "192.168.1.50", "192.168.1.101", 49152, 502,
+                           TCP_SYN)
+    assert len(poll) == len(datagram) == 66
+    for n in range(30, 67):
+        yield poll[:n]
+        yield datagram[:n]
+        yield syn[:n] + b"\x00" * (n - len(syn))
+        if n >= 42:
+            yield frames.udp_frame(S1_MAC, PLC_MAC, "192.168.1.101", "192.168.1.50",
+                                   1000, 2000, b"z" * (n - 42))
+
+
+def _optioned_and_tagged():
+    """TCP and UDP frames with IHL 6, one word of IPv4 options, or
+    behind an 802.1Q tag, whole and cut short."""
+    for plain in (frames.tcp_frame(PLC_MAC, S1_MAC, "192.168.1.50", "192.168.1.101",
+                                   49152, 502, 0x18, b"data"),
+                  frames.udp_frame(S1_MAC, PLC_MAC, "192.168.1.101", "192.168.1.50",
+                                   1000, 2000, b"hi")):
+        ip = bytearray(plain[14:34])
+        ip[0] = 0x46
+        ip[2:4] = struct.pack(">H", len(plain) - 14 + 4)
+        optioned = plain[:14] + bytes(ip) + b"\x01\x01\x01\x00" + plain[34:]
+        tagged = plain[:12] + b"\x81\x00\x00\x05" + plain[12:]
+        for data in (optioned, tagged):
+            yield from (data[:n] for n in range(len(data) + 1))
+
+
+def _matrix_row_frames():
+    """Every frame on the wire of the benchmark matrix's flood row."""
+    [flood] = [scenario for scenario, _variant, _expected in bench._scenario_matrix()
+               if scenario.kind is sim.ScenarioKind.DOS_FLOOD]
+    trace = sim.run(duration_us=bench.DURATION_US, seed=4, scenarios=[flood])
+    return [data for _at_us, data in trace.records()]
+
+
+@pytest.mark.parametrize("corpus, admits", [
+    (_signature_corpus, True), (_lengths_30_to_66, True),
+    (_optioned_and_tagged, False), (_matrix_row_frames, True)])
+def test_header_signature_reads_what_the_slices_read(corpus, admits):
+    signatures = {PROTO_TCP: 0, PROTO_UDP: 0, None: 0}
+    for data in corpus():
+        signature = header_signature(data)
+        assert signature == _reference_signature(data), data.hex()
+        signatures[signature and signature[1]] += 1
+    assert signatures[None] > 0
+    admitted = signatures[PROTO_TCP], signatures[PROTO_UDP]
+    if admits:
+        assert min(admitted) > 0
+    else:
+        # only the untagged layout with a 20-octet IPv4 header has a signature
+        assert admitted == (0, 0)

@@ -1,17 +1,18 @@
 """The header-signature table against the full path.
 
 An engine, learning or active, judges a known TCP or UDP frame's
-metadata by one probe of a table keyed on packet.header_signature; a
-learning judgment that admits a flow empties the table. These tests
+metadata by one probe of a table keyed on packet.header_signature, the
+table of sent frames or that of all others; a learning judgment that
+admits a flow empties both. These tests
 switch the table off by making every signature None, so every frame is
-parsed, keyed and observed, and require the same events and the same
-learned model either way.
+parsed, keyed and observed, and require the same verdicts, the same
+events and the same learned model either way.
 """
 
 import pytest
 
 from eids import bench, frames, sim
-from eids.engine import SIGNATURE_CAPACITY, Engine, EngineConfig, replay
+from eids.engine import SIGNATURE_CAPACITY, Engine, EngineConfig, Verdict, replay
 from eids.flows import Cause
 from eids.packet import TCP_ACK, TCP_SYN, ArpOp, Direction, header_signature, parse_frame
 
@@ -53,6 +54,34 @@ def test_matrix_rows_raise_the_same_events_with_the_table_off(short_plant, monke
     _table_off(monkeypatch)
     assert _row_results(plant) == with_table
     assert any(events for events, _model in with_table)
+
+
+def _row_verdicts(plant, monkeypatch):
+    """Each matrix row's (verdict, events) pair from every ingest, in
+    order, as bench drives the monitored engine."""
+    pairs = []
+    ingest = Engine.ingest
+
+    def recording(self, direction, frame, now_us):
+        pair = ingest(self, direction, frame, now_us)
+        pairs.append(pair)
+        return pair
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Engine, "ingest", recording)
+        for scenario, _variant, _expected in bench._scenario_matrix():
+            bench._observe(plant.trace([scenario]), sim.TrafficProfile())
+    return pairs
+
+
+def test_every_frame_answers_the_same_verdict_with_the_table_off(short_plant, monkeypatch):
+    """Per frame, not per event stream: a frame inside a burst answers
+    ALERT with no event, which the events alone do not show."""
+    plant = short_plant(5)
+    with_table = _row_verdicts(plant, monkeypatch)
+    _table_off(monkeypatch)
+    assert _row_verdicts(plant, monkeypatch) == with_table
+    assert (Verdict.ALERT, []) in with_table
 
 
 def _learned(stream):
@@ -173,9 +202,15 @@ def test_table_stops_growing_at_its_capacity_and_still_judges_every_frame():
     for k in range(5000):
         frame = frames.tcp_frame("02:00:ac:10:01:c8", "02:00:ac:10:01:65",
                                  "192.168.1.200", S1_IP, 10_000 + k, 9999, 0x18)
-        _verdict, events = engine.ingest(Direction.RX, frame, 2 * S + k)
+        _verdict, events = engine.ingest(Direction.RX, frame, 2 * S + 2 * k)
         assert [event.cause for event in events] == [Cause.NEW_FLOW]
-        assert len(engine._judged) <= SIGNATURE_CAPACITY
+        sent = frames.tcp_frame("02:00:ac:10:01:65", "02:00:ac:10:01:c8",
+                                S1_IP, "192.168.1.200", 9999, 10_000 + k, 0x18)
+        _verdict, events = engine.ingest(Direction.TX, sent, 2 * S + 2 * k + 1)
+        assert [event.cause for event in events] == [Cause.NEW_FLOW]
+        assert len(engine._judged_sent) <= SIGNATURE_CAPACITY
+        assert len(engine._judged_other) <= SIGNATURE_CAPACITY
+    assert min(len(engine._judged_sent), len(engine._judged_other)) > 0
 
 
 def test_a_full_table_refills_so_a_learned_flow_is_probed_again(monkeypatch):

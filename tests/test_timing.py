@@ -281,3 +281,52 @@ def test_constant_trace_replay_no_verdicts_any_positive_delta():
         baseline = _baseline([100 * MS] * 20, delta_milli=delta_milli, window=deque(maxlen=8))
         for _ in range(100):
             assert baseline.check(100 * MS) is None
+
+
+def _even_split(total, parts):
+    """parts integers, each total // parts or one more, summing to total."""
+    quotient, remainder = divmod(total, parts)
+    return [quotient + 1] * remainder + [quotient] * (parts - remainder)
+
+
+def test_an_unadjusted_mean_band_flags_every_window_on_its_exact_edges():
+    """Before the first adjust a window whose sum lies exactly on an
+    edge of the mean band, window size * learned mean * (1000 -/+ delta)
+    / 1000, is flagged, and one 1 us inside the edge is not. The sweep
+    takes every such integer edge for learning sums 2-399 over 2-8
+    samples, 8 deltas and windows 1-16; the learning samples are 1 us
+    but the last, for the widest min/max band, and the window's are
+    split evenly. Held against mean_q8, the learned mean floored in
+    1/256 us, 14,168 of the 142,952 windows on an edge go unflagged,
+    all on a low one."""
+    cases = misses = inside_flagged = 0
+    for delta_milli in (0, 50, 100, 125, 250, 300, 500, 750):
+        for total in range(2, 400):
+            for n in range(2, min(8, total) + 1):
+                # the widest min/max band for the sum: the window's samples fit
+                learning = [1] * (n - 1) + [total - n + 1]
+                for size in range(1, 17):
+                    for edge_milli, inward in ((1000 - delta_milli, 1), (1000 + delta_milli, -1)):
+                        edge_sum, rest = divmod(size * total * edge_milli, 1000 * n)
+                        if rest:
+                            continue
+                        for window_sum, on_edge in ((edge_sum, True),
+                                                    (edge_sum + inward, False)):
+                            exact_clean = (size * total * (1000 - delta_milli)
+                                           < 1000 * n * window_sum
+                                           < size * total * (1000 + delta_milli))
+                            if on_edge is exact_clean:
+                                continue  # a band too narrow to hold the inside sum
+                            baseline = _baseline(learning, delta_milli,
+                                                 window=deque(maxlen=size))
+                            window = _even_split(window_sum, size)
+                            if not baseline.low_us < min(window) <= max(window) < baseline.high_us:
+                                continue
+                            verdicts = [baseline.check(t_us) for t_us in window]
+                            assert verdicts[:-1] == [None] * (size - 1)
+                            if on_edge:
+                                cases += 1
+                                misses += verdicts[-1] is not Cause.MEAN_DRIFT
+                            else:
+                                inside_flagged += verdicts[-1] is not None
+    assert (cases, misses, inside_flagged) == (142_952, 0, 0)
