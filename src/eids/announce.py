@@ -20,16 +20,18 @@ A message is a StatusMessage, a named tuple of the header's fields with
 the flags octet split into its two bits; its flags property joins them
 again for the wire.
 
-The HMAC key schedule (RFC 2104) is computed once per PSK: the SHA-256
-states after the inner and the outer padded key are cached for a
-bounded number of keys, and each tag copies them in place of hashing
-the padded key again.
+The HMAC key schedule (RFC 2104) is computed once per PSK, at the
+key's first use: the SHA-256 states after the inner and the outer
+padded key, with the constant-time compare, are cached for a bounded
+number of keys, and each tag copies them in place of hashing the padded
+key again. hashlib and hmac, and with them OpenSSL, are imported there
+too, so a process that never signs or verifies a datagram, such as
+`eids learn` or `eids detect` on a capture, never loads them. The empty
+key, under which anyone can sign, is refused there, for both directions.
 """
 
 import functools
-import hmac
 import struct
-from hashlib import sha256
 from typing import NamedTuple
 
 MAGIC = b"EIDS"
@@ -42,7 +44,9 @@ MAX_FUTURE_SKEW_MS = 120_000
 FLAG_INTRUSION = 0x01
 FLAG_ACTIVE = 0x02
 
-_HEAD = struct.Struct(">4sBH6sBH")
+# the 48-bit message time is read and written as a 16-bit high part and
+# a 32-bit low part
+_HEAD = struct.Struct(">4sBHHIBH")
 _TIME_MAX = (1 << 48) - 1
 
 _BLOCK = 64  # SHA-256 block size, octets
@@ -51,17 +55,22 @@ _OPAD = bytes(x ^ 0x5C for x in range(256))
 
 
 @functools.lru_cache(maxsize=16)
-def _pads(psk: bytes):
-    """SHA-256 after the inner and after the outer padded key: the key,
-    hashed first when it is longer than a block, zero-filled to one
-    block and XORed with each pad."""
+def _key(psk: bytes):
+    """What a datagram under psk needs: SHA-256 after the inner and after
+    the outer padded key (the key, hashed first when it is longer than a
+    block, zero-filled to one block and XORed with each pad) and the
+    constant-time compare."""
+    if not psk:
+        raise ValueError("empty PSK")
+    from hashlib import sha256
+    from hmac import compare_digest
+
     key = (sha256(psk).digest() if len(psk) > _BLOCK else psk).ljust(_BLOCK, b"\0")
-    return sha256(key.translate(_IPAD)), sha256(key.translate(_OPAD))
+    return sha256(key.translate(_IPAD)), sha256(key.translate(_OPAD)), compare_digest
 
 
-def _tag(psk: bytes, header: bytes) -> bytes:
-    """HMAC-SHA-256 of header under psk, from the cached pads."""
-    inner, outer = _pads(psk)
+def _tag(inner, outer, header: bytes) -> bytes:
+    """HMAC-SHA-256 of header from a key's cached pad states."""
     inner = inner.copy()
     inner.update(header)
     outer = outer.copy()
@@ -130,8 +139,7 @@ class ReplayState:
 
 def encode(msg: StatusMessage, psk: bytes) -> bytes:
     """Serialize and sign a status message; deterministic bytes."""
-    if not psk:
-        raise ValueError("empty PSK")
+    inner, outer, _ = _key(psk)
     if not 0 <= msg.node_id <= 0xFFFF:
         raise ValueError("node id out of range")
     if not 0 <= msg.msg_time_ms <= _TIME_MAX:
@@ -142,11 +150,12 @@ def encode(msg: StatusMessage, psk: bytes) -> bytes:
         MAGIC,
         VERSION,
         msg.node_id,
-        msg.msg_time_ms.to_bytes(6, "big"),
+        msg.msg_time_ms >> 32,
+        msg.msg_time_ms & 0xFFFFFFFF,
         msg.flags,
         msg.event_count,
     )
-    return header + _tag(psk, header)
+    return header + _tag(inner, outer, header)
 
 
 def decode_verify(
@@ -160,19 +169,20 @@ def decode_verify(
     Checks run in order: length, magic, version, HMAC, future skew
     past MAX_FUTURE_SKEW_MS (only when the caller supplies its clock),
     replay. Only a fully accepted message advances the per-node replay
-    floor.
+    floor. The empty psk raises ValueError before any check.
     """
+    inner, outer, compare_digest = _key(psk)
     if len(data) != WIRE_LEN:
         raise BadLength("%d octets, want %d" % (len(data), WIRE_LEN))
     header = data[:HEADER_LEN]
-    magic, version, node_id, time_raw, flags, event_count = _HEAD.unpack(header)
+    magic, version, node_id, time_hi, time_lo, flags, event_count = _HEAD.unpack(header)
     if magic != MAGIC:
         raise BadMagic(repr(magic))
     if version != VERSION:
         raise BadVersion("version %d" % version)
-    if not hmac.compare_digest(_tag(psk, header), data[HEADER_LEN:]):
+    if not compare_digest(_tag(inner, outer, header), data[HEADER_LEN:]):
         raise BadHmac("signature mismatch")
-    msg_time_ms = int.from_bytes(time_raw, "big")
+    msg_time_ms = time_hi << 32 | time_lo
     if now_ms is not None and msg_time_ms > now_ms + MAX_FUTURE_SKEW_MS:
         raise SkewRejected("message time %d vs clock %d" % (msg_time_ms, now_ms))
     replay.accept(node_id, msg_time_ms)

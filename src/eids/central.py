@@ -93,23 +93,25 @@ class CentralLogger:
             self.rejected[type(exc).__name__] += 1
             return None
         record = self.records.get(msg.node_id)
-        came_up = record is None or not record.up
-        if came_up:
-            # arrivals come in time order: a node up already never holds the
-            # earliest deadline, so only a node coming up can lower the bound
-            self.due_us = min(self.due_us, now_us + self.timeout_us)
+        if record is not None:
+            flipped = record.last.intrusion != msg.intrusion
+            record.last = msg
+            record.last_msg_us = now_us
+            if record.up:
+                if flipped:
+                    self._lines[msg.node_id] = _status_line(record)
+                return record, False, flipped
+        # arrivals come in time order: a node up already never holds the
+        # earliest deadline, so only a node coming up can lower the bound
+        self.due_us = min(self.due_us, now_us + self.timeout_us)
         if record is None:
             record = self.records[msg.node_id] = NodeRecord(msg.node_id, msg, now_us, True)
             insort(self._ids, msg.node_id)
             self._lines[msg.node_id] = _status_line(record)
             return record, True, False
-        flipped = record.last.intrusion != msg.intrusion
-        record.last = msg
-        record.last_msg_us = now_us
         record.up = True
-        if came_up or flipped:
-            self._lines[msg.node_id] = _status_line(record)
-        return record, came_up, flipped
+        self._lines[msg.node_id] = _status_line(record)
+        return record, True, flipped
 
     def sweep(self, now_us: int) -> list[NodeRecord]:
         """Time out silent nodes; returns the records that transitioned

@@ -1,6 +1,7 @@
 """Status datagram wire format, authentication, replay protection."""
 
 import hmac
+import json
 import os
 import subprocess
 import sys
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import eids
-from eids import announce
+from eids import announce, cli, sim
 from eids.announce import (
     FLAG_ACTIVE,
     FLAG_INTRUSION,
@@ -151,6 +152,16 @@ def test_encode_validation():
         encode(_msg(time_ms=1 << 48), PSK)
 
 
+def test_empty_key_is_refused_for_both_directions():
+    # anyone can sign under the empty key: a tag made with it must not verify
+    header = encode(_msg(node_id=7), PSK)[:HEADER_LEN]
+    wire = header + hmac.new(b"", header, sha256).digest()
+    with pytest.raises(ValueError, match="empty PSK"):
+        decode_verify(wire, b"", ReplayState())
+    with pytest.raises(ValueError, match="empty PSK"):
+        encode(_msg(node_id=7), b"")
+
+
 @pytest.mark.parametrize("psk_len", [1, 32, 63, 64, 65, 200])
 def test_tag_equals_hmac_new_on_both_sides_of_the_block(psk_len):
     psk = bytes((7 * k + psk_len) % 256 for k in range(psk_len))
@@ -162,7 +173,7 @@ def test_tag_equals_hmac_new_on_both_sides_of_the_block(psk_len):
 
 
 def test_more_keys_than_the_pad_cache_sign_as_a_fresh_process():
-    n_keys = 2 * announce._pads.cache_info().maxsize + 1
+    n_keys = 2 * announce._key.cache_info().maxsize + 1
     psks = [b"key-%d-" % k * (k % 9 + 1) for k in range(n_keys)]
     replay = ReplayState()
     wires = {}
@@ -182,3 +193,60 @@ def test_more_keys_than_the_pad_cache_sign_as_a_fresh_process():
     fresh = subprocess.run([sys.executable, "-c", script], env=env, check=True,
                            capture_output=True, text=True).stdout.split()
     assert fresh == [wires[node_id, t].hex() for node_id in range(n_keys) for t in (1_000, 2_000)]
+
+
+_SRC = str(Path(eids.__file__).resolve().parents[1])
+_HASH_MODULES = ("_hashlib", "hashlib", "hmac")
+
+
+def _fresh_process(code: str, *argv: str):
+    """Run code in an interpreter that imports only the standard library
+    and eids; returns the JSON it prints on its last line."""
+    script = "import json, sys\nsys.path.insert(0, %r)\n%s" % (_SRC, code)
+    out = subprocess.run([sys.executable, "-I", "-S", "-c", script, *argv], check=True,
+                         capture_output=True, text=True).stdout
+    return json.loads(out.splitlines()[-1])
+
+
+_LOADED = "[m for m in %r if m in sys.modules]" % (_HASH_MODULES,)
+
+
+@pytest.fixture(scope="module")
+def capture(tmp_path_factory):
+    """A benign 400 s capture at S1, its status datagrams signed, and a
+    model learned on its first 300 s, under which it raises no event."""
+    root = tmp_path_factory.mktemp("capture")
+    pcap, model = root / "plant.pcap", root / "plant.model"
+    with open(pcap, "wb") as handle:
+        sim.run(duration_us=400_000_000, seed=3).write_pcap(handle, viewpoint="S1")
+    assert cli.main(["learn", "--pcap", str(pcap), "--learning-duration", "300",
+                     "-o", str(model)]) == 0
+    return pcap, model
+
+
+@pytest.mark.parametrize("command", ["learn", "detect-model", "detect-learn-first", "stats"])
+def test_agent_commands_on_a_capture_never_load_openssl(capture, tmp_path, command):
+    pcap, model = map(str, capture)
+    argv = {
+        "learn": ["learn", "--pcap", pcap, "--learning-duration", "300",
+                  "-o", str(tmp_path / "m")],
+        "detect-model": ["detect", "--model", model, "--pcap", pcap],
+        "detect-learn-first": ["detect", "--learn-first", "300", "--pcap", pcap],
+        "stats": ["stats", "--pcap", pcap, "--flow", "tcp:192.168.1.101:502",
+                  "-o", str(tmp_path / "csv")],
+    }[command]
+    code = ("from eids import cli\nrc = cli.main(sys.argv[1:])\n"
+            "print(json.dumps([rc, %s]))" % _LOADED)
+    assert _fresh_process(code, *argv) == [0, []]
+
+
+def test_signing_and_verifying_load_openssl():
+    code = (
+        "from eids.announce import StatusMessage, encode\n"
+        "from eids.central import CentralLogger\n"
+        "before = %s\n"
+        "wire = encode(StatusMessage(7, 1_000, False, True, 0), b'k')\n"
+        "accepted = CentralLogger(b'k').on_datagram(wire, 1_000_000) is not None\n"
+        "print(json.dumps([before, accepted, %s]))" % (_LOADED, _LOADED)
+    )
+    assert _fresh_process(code) == [[], True, list(_HASH_MODULES)]
