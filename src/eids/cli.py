@@ -263,6 +263,9 @@ def cmd_learn(args) -> int:
 
 
 def cmd_detect(args) -> int:
+    if args.tail_us < 0:
+        # the open bursts would close before the frames they count
+        raise ValueError("--tail-us of %d is below 0" % args.tail_us)
     topology, profile, overrides, scenarios = load_config(args.config)
     config = _engine_config(args, overrides, args.learn_first)
     engine = Engine(config)

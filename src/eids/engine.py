@@ -5,12 +5,12 @@ starts in learning mode, where every packet is admitted and only
 recorded; a clock tick past the configured learning duration, or a
 model import, switches it to active mode, where the Cause that the flow
 table or a timing baseline reports goes into an intrusion event as it
-is, and the frame that raised it is answered ALERT.
+is, and ingest answers True for the frame that raised it.
 
 Timing causes come in bursts: a flood breaks its flow's band on every
 frame. The first TooFast, TooSlow or MeanDrift on a flow opens a burst
 and raises an event whose detail names the band broken. Later frames
-that break the flow's band with the same cause answer ALERT and raise
+that break the flow's band with the same cause answer True and raise
 nothing; the flow counts them. The burst closes, with one event of the
 burst's cause giving its frame count and the time of its last flagged
 frame, when the flow's next interarrival is judged clean, when another
@@ -37,7 +37,6 @@ Callers serialize ingest and tick by timestamp.
 from collections import deque
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
-from enum import Enum
 from functools import lru_cache
 from math import inf
 from socket import inet_aton
@@ -45,7 +44,6 @@ from typing import Iterable, Iterator, NamedTuple
 
 from .flows import IP_KINDS, Cause, FlowKey, FlowKind, FlowTable, Mode
 from .packet import (
-    PROTO_TCP,
     TCP_FIN,
     TCP_RST,
     TCP_SYN,
@@ -69,17 +67,15 @@ _NO_SAMPLE_FLAGS = TCP_SYN | TCP_FIN | TCP_RST
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 
 
-class Verdict(Enum):
-    PASS = "pass"
-    ALERT = "alert"
-
-
 # the members the packet path reads on every frame, bound once: on CPython
 # 3.11 reading an Enum member off its class takes about 0.1 us, a module
 # global a tenth of that
 _TX = Direction.TX
 _LEARNING = Mode.LEARNING
-_PASS, _ALERT = Verdict.PASS, Verdict.ALERT
+
+
+# a frame's flow key, metadata cause, event detail and no-sample bit
+Judgment = tuple[FlowKey, Cause | None, str, bool]
 
 
 class BadModelVersion(ValueError):
@@ -137,10 +133,10 @@ class Engine:
         # a lower bound on the earliest time a tick can act, inf while none
         # can: replay ticks when a frame or the tail's end reaches it
         self.due_us: int | float = inf
-        # header signature -> key_for/observe result, for sent frames and
+        # header signature -> judgment (see _judge), for sent frames and
         # for all others; see ingest
-        self._judged_sent: dict[tuple, tuple[FlowKey, Cause | None, str]] = {}
-        self._judged_other: dict[tuple, tuple[FlowKey, Cause | None, str]] = {}
+        self._judged_sent: dict[tuple, Judgment] = {}
+        self._judged_other: dict[tuple, Judgment] = {}
         # flagged frames and raised silences per cause, bursts still open left out
         self._counts: dict[Cause, int] = dict.fromkeys(Cause, 0)
 
@@ -148,69 +144,64 @@ class Engine:
 
     def ingest(
         self, direction: Direction | None, frame: bytes, now_us: int
-    ) -> tuple[Verdict, list[IntrusionEvent]]:
-        """Run one frame through the detection path.
+    ) -> tuple[bool, list[IntrusionEvent]]:
+        """Run one frame through the detection path: whether it alerts,
+        and the events it raises.
 
-        Learning mode records and always passes. Active mode returns
-        ALERT for a frame that breaks a rule and PASS for one that does
-        not. An ALERT carries a metadata cause's event; or, for a timing
+        Learning mode records and never alerts. Active mode returns True
+        for a frame that breaks a rule and False for one that does not.
+        An alert carries a metadata cause's event; or, for a timing
         cause, the event opening a burst, after the closing event of the
         flow's burst of another cause if one was open; or nothing inside
-        the flow's open burst of that cause. A PASS carries the closing
-        event of the burst it ends, if any. A frame that cannot be parsed
-        is itself suspicious and alerts as UNPARSEABLE rather than
-        raising. A direction of None means the input does not say, as in
-        a pcap capture; the flow table decides the side.
+        the flow's open burst of that cause. A frame that passes carries
+        the closing event of the burst it ends, if any. A frame that
+        cannot be parsed is itself suspicious and alerts as UNPARSEABLE
+        rather than raising. A direction of None means the input does
+        not say, as in a pcap capture; the flow table decides the side.
 
         While the flow table is unchanged, a TCP or UDP frame's flow
-        key and metadata cause depend only on whether it is sent and on
-        its packet.header_signature. The engine keeps them in two
+        key, its metadata cause and whether it is an interarrival sample
+        depend only on whether it is sent and on its
+        packet.header_signature. The engine keeps this judgment in two
         tables keyed on the signature, one for sent frames and one for
         received frames and frames of unknown direction, which key a
         TCP/UDP frame alike (flows._endpoints). It keeps them in both
-        modes, and parses a frame only when its signature is not kept
-        in its direction's table. Active mode never changes the flow
-        table. Learning mode grows it only when it admits a flow, which
-        may re-key any signature: such a judgment empties both tables
-        and is not kept. A kept learning judgment is for an admitted
-        flow, which observe would leave as it is, so a hit skips
-        observe. Entering active mode empties both tables, since
-        learning judgments carry no cause. A table holding
+        modes; a frame whose signature is not kept in its direction's
+        table, or that has none, is parsed once and judged. Active mode
+        never changes the flow table. Learning mode grows it only when
+        it admits a flow, which may re-key any signature: such a
+        judgment empties both tables and is not kept. A kept learning
+        judgment is for an admitted flow, which observe would leave as
+        it is, so a hit skips observe. Entering active mode empties both
+        tables, since learning judgments carry no cause. A table holding
         SIGNATURE_CAPACITY signatures is emptied before it stores the
         next one. The timing check runs on every frame that the
         metadata rules pass.
         """
         if self.started_us is None:
             self._start(now_us)
+        # None, the signature of a frame no table admits, is never stored
         signature = header_signature(frame)
-        if signature is not None:
-            judged = (self._judged_sent if direction is _TX else self._judged_other).get(signature)
-            if judged is None:
-                judged = self._judge(parse_frame(frame), direction, signature)
-            # connection setup and teardown are no interarrival sample
-            unsampled = signature[1] == PROTO_TCP and frame[47] & _NO_SAMPLE_FLAGS
-        else:
+        judged = (self._judged_sent if direction is _TX else self._judged_other).get(signature)
+        if judged is None:
             try:
                 meta = parse_frame(frame)
             except ParseError as exc:
                 if self.mode is _LEARNING:
-                    return _PASS, []
+                    return False, []
                 self._counts[Cause.UNPARSEABLE] += 1
-                return _ALERT, [IntrusionEvent(now_us, Cause.UNPARSEABLE, None, str(exc))]
-            judged = self._judge(meta, direction)
-            l4 = meta.l3.l4 if meta.l3 is not None else None
-            unsampled = l4 is not None and l4.tcp_flags is not None and (
-                l4.tcp_flags & _NO_SAMPLE_FLAGS)
-        key, cause, detail = judged
+                return True, [IntrusionEvent(now_us, Cause.UNPARSEABLE, None, str(exc))]
+            judged = self._judge(meta, direction, signature)
+        key, cause, detail, unsampled = judged
         if cause is not None:
             self._counts[cause] += 1
-            return _ALERT, [IntrusionEvent(now_us, cause, key, detail)]
+            return True, [IntrusionEvent(now_us, cause, key, detail)]
 
         # the flow's timing
         baseline = self.states.get(key)
         if baseline is None:
             if self.mode is not _LEARNING:
-                return _PASS, []
+                return False, []
             baseline = self.states[key] = self._new_baseline(key, last_arrival_us=now_us)
         # a record earlier than the flow's last one moves no flow time back
         # and is no sign of life now
@@ -222,51 +213,55 @@ class Engine:
                 self.due_us = min(self.due_us, now_us + baseline.high_us)
 
         if unsampled:
-            return _PASS, []
+            return False, []
 
         previous = baseline.last_sample_us
         if previous is None:
             baseline.last_sample_us = now_us
-            return _PASS, []
+            return False, []
         if now_us > previous:
             baseline.last_sample_us = now_us
         if self.mode is _LEARNING:
             # a reordered or tied capture record is no interarrival sample
             if now_us > previous:
                 baseline.record_learning_sample(now_us - previous)
-            return _PASS, []
+            return False, []
         # a reordered or tied record is 1 us
         t_us = now_us - previous if now_us > previous else 1
         cause = baseline.check(t_us)
         if cause is None:
             baseline.adjust(t_us)
             if baseline.burst is None:
-                return _PASS, []
-            return _PASS, [self._close_burst(key, baseline, now_us)]
+                return False, []
+            return False, [self._close_burst(key, baseline, now_us)]
         if cause is baseline.burst:
             # inside the burst: counted on the flow, no event
             baseline.burst_frames += 1
             baseline.burst_last_us = now_us
-            return _ALERT, []
+            return True, []
         events = [] if baseline.burst is None else [self._close_burst(key, baseline, now_us)]
         baseline.burst, baseline.burst_frames, baseline.burst_last_us = cause, 1, now_us
         events.append(IntrusionEvent(now_us, cause, key, baseline.band_detail(cause, t_us)))
-        return _ALERT, events
+        return True, events
 
     def _judge(
-        self, meta: PacketMeta, direction: Direction | None, signature: tuple | None = None
-    ) -> tuple[FlowKey, Cause | None, str]:
-        """A frame's flow key, metadata cause and event detail, which
-        names the cause in lower case: new-flow, l2l3-mismatch. The
-        judgment is kept under signature, when given, in the table of
-        the frame's direction, unless making it admitted a flow; one
-        that did empties both signature tables."""
+        self, meta: PacketMeta, direction: Direction | None, signature: tuple | None
+    ) -> Judgment:
+        """A frame's flow key, metadata cause, event detail, which names
+        the cause in lower case (new-flow, l2l3-mismatch), and whether it
+        is no interarrival sample. The judgment is kept under signature,
+        unless None, in the table of the frame's direction, unless making
+        it admitted a flow; one that did empties both signature tables."""
         flows = len(self.table.flows)
         key = self.table.key_for(meta, direction)
         # learning mode finds no cause
         cause = self.table.observe(meta, self.mode, key)
         detail = "" if cause is None else cause.name.lower().replace("_", "-")
-        judged = key, cause, detail
+        l4 = meta.l3.l4 if meta.l3 is not None else None
+        # connection setup and teardown are no interarrival sample
+        unsampled = l4 is not None and l4.tcp_flags is not None and (
+            l4.tcp_flags & _NO_SAMPLE_FLAGS != 0)
+        judged = key, cause, detail, unsampled
         if len(self.table.flows) != flows:
             # flows and services grew: key_for may key a kept signature anew
             self._forget_judgments()

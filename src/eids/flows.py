@@ -161,10 +161,16 @@ class FlowTable:
 
         An already-admitted flow or a learned service endpoint decides
         which side carries the service port; the pure heuristic of
-        derive_key is the fallback.
+        derive_key is the fallback. A frame of unknown direction from a
+        MAC other than the one learned for local_ip is received, even
+        when it forges local_ip as its ARP sender or IPv4 source.
         """
         l3 = meta.l3
         if l3 is None or l3.l4 is None:
+            if direction is None:
+                own_mac = self.bindings.get(self.local_ip)
+                if own_mac is not None and own_mac != meta.src_mac:
+                    direction = Direction.RX
             return derive_key(meta, direction, self.local_ip)
         l4 = l3.l4
         kind = FlowKind.TCP if l3.protocol == PROTO_TCP else FlowKind.UDP

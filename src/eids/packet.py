@@ -44,6 +44,9 @@ _PORTS = struct.Struct(">HH")
 # version/IHL octet, IP total length, protocol, addresses and ports, then
 # the TCP data offset and flags octets
 _FIXED_HEADER = struct.Struct("!12s3sxH5xB2x12s8xBB")
+# the TCP flags a signature keeps: SYN and ACK orient a flow key, and
+# SYN, FIN and RST make a segment no interarrival sample
+_SIGNATURE_FLAGS = TCP_SYN | TCP_ACK | TCP_FIN | TCP_RST
 
 
 class ParseError(ValueError):
@@ -194,8 +197,9 @@ def _parse_ipv4(data: bytes, offset: int) -> Ipv4Meta | None:
 
 def header_signature(data: bytes) -> tuple | None:
     """The header bytes that parse_frame decodes into a TCP or UDP
-    frame's MACs, protocol, addresses, ports and TCP SYN/ACK bits, as
-    plain values; None unless parse_frame would give the frame l3.l4.
+    frame's MACs, protocol, addresses, ports and TCP SYN, ACK, FIN and
+    RST bits, as plain values; None unless parse_frame would give the
+    frame l3.l4.
     Only the common layout qualifies, untagged IPv4 with a 20-byte
     header (version/IHL octet 0x45), so the length checks below are
     those of _parse_ipv4 and _parse_udp at fixed offsets. A frame of 48
@@ -210,7 +214,7 @@ def header_signature(data: bytes) -> tuple | None:
             doff = (doff >> 4) * 4
             if doff < 20 or len(data) < 34 + doff or total_len - 20 - doff < 0:
                 return None
-            return macs, protocol, addresses, flags & (TCP_SYN | TCP_ACK)
+            return macs, protocol, addresses, flags & _SIGNATURE_FLAGS
     elif len(data) < 42 or data[12:15] != b"\x08\x00\x45":
         return None
     else:

@@ -11,9 +11,10 @@ TOO_SLOW or MEAN_DRIFT), or returns None for a clean one. Durations
 are integer microseconds, the tolerance integer thousandths and the
 runtime mean an integer in 1/256 us, moved by each clean interarrival
 with the weight 1/256, so check, adjust and activate do only integer
-arithmetic, as on an MCU without an FPU. Until the first adjust the
-mean band is held against the exact learned mean, the learning sum
-over the sample count, not its floor in 1/256 us.
+arithmetic, as on an MCU without an FPU. The mean band's mean is one
+fraction: activate sets it to the exact learned mean, the learning sum
+over the sample count, not its floor in 1/256 us, and each adjust to
+the runtime mean.
 
 activate() alone turns learning totals, learned or imported, into the
 bands check uses, and refuses a flow below two learning samples.
@@ -53,7 +54,8 @@ class FlowBaseline:
     thousandths; from 1000 on a lower edge is at or below zero and
     flags nothing. The window is a deque bounded by its maxlen, the
     window size; a flow without one skips the mean check. mean_q8 is
-    the runtime mean in 1/256 us.
+    the runtime mean in 1/256 us. The mean band's mean is the fraction
+    _mean_num / _mean_den, its denominator held times 1000.
     """
 
     delta_milli: int
@@ -63,7 +65,6 @@ class FlowBaseline:
     learned_min_us: int = 0
     learned_max_us: int = 0
     mean_q8: int = 0
-    adjusted: bool = False
     last_arrival_us: int = 0  # the engine sets it before any check
     last_sample_us: int | None = None
     silent: bool = False
@@ -76,6 +77,8 @@ class FlowBaseline:
     high_us: int = 0
     _mean_low: int = 0
     _mean_high: int = 0
+    _mean_num: int = 0
+    _mean_den: int = 0
     _sum_us: int = 0
 
     @property
@@ -98,6 +101,8 @@ class FlowBaseline:
             raise BaselineNotReady("flow has %d learning samples" % self.n_l)
         delta = self.delta_milli
         self.mean_q8 = (self._sum_us << 8) // self.n_l
+        # the mean band holds the exact learned mean until the first adjust
+        self._mean_num, self._mean_den = self._sum_us, 1000 * self.n_l
         # floor and ceiling of the exact edges, exact for integer times
         self.low_us = self.learned_min_us * (1000 - delta) // 1000
         self.high_us = -(-self.learned_max_us * (1000 + delta) // 1000)
@@ -126,24 +131,12 @@ class FlowBaseline:
             window.append(t_us)
             self.window_sum += t_us
             if len(window) == size:
-                # window_sum / size against mean * (1000 -/+ delta) / 1000, the
-                # mean as _mean gives it, written out on this per-frame path
-                if self.adjusted:
-                    mean, scale = self.mean_q8, 256_000
-                else:
-                    mean, scale = self._sum_us, 1000 * self.n_l
+                # window_sum / size against mean * (1000 -/+ delta) / 1000
+                mean, scale = self._mean_num, self._mean_den
                 if not (self._mean_low * mean < scale * self.window_sum
                         < self._mean_high * mean):
                     return _MEAN_DRIFT
         return None
-
-    def _mean(self) -> tuple[int, int]:
-        """The mean band's mean as a fraction, its numerator and its
-        denominator times 1000: mean_q8 / 256 once adjusted, before
-        that the exact learned mean, which mean_q8 holds floored."""
-        if self.adjusted:
-            return self.mean_q8, 256_000
-        return self._sum_us, 1000 * self.n_l
 
     def band_detail(self, cause: Cause, t_us: int) -> str:
         """What interarrival t_us, flagged with cause, broke: dt against
@@ -152,7 +145,7 @@ class FlowBaseline:
         a value is clean only strictly between them."""
         if cause is Cause.MEAN_DRIFT:
             # floor and ceiling of window size * mean * (1000 -/+ delta) / 1000
-            mean, scale = self._mean()
+            mean, scale = self._mean_num, self._mean_den
             low = self._mean_low * mean // scale
             high = -(-self._mean_high * mean // scale)
             return "dt=%dus, window sum %dus outside (%dus, %dus)" % (
@@ -168,4 +161,4 @@ class FlowBaseline:
         are never widened by runtime traffic.
         """
         self.mean_q8 += t_us - (self.mean_q8 >> 8)
-        self.adjusted = True
+        self._mean_num, self._mean_den = self.mean_q8, 256_000

@@ -7,7 +7,7 @@ import pytest
 
 from eids import bench, frames, sim
 from eids.cli import main
-from eids.engine import Cause, Engine, EngineConfig, Verdict, format_event, replay
+from eids.engine import Cause, Engine, EngineConfig, format_event, replay
 from eids.packet import Direction
 from eids.pcap import read_pcap, write_pcap
 
@@ -61,7 +61,7 @@ def test_n_too_fast_frames_give_one_opening_and_one_closing_event(n):
     engine = _engine()
     flood = [1100 + k for k in range(1, n + 1)]  # 1 ms apart after an on-time poll
     verdicts, lines = _ingest(engine, [1000, 1100] + flood + [flood[-1] + 100])
-    assert verdicts == [Verdict.PASS] * 2 + [Verdict.ALERT] * n + [Verdict.PASS]
+    assert verdicts == [False] * 2 + [True] * n + [False]
     assert lines == [
         "1970-01-01T00:00:01.101000Z\t1\tTooFast\t%s\tdt=1000us %s" % (POLLS, BAND),
         "1970-01-01T00:00:%06.3f000Z\t1\tTooFast\t%s\tburst ended: frames=%d last=%dus"
@@ -76,7 +76,7 @@ def test_frames_inside_a_burst_answer_alert_with_no_event_and_are_counted():
     baseline = next(iter(engine.states.values()))
     for k in range(2, 12):
         verdict, events = engine.ingest(Direction.RX, _poll(), (1100 + k) * MS)
-        assert (verdict, events) == (Verdict.ALERT, [])
+        assert (verdict, events) == (True, [])
         assert (baseline.burst, baseline.burst_frames, baseline.burst_last_us) == (
             Cause.TOO_FAST, k, (1100 + k) * MS)
         # an open burst's frames are in the counts already
@@ -86,7 +86,7 @@ def test_frames_inside_a_burst_answer_alert_with_no_event_and_are_counted():
 def test_a_change_of_cause_closes_one_burst_and_opens_the_next():
     engine = _engine()
     verdicts, lines = _ingest(engine, [1000, 1100, 1101, 1102, 1302, 1402])
-    assert verdicts == [Verdict.PASS] * 2 + [Verdict.ALERT] * 3 + [Verdict.PASS]
+    assert verdicts == [False] * 2 + [True] * 3 + [False]
     assert lines == [
         "1970-01-01T00:00:01.101000Z\t1\tTooFast\t%s\tdt=1000us %s" % (POLLS, BAND),
         "1970-01-01T00:00:01.302000Z\t1\tTooFast\t%s\tburst ended: frames=2 last=1102000us"
@@ -133,7 +133,7 @@ def test_metadata_causes_and_unparseable_frames_raise_an_event_each():
     raised = [engine.ingest(Direction.RX, frame, (1000 + k) * MS)
               for k, frame in enumerate([stranger, stranger, b"\x00" * 9, b"\x00" * 9])]
     assert [(verdict, [e.cause for e in events]) for verdict, events in raised] == [
-        (Verdict.ALERT, [Cause.NEW_FLOW])] * 2 + [(Verdict.ALERT, [Cause.UNPARSEABLE])] * 2
+        (True, [Cause.NEW_FLOW])] * 2 + [(True, [Cause.UNPARSEABLE])] * 2
     counts = engine.counts()
     assert {cause: n for cause, n in counts.items() if n} == {
         Cause.NEW_FLOW: 2, Cause.UNPARSEABLE: 2}

@@ -371,7 +371,7 @@ def test_detect_bad_input_exits_two(tmp_path, capsys, case):
     "detect-learn-first-inf", "stats-duration-inf", "stats-garbage-pcap-any-filter",
     "detect-alpha-flag", "simulate-status-port-70000", "simulate-attacker-ip-five-parts",
     "simulate-attacker-ip-three-parts", "simulate-attacker-mac-seven-octets",
-    "simulate-attacker-mac-five-octets", "simulate-arp-expiry-empty",
+    "simulate-attacker-mac-five-octets", "simulate-arp-expiry-empty", "detect-tail-us-negative",
 ])
 def test_input_error_exits_two(tmp_path, capsys, case):
     config = tmp_path / "plant.ini"
@@ -399,6 +399,9 @@ def test_input_error_exits_two(tmp_path, capsys, case):
         "simulate-unknown-scenario": ["simulate", "--duration", "5", "--scenario", "9",
                                       "--pcap-out", str(tmp_path / "x.pcap")],
         "detect-learn-first-zero": ["detect", "--learn-first", "0"] + sim_input,
+        # the open bursts would close before the frames they count
+        "detect-tail-us-negative": ["detect", "--learn-first", "3", "--tail-us", "-1"]
+            + sim_input,
         "simulate-duration-inf":
             ["simulate", "--duration", "inf", "--pcap-out", str(tmp_path / "x.pcap")],
         "simulate-scenario-start-inf": ["simulate", "--duration", "10", "--scenario",

@@ -70,6 +70,21 @@ def test_arp_key_is_sender_mac():
     assert derive_key(*arp, LOCAL) == FlowKey(FlowKind.ARP, peer=PLC_MAC)
 
 
+def test_unknown_direction_own_address_from_another_mac_is_received():
+    table = FlowTable(LOCAL)
+    own = _arp(ArpOp.REQUEST, LOCAL_MAC, LOCAL, frames.ZERO_MAC, PLC, direction=None)
+    # nothing learned for LOCAL yet: its address alone makes a frame sent
+    assert table.key_for(*own) == FlowKey(FlowKind.ARP, peer=frames.ZERO_MAC)
+    _observe(table, own, Mode.LEARNING)
+    assert table.key_for(*own) == FlowKey(FlowKind.ARP, peer=frames.ZERO_MAC)
+    forged = _arp(ArpOp.REPLY, EVIL_MAC, LOCAL, frames.BROADCAST_MAC, LOCAL, direction=None)
+    assert table.key_for(*forged) == FlowKey(FlowKind.ARP, peer=EVIL_MAC)
+    icmp = bytearray(frames.udp_frame(EVIL_MAC, PLC_MAC, LOCAL, PLC, 1, 2, b""))
+    icmp[23] = 1  # IPv4 protocol ICMP: no port block
+    assert table.key_for(parse_frame(bytes(icmp)), None) == FlowKey(FlowKind.OTHER,
+                                                                     peer=EVIL_MAC)
+
+
 def test_syn_decides_orientation_without_well_known_port():
     syn = _tcp(5000, 6000, flags=0x02)
     assert derive_key(*syn, LOCAL).service_port == 6000

@@ -12,6 +12,8 @@ from eids.packet import (
     PROTO_TCP,
     PROTO_UDP,
     TCP_ACK,
+    TCP_FIN,
+    TCP_RST,
     TCP_SYN,
     ArpOp,
     MalformedArp,
@@ -25,6 +27,8 @@ from eids.packet import (
 
 PLC_MAC = "02:00:ac:10:01:32"
 S1_MAC = "02:00:ac:10:01:65"
+# the TCP flags a header signature keeps
+SIGNATURE_FLAGS = TCP_SYN | TCP_ACK | TCP_FIN | TCP_RST
 
 
 def test_arp_request_frame():
@@ -380,7 +384,7 @@ def test_header_signature_admits_only_frames_it_spells():
         signature = header_signature(data)
         if signature is None:
             continue
-        macs, protocol, addresses, synack = signature
+        macs, protocol, addresses, flags = signature
         meta = parse_frame(data)
         l3 = meta.l3
         assert l3 is not None and l3.l4 is not None, data.hex()
@@ -390,9 +394,9 @@ def test_header_signature_admits_only_frames_it_spells():
                                           socket.inet_ntoa(addresses[4:8]))
         assert (l3.l4.src_port, l3.l4.dst_port) == struct.unpack(">HH", addresses[8:])
         if protocol == PROTO_TCP:
-            assert synack == l3.l4.tcp_flags & (TCP_SYN | TCP_ACK)
+            assert flags == l3.l4.tcp_flags & SIGNATURE_FLAGS
         else:
-            assert synack is None and l3.l4.tcp_flags is None
+            assert flags is None and l3.l4.tcp_flags is None
         admitted[protocol] += 1
     assert min(admitted.values()) > 100
 
@@ -409,7 +413,7 @@ def _reference_signature(data):
         doff = (data[46] >> 4) * 4
         if doff < 20 or len(data) < 34 + doff or ((data[16] << 8) | data[17]) - 20 - doff < 0:
             return None
-        return data[0:12], protocol, data[26:38], data[47] & (TCP_SYN | TCP_ACK)
+        return data[0:12], protocol, data[26:38], data[47] & SIGNATURE_FLAGS
     if protocol == PROTO_UDP and ((data[38] << 8) | data[39]) >= 8:
         return data[0:12], protocol, data[26:38], None
     return None
