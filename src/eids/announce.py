@@ -22,16 +22,22 @@ again for the wire.
 
 The HMAC key schedule (RFC 2104) is computed once per PSK, at the
 key's first use: the SHA-256 states after the inner and the outer
-padded key, with the constant-time compare, are cached for a bounded
-number of keys, and each tag copies them in place of hashing the padded
-key again. hashlib and hmac, and with them OpenSSL, are imported there
-too, so a process that never signs or verifies a datagram, such as
-`eids learn` or `eids detect` on a capture, never loads them. The empty
-key, under which anyone can sign, is refused there, for both directions.
+padded key are cached for a bounded number of keys, and each tag copies
+them in place of hashing the padded key again. SHA-256 comes from the
+interpreter's built-in module (`_sha2`, or `_sha256` before 3.12), and
+the constant-time compare from `_operator`, the one hmac itself falls
+back to: signing and verifying never load hashlib, hmac or OpenSSL,
+which would add about 3.7 MB of resident memory for two compressions
+per datagram. Only a build without the built-in module falls back to
+hashlib; the import happens at the key's first use, so even there a
+process that never signs or verifies a datagram, such as `eids learn`
+or `eids detect` on a capture, never loads it. The empty key, under
+which anyone can sign, is refused there, for both directions.
 """
 
 import functools
 import struct
+from _operator import _compare_digest as compare_digest
 from typing import NamedTuple
 
 MAGIC = b"EIDS"
@@ -54,19 +60,29 @@ _IPAD = bytes(x ^ 0x36 for x in range(256))
 _OPAD = bytes(x ^ 0x5C for x in range(256))
 
 
+def _sha256():
+    """The SHA-256 constructor: the interpreter's built-in module, and
+    hashlib only when the build has none."""
+    try:
+        from _sha2 import sha256  # 3.12+
+    except ImportError:
+        try:
+            from _sha256 import sha256
+        except ImportError:
+            from hashlib import sha256
+    return sha256
+
+
 @functools.lru_cache(maxsize=16)
 def _key(psk: bytes):
     """What a datagram under psk needs: SHA-256 after the inner and after
     the outer padded key (the key, hashed first when it is longer than a
-    block, zero-filled to one block and XORed with each pad) and the
-    constant-time compare."""
+    block, zero-filled to one block and XORed with each pad)."""
     if not psk:
         raise ValueError("empty PSK")
-    from hashlib import sha256
-    from hmac import compare_digest
-
+    sha256 = _sha256()
     key = (sha256(psk).digest() if len(psk) > _BLOCK else psk).ljust(_BLOCK, b"\0")
-    return sha256(key.translate(_IPAD)), sha256(key.translate(_OPAD)), compare_digest
+    return sha256(key.translate(_IPAD)), sha256(key.translate(_OPAD))
 
 
 def _tag(inner, outer, header: bytes) -> bytes:
@@ -139,7 +155,7 @@ class ReplayState:
 
 def encode(msg: StatusMessage, psk: bytes) -> bytes:
     """Serialize and sign a status message; deterministic bytes."""
-    inner, outer, _ = _key(psk)
+    inner, outer = _key(psk)
     if not 0 <= msg.node_id <= 0xFFFF:
         raise ValueError("node id out of range")
     if not 0 <= msg.msg_time_ms <= _TIME_MAX:
@@ -171,7 +187,7 @@ def decode_verify(
     replay. Only a fully accepted message advances the per-node replay
     floor. The empty psk raises ValueError before any check.
     """
-    inner, outer, compare_digest = _key(psk)
+    inner, outer = _key(psk)
     if len(data) != WIRE_LEN:
         raise BadLength("%d octets, want %d" % (len(data), WIRE_LEN))
     header = data[:HEADER_LEN]

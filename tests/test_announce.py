@@ -1,6 +1,7 @@
 """Status datagram wire format, authentication, replay protection."""
 
 import hmac
+import importlib.util
 import json
 import os
 import subprocess
@@ -172,6 +173,32 @@ def test_tag_equals_hmac_new_on_both_sides_of_the_block(psk_len):
         decode_verify(wire, psk[:-1] + bytes([psk[-1] ^ 1]), ReplayState())
 
 
+# RFC 4231 section 4, HMAC-SHA-256 test cases 1-4, 6 and 7 (case 5
+# truncates its output): key, data, tag
+_RFC4231 = [
+    (b"\x0b" * 20, b"Hi There",
+     "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"),
+    (b"Jefe", b"what do ya want for nothing?",
+     "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"),
+    (b"\xaa" * 20, b"\xdd" * 50,
+     "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe"),
+    (bytes(range(1, 26)), b"\xcd" * 50,
+     "82558a389a443c0ea4cc819899f2083a85f0faa3e578f8077a2e3ff46729665b"),
+    (b"\xaa" * 131, b"Test Using Larger Than Block-Size Key - Hash Key First",
+     "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"),
+    (b"\xaa" * 131,
+     b"This is a test using a larger than block-size key and a larger than "
+     b"block-size data. The key needs to be hashed before being used by the "
+     b"HMAC algorithm.",
+     "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2"),
+]
+
+
+@pytest.mark.parametrize("key, data, tag", _RFC4231, ids=["1", "2", "3", "4", "6", "7"])
+def test_tag_matches_rfc4231(key, data, tag):
+    assert announce._tag(*announce._key(key), data).hex() == tag
+
+
 def test_more_keys_than_the_pad_cache_sign_as_a_fresh_process():
     n_keys = 2 * announce._key.cache_info().maxsize + 1
     psks = [b"key-%d-" % k * (k % 9 + 1) for k in range(n_keys)]
@@ -240,7 +267,15 @@ def test_agent_commands_on_a_capture_never_load_openssl(capture, tmp_path, comma
     assert _fresh_process(code, *argv) == [0, []]
 
 
-def test_signing_and_verifying_load_openssl():
+_BUILTIN_SHA256 = pytest.mark.skipif(
+    not any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256")),
+    reason="this interpreter has no built-in SHA-256 module, so announce signs "
+           "on hashlib and with it OpenSSL",
+)
+
+
+@_BUILTIN_SHA256
+def test_signing_and_verifying_never_load_openssl():
     code = (
         "from eids.announce import StatusMessage, encode\n"
         "from eids.central import CentralLogger\n"
@@ -249,4 +284,43 @@ def test_signing_and_verifying_load_openssl():
         "accepted = CentralLogger(b'k').on_datagram(wire, 1_000_000) is not None\n"
         "print(json.dumps([before, accepted, %s]))" % (_LOADED, _LOADED)
     )
-    assert _fresh_process(code) == [[], True, list(_HASH_MODULES)]
+    assert _fresh_process(code) == [[], True, []]
+
+
+@_BUILTIN_SHA256
+@pytest.mark.parametrize("command", ["simulate", "logger-step"])
+def test_simulator_and_logger_never_load_openssl(tmp_path, command):
+    code = {
+        "simulate": "from eids import cli\n"
+                    "result = cli.main(['simulate', '--duration', '60', '--pcap-out', %r])\n"
+                    % str(tmp_path / "plant.pcap"),
+        "logger-step": "from eids.announce import StatusMessage, encode\n"
+                       "from eids.central import CentralLogger\n"
+                       "wire = encode(StatusMessage(7, 1_000, False, True, 0), b'k')\n"
+                       "result = CentralLogger(b'k').step(wire, 1_000_000)[0]\n",
+    }[command]
+    expected = {"simulate": 0, "logger-step": [[1_000_000, 7, "up"]]}[command]
+    assert _fresh_process(code + "print(json.dumps([result, %s]))" % _LOADED) == [expected, []]
+
+
+def test_hashlib_fallback_signs_the_same_bytes():
+    # a build without the built-in SHA-256 module signs on hashlib
+    psks = [bytes((7 * k + n) % 256 for k in range(n)) for n in (1, 64, 65, 200)]
+    msgs = [tuple(_msg(node_id=n, time_ms=1_000 * n, intrusion=True, events=n))
+            for n in range(len(psks))]
+    code = (
+        "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+        "from eids.announce import BadHmac, ReplayState, StatusMessage, decode_verify, encode\n"
+        "wires, verdicts = [], []\n"
+        "for m, psk in zip(%r, %r):\n"
+        "    wire = encode(StatusMessage(*m), psk)\n"
+        "    wires.append(wire.hex())\n"
+        "    verdicts.append(tuple(decode_verify(wire, psk, ReplayState())) == m)\n"
+        "    try:\n"
+        "        decode_verify(wire[:20] + bytes([wire[20] ^ 1]) + wire[21:], psk, ReplayState())\n"
+        "    except BadHmac:\n"
+        "        verdicts.append('BadHmac')\n"
+        "print(json.dumps([wires, verdicts, 'hashlib' in sys.modules]))" % (msgs, psks)
+    )
+    wires = [encode(StatusMessage(*m), psk).hex() for m, psk in zip(msgs, psks)]
+    assert _fresh_process(code) == [wires, [True, "BadHmac"] * len(psks), True]
